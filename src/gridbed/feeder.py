@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Mapping
 
 PHASES = ("A", "B", "C")
 PHASE_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -175,7 +175,6 @@ class TopologyView:
     config: SwitchConfig | None
     active_branches: tuple[int, ...]
     energized: frozenset[str]
-    components: tuple[frozenset[str], ...]
 
 
 def apply_switch_config(model: FeederModel, config: SwitchConfig) -> TopologyView:
@@ -202,30 +201,18 @@ def apply_switch_config(model: FeederModel, config: SwitchConfig) -> TopologyVie
         adjacency[br.from_bus].append(br.to_bus)
         adjacency[br.to_bus].append(br.from_bus)
 
-    seen: set[str] = set()
-    components: list[frozenset[str]] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if v not in comp:
-                    comp.add(v)
-                    seen.add(v)
-                    stack.append(v)
-        components.append(frozenset(comp))
-
-    energized = next(c for c in components if model.source_bus in c)
+    energized = {model.source_bus}
+    stack = [model.source_bus]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v not in energized:
+                energized.add(v)
+                stack.append(v)
     return TopologyView(
         model=model,
         config=config,
         active_branches=active,
-        energized=energized,
-        components=tuple(components),
+        energized=frozenset(energized),
     )
 
 
@@ -241,35 +228,6 @@ def is_radial(view: TopologyView) -> bool:
         and model.branches[i].to_bus in view.energized
     )
     return live_edges == len(view.energized) - 1
-
-
-def radiality_indicator(
-    magnitudes: Mapping[str, float],
-    config: SwitchConfig,
-    pairs: Iterable[tuple[str, str, str | None]],
-) -> int:
-    """Dead-island indicator over adjacent node pairs.
-
-    Evaluates, literally, the product over pairs (i, j) of
-    ``1 - [Vi == 0][Vj == 0](1 - Sij)`` where Sij is 1 for lines and closed
-    switches, 0 for open switches.  Returns 0 only when some pair has both
-    endpoint magnitudes exactly zero across an open switch.  Note this is an
-    after-the-fact island detector: it stays 1 on meshed networks, so the
-    operative radiality constraint elsewhere is :func:`is_radial`.
-    """
-    for i, j, switch in pairs:
-        if switch is None:
-            s_ij = 1
-        else:
-            s_ij = 1 if config.closed(switch) else 0
-        if magnitudes[i] == 0.0 and magnitudes[j] == 0.0 and s_ij == 0:
-            return 0
-    return 1
-
-
-def model_pairs(model: FeederModel) -> tuple[tuple[str, str, str | None], ...]:
-    """Adjacent (from, to, switch-or-None) pairs for every branch."""
-    return tuple((b.from_bus, b.to_bus, b.switch) for b in model.branches)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 from .feeder import (
-    PHASE_INDEX,
     FeederModel,
     SwitchConfig,
     apply_switch_config,
@@ -231,16 +230,6 @@ def exhaustive_best(
     )
 
 
-def _overrides_from_setpoints(
-    model: FeederModel, meter_map: MeterMap, setpoints_kw: dict[str, int]
-):
-    overrides = {}
-    for node, phase in meter_map.setpoints:
-        kvar = model.bus(node).load_kvar[PHASE_INDEX[phase]]
-        overrides[node] = {phase: (float(setpoints_kw[node]), kvar)}
-    return overrides
-
-
 def mitigate_once(
     client: ModbusClient,
     model: FeederModel,
@@ -258,8 +247,7 @@ def mitigate_once(
     current = SwitchConfig.from_mapping(
         model, client.read_switches(model.switch_names)
     )
-    setpoints = client.read_setpoints(meter_map)
-    overrides = _overrides_from_setpoints(model, meter_map, setpoints)
+    overrides = meter_map.overrides(model, client.read_setpoints(meter_map))
 
     search = exhaustive_best if use_oracle else best_response_sweep
     plan = search(model, current, overrides, weights, allow_meshed, band)

@@ -38,6 +38,7 @@ SUPPORTED_FUNCTIONS = frozenset(
 EXC_ILLEGAL_FUNCTION = 0x01
 EXC_ILLEGAL_ADDRESS = 0x02
 EXC_ILLEGAL_VALUE = 0x03
+EXC_SERVER_FAILURE = 0x04
 
 COIL_ON = 0xFF00
 COIL_OFF = 0x0000

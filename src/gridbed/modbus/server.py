@@ -1,11 +1,13 @@
 """Modbus/TCP server fronting a live power-flow simulation.
 
 The register store is bound to a feeder model: coil writes reconfigure
-switches, setpoint-register writes change controllable loads, and (in the
-default on-write refresh mode) the solver re-runs synchronously so the
-voltage registers already reflect the new state when the write response goes
-out.  All request processing is serialized through one lock, which gives
-per-request atomicity and a total order over writes.
+switches, setpoint-register writes change controllable loads, and the solver
+re-runs synchronously so the voltage registers already reflect the new state
+when the write response goes out.  All request processing is serialized
+through one lock, which gives per-request atomicity and a total order over
+writes.  Every write goes through :meth:`FeederServer._commit`, which solves
+and renders the new state before swapping it in, so a failing write leaves
+the previous state and image untouched and is answered with exception 0x04.
 
 If a write produces a non-converging state the write is still accepted; the
 voltage registers keep the last converged values and the status register is
@@ -20,7 +22,7 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import regmap
 from ..feeder import (
@@ -37,6 +39,7 @@ from .frames import (
     EXC_ILLEGAL_ADDRESS,
     EXC_ILLEGAL_FUNCTION,
     EXC_ILLEGAL_VALUE,
+    EXC_SERVER_FAILURE,
     ExceptionResponse,
     ReadCoilsRequest,
     ReadCoilsResponse,
@@ -66,9 +69,9 @@ def _merge_blocks(blocks: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerState:
-    """Mutable simulation + register state; callers must hold the lock."""
+    """Simulation + register state; the server swaps in a new one per write."""
 
     model: FeederModel
     meter_map: MeterMap
@@ -82,46 +85,24 @@ class ServerState:
 class FeederServer:
     """Threaded Modbus/TCP server over one feeder simulation."""
 
+    state: ServerState | None = None  # replaced only by _commit
+
     def __init__(
         self,
         model: FeederModel,
         meter_map: MeterMap | None = None,
         bind: tuple[str, int] = ("127.0.0.1", 0),
-        refresh: str = "on-write",
         high_word_first: bool = True,
     ):
         self.model = model
         self.meter_map = meter_map or MeterMap.for_model(model)
         self.high_word_first = high_word_first
         self._lock = threading.RLock()
-        self._refresh = refresh
-        self._tick_ms = 0
-        if refresh.startswith("tick:"):
-            self._tick_ms = int(refresh.split(":", 1)[1])
-            if self._tick_ms <= 0:
-                raise ValueError("tick interval must be positive")
-        elif refresh != "on-write":
-            raise ValueError(f"unknown refresh mode {refresh!r}")
-
-        config = SwitchConfig.normal(model)
-        setpoints = {}
-        for node, phase in self.meter_map.setpoints:
-            bus = model.bus(node)
-            setpoints[node] = int(round(bus.load_kw[PHASE_INDEX[phase]]))
-        solution = self._solve(config, setpoints)
-        if not solution.converged:
-            raise RuntimeError("base state does not converge; refusing to serve")
-        self.state = ServerState(
-            model=model,
-            meter_map=self.meter_map,
-            config=config,
-            setpoints_kw=setpoints,
-            image=build_image(
-                solution, setpoints, config, self.meter_map, False, high_word_first
-            ),
-            solution=solution,
-            stale=False,
-        )
+        setpoints = {
+            node: int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
+            for node, phase in self.meter_map.setpoints
+        }
+        self._commit(SwitchConfig.normal(model), setpoints)
 
         self._holding_blocks = _merge_blocks(
             [
@@ -156,8 +137,6 @@ class FeederServer:
         self._tcp = _Server(bind, _Handler)
         self.address = self._tcp.server_address
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._ticker: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -165,15 +144,13 @@ class FeederServer:
         if self._thread.is_alive():
             return self
         self._thread.start()
-        if self._tick_ms:
-            self._ticker = threading.Thread(target=self._tick_loop, daemon=True)
-            self._ticker.start()
         log.info("serving %s:%d", *self.address)
         return self
 
     def close(self):
-        self._stop.set()
-        self._tcp.shutdown()
+        # shutdown() waits for a serve_forever loop, so only stop a running one.
+        if self._thread.is_alive():
+            self._tcp.shutdown()
         self._tcp.server_close()
 
     def __enter__(self):
@@ -184,48 +161,31 @@ class FeederServer:
 
     # -- simulation --------------------------------------------------------
 
-    def _solve(self, config: SwitchConfig, setpoints: dict[str, int]) -> VoltageSolution:
+    def _commit(self, config: SwitchConfig, setpoints: dict[str, int]):
+        """Solve and render a new state, then swap it in.
+
+        A non-converging solve keeps the last converged solution and marks
+        the image stale; if anything raises, the current state stays.
+        """
         view = apply_switch_config(self.model, config)
-        overrides = {}
-        for node, phase in self.meter_map.setpoints:
-            bus = self.model.bus(node)
-            kvar = bus.load_kvar[PHASE_INDEX[phase]]
-            overrides[node] = {phase: (float(setpoints[node]), kvar)}
-        return solve(self.model, view, effective_overrides(view, overrides))
-
-    def _refresh_image(self):
-        solution = self._solve(self.state.config, self.state.setpoints_kw)
-        if solution.converged:
-            self.state.solution = solution
-            self.state.stale = False
-        else:
-            self.state.stale = True
-        self.state.image = build_image(
-            self.state.solution,
-            self.state.setpoints_kw,
-            self.state.config,
-            self.meter_map,
-            self.state.stale,
-            self.high_word_first,
+        overrides = self.meter_map.overrides(self.model, setpoints)
+        solution = solve(self.model, view, effective_overrides(view, overrides))
+        stale = not solution.converged
+        if stale:
+            if self.state is None:
+                raise RuntimeError("base state does not converge; refusing to serve")
+            solution = self.state.solution
+        image = build_image(
+            solution, setpoints, config, self.meter_map, stale, self.high_word_first
         )
-
-    def _tick_loop(self):
-        while not self._stop.wait(self._tick_ms / 1000.0):
-            with self._lock:
-                self._refresh_image()
+        self.state = ServerState(
+            self.model, self.meter_map, config, setpoints, image, solution, stale
+        )
 
     def snapshot(self) -> ServerState:
         """Consistent copy of the live state (for tests and the orchestrator)."""
         with self._lock:
-            return ServerState(
-                model=self.model,
-                meter_map=self.meter_map,
-                config=self.state.config,
-                setpoints_kw=dict(self.state.setpoints_kw),
-                image=self.state.image,
-                solution=self.state.solution,
-                stale=self.state.stale,
-            )
+            return replace(self.state, setpoints_kw=dict(self.state.setpoints_kw))
 
     # -- protocol ----------------------------------------------------------
 
@@ -257,7 +217,11 @@ class FeederServer:
         except frames.FrameError:
             return ExceptionResponse(function & 0x7F, EXC_ILLEGAL_VALUE)
         with self._lock:
-            return self._execute(request)
+            try:
+                return self._execute(request)
+            except Exception:
+                log.exception("server failure on function 0x%02X", function)
+                return ExceptionResponse(function, EXC_SERVER_FAILURE)
 
     def _execute(self, request):
         if isinstance(request, ReadHoldingRequest):
@@ -325,20 +289,11 @@ class FeederServer:
             return ExceptionResponse(function, EXC_ILLEGAL_ADDRESS)
         if first + len(values) - 1 > hi:
             return ExceptionResponse(function, EXC_ILLEGAL_VALUE)
+        setpoints = dict(self.state.setpoints_kw)
         for offset, value in enumerate(values):
             node, _ = self.meter_map.setpoints[first - lo + offset]
-            self.state.setpoints_kw[node] = value
-        if self._refresh == "on-write":
-            self._refresh_image()
-        else:
-            self.state.image = build_image(
-                self.state.solution,
-                self.state.setpoints_kw,
-                self.state.config,
-                self.meter_map,
-                self.state.stale,
-                self.high_word_first,
-            )
+            setpoints[node] = value
+        self._commit(self.state.config, setpoints)
         return response
 
     def _write_coils(self, function: int, first: int, bits: list[bool], response):
@@ -351,18 +306,7 @@ class FeederServer:
         for offset, closed in enumerate(bits):
             name = self.model.switch_names[first - lo + offset]
             config = config.with_switch(name, closed)
-        self.state.config = config
-        if self._refresh == "on-write":
-            self._refresh_image()
-        else:
-            self.state.image = build_image(
-                self.state.solution,
-                self.state.setpoints_kw,
-                self.state.config,
-                self.meter_map,
-                self.state.stale,
-                self.high_word_first,
-            )
+        self._commit(config, self.state.setpoints_kw)
         return response
 
 
@@ -380,11 +324,10 @@ def serve(
     model: FeederModel,
     meter_map: MeterMap | None = None,
     bind: tuple[str, int] = ("127.0.0.1", DEFAULT_PORT),
-    refresh: str = "on-write",
     high_word_first: bool = True,
 ) -> FeederServer:
     """Start a server and return its handle (caller closes)."""
-    return FeederServer(model, meter_map, bind, refresh, high_word_first).start()
+    return FeederServer(model, meter_map, bind, high_word_first).start()
 
 
 def main(argv=None) -> int:
@@ -393,11 +336,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--feeder", required=True, help="feeder description JSON file")
     parser.add_argument("--bind", default=f"127.0.0.1:{DEFAULT_PORT}", help="addr:port")
-    parser.add_argument(
-        "--refresh",
-        default="on-write",
-        help="voltage refresh policy: on-write or tick:<ms>",
-    )
     parser.add_argument(
         "--float-order",
         choices=("hi-lo", "lo-hi"),
@@ -413,7 +351,6 @@ def main(argv=None) -> int:
     server = serve(
         model,
         bind=(host or "127.0.0.1", int(port)),
-        refresh=args.refresh,
         high_word_first=args.float_order == "hi-lo",
     )
     print(f"serving {args.feeder} on {server.address[0]}:{server.address[1]}", flush=True)

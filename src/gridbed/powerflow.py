@@ -422,6 +422,38 @@ def _tree_path(u_bi, v_bi, order, parent_edge, model, index) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _out_of_band(
+    points: Iterable[tuple[str, str, float]], band: tuple[float, float]
+) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
+    """Split (bus, phase, magnitude) points into band violations and outages.
+
+    A magnitude of exactly 0 is an outage (de-energized), not a violation.
+    """
+    low, high = band
+    if low >= high:
+        raise PowerFlowError(f"inverted band: {band}")
+    violations: list[tuple[str, str, float]] = []
+    outages: list[tuple[str, str]] = []
+    for bus, phase, mag in points:
+        if mag == 0.0:
+            outages.append((bus, phase))
+        elif mag < low or mag > high:
+            violations.append((bus, phase, mag))
+    return violations, outages
+
+
+def _unbalance_by_bus(points: Iterable[tuple[str, str, float]]) -> dict[str, float]:
+    """Unbalance percent of every bus with three nonzero phase magnitudes."""
+    by_bus: dict[str, dict[str, float]] = {}
+    for bus, phase, mag in points:
+        by_bus.setdefault(bus, {})[phase] = mag
+    return {
+        bus: unbalance_at(*(phases[p] for p in PHASES))
+        for bus, phases in by_bus.items()
+        if set(phases) == set(PHASES) and all(v > 0 for v in phases.values())
+    }
+
+
 def count_violations(
     solution: VoltageSolution, band: tuple[float, float] = DEFAULT_BAND
 ) -> ViolationReport:
@@ -430,18 +462,9 @@ def count_violations(
     De-energized points (magnitude exactly 0) are reported as outages, not
     violations.
     """
-    low, high = band
-    if low >= high:
-        raise PowerFlowError(f"inverted band: {band}")
     if not solution.converged:
         raise PowerFlowError("refusing to count violations on a non-converged solution")
-    points: list[tuple[str, str, float]] = []
-    outages: list[tuple[str, str]] = []
-    for bus, phase, mag in solution.points():
-        if mag == 0.0:
-            outages.append((bus, phase))
-        elif mag < low or mag > high:
-            points.append((bus, phase, mag))
+    points, outages = _out_of_band(solution.points(), band)
     return ViolationReport(count=len(points), points=points, band=band, outages=outages)
 
 
@@ -458,14 +481,7 @@ def max_unbalance(solution: VoltageSolution) -> UnbalanceReport:
     """Worst unbalance over energized three-phase buses."""
     if not solution.converged:
         raise PowerFlowError("refusing to report unbalance on a non-converged solution")
-    per_bus: dict[str, float] = {}
-    for bus, phases in solution.voltages.items():
-        if set(phases) != set(PHASES):
-            continue
-        mags = [abs(phases[p]) for p in PHASES]
-        if any(m == 0.0 for m in mags):
-            continue
-        per_bus[bus] = unbalance_at(*mags)
+    per_bus = _unbalance_by_bus(solution.points())
     if not per_bus:
         raise PowerFlowError("no energized three-phase bus to measure")
     max_bus = max(per_bus, key=lambda b: (per_bus[b], b))
@@ -479,14 +495,8 @@ def unbalance_from_magnitudes(magnitudes: Mapping[tuple[str, str], float]) -> fl
     phases; returns 0.0 when none qualifies.  This is the client-side analog
     of :func:`max_unbalance` for meter data read over the wire.
     """
-    by_bus: dict[str, dict[str, float]] = {}
-    for (bus, phase), mag in magnitudes.items():
-        by_bus.setdefault(bus, {})[phase] = mag
-    worst = 0.0
-    for phases in by_bus.values():
-        if set(phases) == set(PHASES) and all(v > 0 for v in phases.values()):
-            worst = max(worst, unbalance_at(*(phases[p] for p in PHASES)))
-    return worst
+    points = ((bus, phase, mag) for (bus, phase), mag in magnitudes.items())
+    return max(_unbalance_by_bus(points).values(), default=0.0)
 
 
 def count_violations_from_magnitudes(
@@ -494,7 +504,5 @@ def count_violations_from_magnitudes(
     band: tuple[float, float] = DEFAULT_BAND,
 ) -> int:
     """Band-violation count over wire-read meter magnitudes (zeros = outages)."""
-    low, high = band
-    if low >= high:
-        raise PowerFlowError(f"inverted band: {band}")
-    return sum(1 for m in magnitudes.values() if m != 0.0 and (m < low or m > high))
+    points = ((bus, phase, mag) for (bus, phase), mag in magnitudes.items())
+    return len(_out_of_band(points, band)[0])

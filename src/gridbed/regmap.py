@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .feeder import FeederModel, SwitchConfig
+from .feeder import PHASE_INDEX, FeederModel, SwitchConfig
 from .powerflow import VoltageSolution
 
 VOLTAGE_BLOCK_START = 1
@@ -121,12 +121,6 @@ class MeterMap:
                 )
         return cls(meters=meters, setpoints=tuple(setpoint_nodes))
 
-    def voltage_register(self, bus: str, phase: str) -> int:
-        try:
-            return VOLTAGE_BLOCK_START + self.meters.index((bus, phase))
-        except ValueError:
-            raise RegisterMapError(f"({bus}, {phase}) is not a metered point") from None
-
     def setpoint_register(self, node: str) -> int:
         for k, (n, _) in enumerate(self.setpoints):
             if n == node:
@@ -139,12 +133,20 @@ class MeterMap:
                 return p
         raise RegisterMapError(f"{node!r} has no setpoint register")
 
-    @property
-    def float_pairs(self) -> int:
-        return len(self.meters)
-
-    def float_register(self, meter_index: int) -> int:
-        return FLOAT_BLOCK_START + 2 * meter_index
+    def overrides(
+        self, model: FeederModel, setpoints_kw: Mapping[str, int]
+    ) -> dict[str, dict[str, tuple[float, float]]]:
+        """Solver overrides for commanded setpoints: kW as commanded, kvar
+        kept at the bus's base load."""
+        return {
+            node: {
+                phase: (
+                    float(setpoints_kw[node]),
+                    model.bus(node).load_kvar[PHASE_INDEX[phase]],
+                )
+            }
+            for node, phase in self.setpoints
+        }
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,6 @@ class RegisterImage:
 
     holding: tuple[int, ...]  # index = register number; [0] unused
     coils: tuple[bool, ...]  # index = coil number; [0] unused
-    float_block_base: int = FLOAT_BLOCK_START
 
 
 def build_image(

@@ -10,8 +10,6 @@ from gridbed.feeder import (
     apply_switch_config,
     is_radial,
     load_feeder,
-    model_pairs,
-    radiality_indicator,
     serialize_feeder,
 )
 
@@ -210,55 +208,3 @@ def test_de_energized_load_bus_is_not_radial():
     # close both -> cycle -> not radial
     both_closed = SwitchConfig.from_mapping(model, {"SW1": True, "SW2": True})
     assert not is_radial(apply_switch_config(model, both_closed))
-
-
-# ---------------------------------------------------------------------------
-# radiality_indicator
-# ---------------------------------------------------------------------------
-
-
-def _pairs(model):
-    return model_pairs(model)
-
-
-def test_indicator_all_live_is_one(fixture_model):
-    config = SwitchConfig.normal(fixture_model)
-    mags = {b.id: 1.0 for b in fixture_model.buses}
-    assert radiality_indicator(mags, config, _pairs(fixture_model)) == 1
-
-
-def test_indicator_dead_pair_across_open_switch():
-    model = load_feeder(json.dumps(three_bus_switch_doc()))
-    config = SwitchConfig.from_mapping(model, {"SW1": False, "SW2": False})
-    mags = {"B0": 1.0, "B1": 0.0, "B2": 0.0}
-    assert radiality_indicator(mags, config, _pairs(model)) == 0
-
-
-def test_indicator_needs_both_endpoints_dead():
-    model = load_feeder(json.dumps(three_bus_switch_doc()))
-    config = SwitchConfig.from_mapping(model, {"SW1": False, "SW2": False})
-    mags = {"B0": 1.0, "B1": 0.98, "B2": 0.0}
-    assert radiality_indicator(mags, config, _pairs(model)) == 1
-
-
-def test_indicator_unknown_switch_errors():
-    model = load_feeder(json.dumps(three_bus_switch_doc()))
-    config = SwitchConfig.from_mapping(model, {"SW1": True, "SW2": False})
-    with pytest.raises(FeederError, match="SW9"):
-        radiality_indicator({"B0": 1.0, "B1": 1.0}, config, [("B0", "B1", "SW9")])
-
-
-def test_indicator_stays_one_on_meshed_but_live_network(fixture_model):
-    # the formula is only an island detector: a meshed but fully energized
-    # network still scores 1, which is why the graph test governs
-    config = SwitchConfig.normal(fixture_model).with_switch("S7", True)
-    mags = {b.id: 0.99 for b in fixture_model.buses}
-    assert radiality_indicator(mags, config, _pairs(fixture_model)) == 1
-
-
-def test_indicator_agrees_with_graph_test_on_energized_radial_state(fixture_model):
-    config = SwitchConfig.normal(fixture_model)
-    view = apply_switch_config(fixture_model, config)
-    assert is_radial(view)
-    mags = {b.id: (1.0 if b.id in view.energized else 0.0) for b in fixture_model.buses}
-    assert radiality_indicator(mags, config, _pairs(fixture_model)) == 1

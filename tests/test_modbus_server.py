@@ -17,6 +17,7 @@ from gridbed.regmap import (
     SETPOINT_BLOCK_START,
     STATUS_REGISTER,
     MeterMap,
+    build_image,
     decode_voltage_word,
 )
 
@@ -338,21 +339,39 @@ def test_setpoint_on_dead_bus_is_stored_not_applied():
         server.close()
 
 
-def test_tick_refresh_mode(fixture_model, fixture_meter_map):
-    import time
+def test_internal_failure_answers_0x04_and_keeps_state(
+    monkeypatch, live_server, fixture_meter_map
+):
+    from gridbed.modbus import server as server_module
 
-    server = FeederServer(
-        fixture_model, fixture_meter_map, bind=("127.0.0.1", 0), refresh="tick:50"
-    ).start()
-    try:
-        with _client(server) as client:
-            before = client.read_all_voltages(fixture_meter_map)
+    def broken_build_image(*args, **kwargs):
+        raise RuntimeError("image rendering failed")
+
+    with _client(live_server) as client:
+        setpoints = client.read_setpoints(fixture_meter_map)
+        voltages = client.read_all_voltages(fixture_meter_map)
+        status = client.read_holding(STATUS_REGISTER, 1)
+        monkeypatch.setattr(server_module, "build_image", broken_build_image)
+        with pytest.raises(ModbusExceptionError) as exc:
             client.write_register(SETPOINT_BLOCK_START, 160)
-            time.sleep(0.3)  # voltage refresh arrives with the tick
-            after = client.read_all_voltages(fixture_meter_map)
-            assert after[("N102", "C")] < before[("N102", "C")]
-    finally:
-        server.close()
+        monkeypatch.undo()
+        assert exc.value.code == frames.EXC_SERVER_FAILURE
+        # the same connection still serves, and nothing of the write landed
+        assert client.read_setpoints(fixture_meter_map) == setpoints
+        assert client.read_all_voltages(fixture_meter_map) == voltages
+        assert client.read_holding(STATUS_REGISTER, 1) == status
+    state = live_server.snapshot()
+    assert state.image == build_image(
+        state.solution, state.setpoints_kw, state.config, fixture_meter_map, state.stale
+    )
+
+
+def test_close_of_unstarted_server_returns(fixture_model, fixture_meter_map):
+    server = FeederServer(fixture_model, fixture_meter_map, bind=("127.0.0.1", 0))
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=2.0)
+    assert not closer.is_alive()
 
 
 def test_server_down_raises_connection_error():

@@ -17,7 +17,7 @@ from gridbed.powerflow import (
 )
 
 from conftest import four_bus_doc, two_bus_doc
-from oracles import dense_nodal_solve, two_bus_receiving_magnitude
+from oracles import dense_nodal_solve, reachable_from, two_bus_receiving_magnitude
 
 
 def _view(model, config=None):
@@ -107,6 +107,33 @@ def test_non_convergence_flagged_not_raised():
     assert solution.iterations == 100
     with pytest.raises(PowerFlowError, match="non-converged"):
         count_violations(solution)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="sweep defect, fixed by the one-solver-path item (nodal operator in "
+    "place of sweep plus loop compensation): a phase counts as fed only along "
+    "its spanning-tree path, so closing the phase-A tie S8 starves B/C meters",
+)
+def test_meters_connected_on_their_phase_are_fed_with_s8_closed(fixture_model):
+    config = SwitchConfig.normal(fixture_model).with_switch("S8", True)
+    solution = solve(fixture_model, _view(fixture_model, config))
+    assert solution.converged
+    closed = config.as_dict()
+    starved = []
+    for p in PHASES:
+        # branches that carry phase p: in service, and p at both endpoints
+        edges = [
+            (br.from_bus, br.to_bus)
+            for br in fixture_model.branches
+            if (not br.is_switch or closed[br.switch])
+            and p in fixture_model.bus(br.from_bus).phases
+            and p in fixture_model.bus(br.to_bus).phases
+        ]
+        for bus in sorted(reachable_from(fixture_model.source_bus, edges)):
+            if p in fixture_model.bus(bus).phases and solution.magnitude(bus, p) <= 0.5:
+                starved.append((bus, p))
+    assert not starved
 
 
 # ---------------------------------------------------------------------------

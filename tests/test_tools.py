@@ -1,0 +1,27 @@
+"""Developer tools stay in step with the package they build documents for."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from gridbed.regmap import render_register_map
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_make_fixture_check_scorecard_agrees():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_fixture.py"), "--check"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    agree = re.findall(r"^case (\d): .* agree=(\w+)$", proc.stdout, re.MULTILINE)
+    assert agree == [(str(case), "True") for case in range(1, 7)]
+
+
+def test_register_map_doc_matches_render(fixture_meter_map):
+    committed = (ROOT / "docs" / "register_map.md").read_text(encoding="utf-8")
+    assert render_register_map(fixture_meter_map) == committed

@@ -6,7 +6,7 @@ far zone (N97..N108), side branches and single-phase twigs sized so the far
 zone sits a little above the lower service limit at base load, and two
 normally-open ties:
 
-* S7 bridges mid-trunk N54 to far-zone tail N108 (three-phase),
+* S7 bridges mid-trunk N54 to far-zone spine N105 (three-phase),
 * S8 bridges lateral end N71 to lateral end N114 (phase A).
 
 The nine controllable load nodes live in the far zone: N102-N104 on phase C,
