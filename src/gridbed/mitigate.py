@@ -279,37 +279,41 @@ def run_mitigation(
     plans: list[MitigationPlan] = []
     attempt = 0
     client = None
-    while True:
-        try:
-            if client is None:
-                client = client_factory()
-            plan = mitigate_once(
-                client, model, meter_map, weights, use_oracle, allow_meshed, band
-            )
-            attempt = 0
-            if plan is not None:
-                plans.append(plan)
-                log.info(
-                    "plan: toggles=%s pre=%d post=%s",
-                    list(plan.toggles),
-                    plan.pre_violations,
-                    plan.observed_post_violations,
+    try:
+        while True:
+            try:
+                if client is None:
+                    client = client_factory()
+                plan = mitigate_once(
+                    client, model, meter_map, weights, use_oracle, allow_meshed, band
                 )
-            if once:
-                return plans
-            time.sleep(interval_s)
-        except (ConnectionError, OSError) as exc:
-            attempt += 1
-            if client is not None:
-                client.close()
-                client = None
-            if attempt > max_retries:
-                raise MitigationError(
-                    f"server unreachable after {max_retries} retries: {exc}"
-                ) from exc
-            backoff = min(2.0 ** attempt * 0.1, 5.0)
-            log.warning("transport failure (%s); retry %d in %.1fs", exc, attempt, backoff)
-            time.sleep(backoff)
+                attempt = 0
+                if plan is not None:
+                    plans.append(plan)
+                    log.info(
+                        "plan: toggles=%s pre=%d post=%s",
+                        list(plan.toggles),
+                        plan.pre_violations,
+                        plan.observed_post_violations,
+                    )
+                if once:
+                    return plans
+                time.sleep(interval_s)
+            except (ConnectionError, OSError) as exc:
+                attempt += 1
+                if client is not None:
+                    client.close()
+                    client = None
+                if attempt > max_retries:
+                    raise MitigationError(
+                        f"server unreachable after {max_retries} retries: {exc}"
+                    ) from exc
+                backoff = min(2.0 ** attempt * 0.1, 5.0)
+                log.warning("transport failure (%s); retry %d in %.1fs", exc, attempt, backoff)
+                time.sleep(backoff)
+    finally:
+        if client is not None:
+            client.close()
 
 
 def main(argv=None) -> int:

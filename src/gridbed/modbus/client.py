@@ -142,7 +142,9 @@ class ModbusClient:
     def write_setpoints(self, meter_map: MeterMap, kw_by_node: dict[str, int]):
         """Write node setpoints (kW) as one write-multiple transaction.
 
-        Nodes not mentioned keep their current value; an empty map is a no-op.
+        A map naming every mapped node is written as is, in one request.
+        Otherwise the current setpoints are read first and nodes not
+        mentioned keep their value; an empty map is a no-op.
         """
         if not kw_by_node:
             return
@@ -151,9 +153,10 @@ class ModbusClient:
         for node, kw in kw_by_node.items():
             if not 0 <= int(kw) <= 0xFFFF:
                 raise ValueError(f"setpoint {kw} kW for {node!r} exceeds 16-bit range")
-        current = self.read_setpoints(meter_map)
-        current.update({n: int(v) for n, v in kw_by_node.items()})
-        values = [current[node] for node, _ in meter_map.setpoints]
+        kw = {n: int(v) for n, v in kw_by_node.items()}
+        if not all(node in kw for node, _ in meter_map.setpoints):
+            kw = self.read_setpoints(meter_map) | kw
+        values = [kw[node] for node, _ in meter_map.setpoints]
         self.write_registers(regmap.SETPOINT_BLOCK_START, values)
 
     def read_switches(self, switch_names: tuple[str, ...]) -> dict[str, bool]:

@@ -12,14 +12,23 @@ the previous state and image untouched and is answered with exception 0x04.
 If a write produces a non-converging state the write is still accepted; the
 voltage registers keep the last converged values and the status register is
 set to 1 (stale) until a later write converges again.
+
+Lifecycle: the constructor binds the listening socket, :meth:`FeederServer.start`
+runs one accept thread, and every accepted connection is served by its own
+daemon thread.  The accept thread waits in a selector on the listener and on
+one end of a socket pair; :meth:`FeederServer.close` writes to the other end,
+so it wakes the accept thread at once instead of waiting out a poll interval.
+It then shuts down every open connection, joins all server threads and
+closes the sockets.  ``close()`` is idempotent and returns at once on a
+server that was never started.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass, replace
@@ -124,19 +133,16 @@ class FeederServer:
         )
         self._coil_range = (1, len(model.switch_names))
 
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                outer._serve_connection(self.request)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-
-        self._tcp = _Server(bind, _Handler)
-        self.address = self._tcp.server_address
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
+        self._listener = socket.create_server(bind)
+        self._listener.setblocking(False)  # a peer may vanish before accept()
+        self.address = self._listener.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._closing = False
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
+        self._thread = threading.Thread(
+            target=self._accept_loop, name="gridbed-server-accept", daemon=True
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -148,16 +154,66 @@ class FeederServer:
         return self
 
     def close(self):
-        # shutdown() waits for a serve_forever loop, so only stop a running one.
+        """Stop accepting, drop every connection and join the server threads."""
+        with self._conns_lock:
+            if self._closing:
+                return
+            self._closing = True
+        self._wake_w.send(b"\0")
         if self._thread.is_alive():
-            self._tcp.shutdown()
-        self._tcp.server_close()
+            self._thread.join()
+        # A connection thread closes its socket only after leaving _conns, so
+        # no socket is shut down here after its descriptor was released.
+        with self._conns_lock:
+            threads = list(self._conns.values())
+            for sock in self._conns:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for thread in threads:
+            thread.join()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
 
     def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc):
         self.close()
+
+    def _accept_loop(self):
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                selector.select()
+                if self._closing:
+                    return
+                try:
+                    sock, peer = self._listener.accept()
+                except OSError:
+                    continue
+                sock.setblocking(True)
+                thread = threading.Thread(
+                    target=self._run_connection,
+                    args=(sock,),
+                    name=f"gridbed-server-conn-{peer[1]}",
+                    daemon=True,
+                )
+                with self._conns_lock:
+                    self._conns[sock] = thread
+                thread.start()
+
+    def _run_connection(self, sock: socket.socket):
+        try:
+            self._serve_connection(sock)
+        except Exception:
+            log.exception("connection thread failed")
+        finally:
+            with self._conns_lock:
+                self._conns.pop(sock, None)
+            sock.close()
 
     # -- simulation --------------------------------------------------------
 

@@ -109,3 +109,4 @@ def test_server_cli_subprocess(tmp_path, feeder_file):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

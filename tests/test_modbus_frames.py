@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridbed.modbus import frames
 from gridbed.modbus.frames import (
@@ -137,3 +139,38 @@ def test_multi_write_length_mismatch_rejected():
     raw[5] = 9  # byte count lies
     with pytest.raises(FrameError, match="length mismatch"):
         decode_request(bytes(raw))
+
+
+# ---------------------------------------------------------------------------
+# property: every request type survives encode -> decode over its whole domain
+# ---------------------------------------------------------------------------
+
+_u16 = st.integers(0, 0xFFFF)
+_REQUESTS = {
+    ReadCoilsRequest: st.builds(ReadCoilsRequest, _u16, _u16),
+    ReadHoldingRequest: st.builds(ReadHoldingRequest, _u16, _u16),
+    WriteCoilRequest: st.builds(WriteCoilRequest, _u16, _u16),
+    WriteRegisterRequest: st.builds(WriteRegisterRequest, _u16, _u16),
+    # the one-byte byte count caps a multiple write at 255 payload bytes
+    WriteCoilsRequest: st.builds(
+        WriteCoilsRequest, _u16, st.lists(st.booleans(), min_size=1, max_size=2040).map(tuple)
+    ),
+    WriteRegistersRequest: st.builds(
+        WriteRegistersRequest, _u16, st.lists(_u16, min_size=1, max_size=127).map(tuple)
+    ),
+}
+
+
+def test_property_strategies_cover_every_request_type():
+    assert {cls.function for cls in _REQUESTS} == frames.SUPPORTED_FUNCTIONS
+
+
+@pytest.mark.parametrize("cls", list(_REQUESTS), ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), txn=_u16, unit=st.integers(0, 0xFF))
+def test_request_encode_decode_round_trip_property(cls, data, txn, unit):
+    request = data.draw(_REQUESTS[cls])
+    pdu = encode_pdu(request)
+    assert decode_request(pdu) == request
+    header = MbapHeader(transaction_id=txn, unit_id=unit)
+    assert decode_frame(encode_frame(header, pdu)) == (header, pdu)

@@ -5,6 +5,7 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -118,6 +119,26 @@ def test_setpoint_write_loopback_matches_direct_solve(
     direct = solve(fixture_model, view, overrides)
     for (bus, phase), read in mags.items():
         assert abs(direct.magnitude(bus, phase) - read) <= 5e-5
+
+
+def test_write_setpoints_full_map_is_one_fc16_request(live_server, fixture_meter_map):
+    pattern = {node: 30 + k for k, (node, _) in enumerate(fixture_meter_map.setpoints)}
+    with _client(live_server) as client:
+        sent = []
+        original = client.request
+        client.request = lambda req: sent.append(req) or original(req)
+        client.write_setpoints(fixture_meter_map, pattern)
+        assert [req.function for req in sent] == [frames.FC_WRITE_REGISTERS]
+        assert client.read_setpoints(fixture_meter_map) == pattern
+
+
+def test_write_setpoints_partial_map_keeps_unnamed_nodes(live_server, fixture_meter_map):
+    with _client(live_server) as client:
+        before = client.read_setpoints(fixture_meter_map)
+        client.write_setpoints(fixture_meter_map, {"N102": 99})
+        after = client.read_setpoints(fixture_meter_map)
+    assert after == {**before, "N102": 99}
+    assert len(before) > 1
 
 
 def test_write_setpoints_empty_map_is_noop(live_server, fixture_meter_map):
@@ -372,6 +393,49 @@ def test_close_of_unstarted_server_returns(fixture_model, fixture_meter_map):
     closer.start()
     closer.join(timeout=2.0)
     assert not closer.is_alive()
+
+
+def _server_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("gridbed-server-")}
+
+
+def test_close_is_prompt_and_releases_port_connections_and_threads(
+    fixture_model, fixture_meter_map
+):
+    server = FeederServer(fixture_model, fixture_meter_map, bind=("127.0.0.1", 0))
+    already_running = _server_threads()
+    server.start()
+    with _client(server) as idle:
+        assert idle.read_holding(STATUS_REGISTER, 1) == [0]
+        started = _server_threads() - already_running
+        assert {t.name.split("-")[2] for t in started} == {"accept", "conn"}
+
+        t0 = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - t0 < 0.1  # no poll interval to wait out
+
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(server.address, timeout=1.0)
+        with pytest.raises(ConnectionError):
+            idle.read_holding(STATUS_REGISTER, 1)
+    assert not [t for t in started if t.is_alive()]
+    server.close()  # idempotent
+
+
+def test_connection_thread_failure_is_logged_and_closes_the_socket(
+    monkeypatch, caplog, live_server
+):
+    def broken_dispatch(pdu):
+        raise KeyError("dispatch bug")
+
+    monkeypatch.setattr(live_server, "_dispatch", broken_dispatch)
+    with _client(live_server) as client:
+        with pytest.raises(ConnectionError):
+            client.read_holding(STATUS_REGISTER, 1)
+    # the thread logs before it closes the socket the client saw close
+    [record] = caplog.records
+    assert record.getMessage() == "connection thread failed"
+    assert record.exc_info[0] is KeyError
 
 
 def test_server_down_raises_connection_error():
