@@ -140,11 +140,10 @@ class ModbusClient:
         return {node: w for (node, _), w in zip(meter_map.setpoints, words)}
 
     def write_setpoints(self, meter_map: MeterMap, kw_by_node: dict[str, int]):
-        """Write node setpoints (kW) as one write-multiple transaction.
+        """Write every node setpoint (kW) in one write-multiple request.
 
-        A map naming every mapped node is written as is, in one request.
-        Otherwise the current setpoints are read first and nodes not
-        mentioned keep their value; an empty map is a no-op.
+        The map must name every mapped node, so the write needs no read
+        first and cannot race with another writer; an empty map is a no-op.
         """
         if not kw_by_node:
             return
@@ -153,10 +152,10 @@ class ModbusClient:
         for node, kw in kw_by_node.items():
             if not 0 <= int(kw) <= 0xFFFF:
                 raise ValueError(f"setpoint {kw} kW for {node!r} exceeds 16-bit range")
-        kw = {n: int(v) for n, v in kw_by_node.items()}
-        if not all(node in kw for node, _ in meter_map.setpoints):
-            kw = self.read_setpoints(meter_map) | kw
-        values = [kw[node] for node, _ in meter_map.setpoints]
+        missing = [node for node, _ in meter_map.setpoints if node not in kw_by_node]
+        if missing:
+            raise ValueError(f"setpoint map does not name {', '.join(missing)}")
+        values = [int(kw_by_node[node]) for node, _ in meter_map.setpoints]
         self.write_registers(regmap.SETPOINT_BLOCK_START, values)
 
     def read_switches(self, switch_names: tuple[str, ...]) -> dict[str, bool]:

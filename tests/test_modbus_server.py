@@ -132,15 +132,6 @@ def test_write_setpoints_full_map_is_one_fc16_request(live_server, fixture_meter
         assert client.read_setpoints(fixture_meter_map) == pattern
 
 
-def test_write_setpoints_partial_map_keeps_unnamed_nodes(live_server, fixture_meter_map):
-    with _client(live_server) as client:
-        before = client.read_setpoints(fixture_meter_map)
-        client.write_setpoints(fixture_meter_map, {"N102": 99})
-        after = client.read_setpoints(fixture_meter_map)
-    assert after == {**before, "N102": 99}
-    assert len(before) > 1
-
-
 def test_write_setpoints_empty_map_is_noop(live_server, fixture_meter_map):
     with _client(live_server) as client:
         before = client.read_setpoints(fixture_meter_map)
@@ -154,6 +145,10 @@ def test_write_setpoints_validates_nodes_and_range(live_server, fixture_meter_ma
             client.write_setpoints(fixture_meter_map, {"N999": 5})
         with pytest.raises(ValueError, match="16-bit"):
             client.write_setpoints(fixture_meter_map, {"N102": 70000})
+        before = client.read_setpoints(fixture_meter_map)
+        with pytest.raises(ValueError, match="does not name N103"):
+            client.write_setpoints(fixture_meter_map, {"N102": 99})
+        assert client.read_setpoints(fixture_meter_map) == before
 
 
 def test_write_switch_unmapped_name(live_server, fixture_model):
