@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .modbus.client import ModbusClient
-from .powerflow import (
-    DEFAULT_BAND,
-    count_violations_from_magnitudes,
-    unbalance_from_magnitudes,
-)
+from .powerflow import DEFAULT_BAND, count_violations, max_unbalance
 from .regmap import MeterMap
 
 log = logging.getLogger("gridbed.attack")
@@ -265,8 +261,8 @@ def _vector_to_kw(vector_mw: Mapping[str, float]) -> dict[str, int]:
 def _observe(client: ModbusClient, meter_map: MeterMap, band):
     mags = client.read_all_voltages(meter_map)
     return (
-        count_violations_from_magnitudes(mags, band),
-        unbalance_from_magnitudes(mags),
+        count_violations(mags, band).count,
+        max_unbalance(mags).max_pct,
     )
 
 

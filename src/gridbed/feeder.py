@@ -90,10 +90,6 @@ class FeederModel:
         return tuple(b.switch for b in self.branches if b.is_switch)
 
     @cached_property
-    def switch_branch(self) -> Mapping[str, Branch]:
-        return {b.switch: b for b in self.branches if b.is_switch}
-
-    @cached_property
     def load_buses(self) -> frozenset[str]:
         return frozenset(b.id for b in self.buses if b.has_load())
 

@@ -32,7 +32,6 @@ from .modbus.client import ModbusClient
 from .powerflow import (
     DEFAULT_BAND,
     count_violations,
-    count_violations_from_magnitudes,
     effective_overrides,
     solve,
 )
@@ -121,7 +120,7 @@ def payoff(
     solution = solve(model, view, effective_overrides(view, overrides))
     if not solution.converged:
         return Payoff(False, 0, cost, INFEASIBLE)
-    violations = count_violations(solution, band).count
+    violations = count_violations(solution.magnitudes(), band).count
     scalar = -(weights.violation * violations + weights.cost * cost)
     return Payoff(True, violations, cost, scalar)
 
@@ -241,7 +240,7 @@ def mitigate_once(
 ) -> MitigationPlan | None:
     """One observe/decide/act cycle; returns None when already quiescent."""
     magnitudes = client.read_all_voltages(meter_map)
-    observed_pre = count_violations_from_magnitudes(magnitudes, band)
+    observed_pre = count_violations(magnitudes, band).count
     if observed_pre == 0:
         return None
     current = SwitchConfig.from_mapping(
@@ -258,7 +257,7 @@ def mitigate_once(
     for name in plan.toggles:
         client.write_switch(model.switch_names, name, plan.chosen[name])
     post = client.read_all_voltages(meter_map)
-    plan.observed_post_violations = count_violations_from_magnitudes(post, band)
+    plan.observed_post_violations = count_violations(post, band).count
     return plan
 
 

@@ -44,7 +44,6 @@ COIL_ON = 0xFF00
 COIL_OFF = 0x0000
 
 MBAP_SIZE = 7
-MAX_FRAME = 260
 
 
 class FrameError(ValueError):

@@ -6,16 +6,22 @@ loop-breakpoint current compensation: each non-tree active branch carries a
 compensation current solved each iteration from the loop impedance matrix, so
 weakly meshed configurations converge without rebuilding the sweep.
 
-All voltages are reported per-unit on the model's line-to-neutral base;
-power mismatch is per-unit on the model's VA base.  De-energized buses
-report exactly zero magnitude on all phases.
+All voltages are reported per-unit on the model's line-to-neutral base, as
+one complex array in ``model.meter_points()`` order; power mismatch is
+per-unit on the model's VA base.  De-energized buses report exactly zero on
+all phases.
+
+:meth:`VoltageSolution.magnitudes` returns the ``{(bus, phase): pu}`` mapping
+that a client reads off the wire, so :func:`count_violations` and
+:func:`max_unbalance` take that one shape and serve solver output and meter
+readings alike.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -40,7 +46,8 @@ SOURCE_REFERENCE = (
 
 
 class PowerFlowError(ValueError):
-    """Invalid solver input (bad overrides, bad band, no measurable bus)."""
+    """Invalid solver input (bad overrides, bad band) or a read of a
+    non-converged solution."""
 
 
 # Overrides: bus id -> phase -> (kw, kvar), replacing the base spot load on
@@ -50,22 +57,22 @@ Overrides = Mapping[str, Mapping[str, tuple[float, float]]]
 
 @dataclass
 class VoltageSolution:
-    """Per-bus per-phase complex voltages (pu) plus convergence bookkeeping."""
+    """Complex voltages (pu) at every measurement point, plus convergence
+    bookkeeping.  ``voltages[k]`` is the voltage at ``meters[k]``."""
 
-    voltages: dict[str, dict[str, complex]]
+    meters: tuple[tuple[str, str], ...]
+    voltages: np.ndarray
     converged: bool
     iterations: int
     max_mismatch_pu: float
     energized: frozenset[str]
 
-    def magnitude(self, bus: str, phase: str) -> float:
-        return abs(self.voltages[bus][phase])
-
-    def points(self) -> Iterable[tuple[str, str, float]]:
-        """(bus, phase, magnitude) for every measurement point, in bus order."""
-        for bus, phases in self.voltages.items():
-            for phase, v in phases.items():
-                yield bus, phase, abs(v)
+    def magnitudes(self) -> dict[tuple[str, str], float]:
+        """``{(bus, phase): pu}`` in meter order, the shape of a wire read."""
+        if not self.converged:
+            raise PowerFlowError("refusing to read magnitudes of a non-converged solution")
+        v = self.voltages
+        return dict(zip(self.meters, np.hypot(v.real, v.imag).tolist()))
 
 
 @dataclass
@@ -84,7 +91,7 @@ class UnbalanceReport:
 
     per_bus: dict[str, float]
     max_pct: float
-    max_bus: str
+    max_bus: str | None
 
 
 def effective_overrides(view: TopologyView, overrides: Overrides | None) -> Overrides:
@@ -214,18 +221,14 @@ def solve(
             converged = True
             break
 
-    voltages: dict[str, dict[str, complex]] = {}
-    for bus in model.buses:
-        per_phase: dict[str, complex] = {}
-        for p in bus.phases:
-            if bus.id in plan.index:
-                v = volts[plan.index[bus.id], PHASE_INDEX[p]] / v_base
-            else:
-                v = 0j
-            per_phase[p] = v
-        voltages[bus.id] = per_phase
+    meters = model.meter_points()
+    voltages = np.array(
+        [volts[plan.index[b], PHASE_INDEX[p]] if b in plan.index else 0j for b, p in meters],
+        dtype=complex,
+    ) / v_base
 
     return VoltageSolution(
+        meters=meters,
         voltages=voltages,
         converged=converged,
         iterations=iterations,
@@ -422,49 +425,22 @@ def _tree_path(u_bi, v_bi, order, parent_edge, model, index) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _out_of_band(
-    points: Iterable[tuple[str, str, float]], band: tuple[float, float]
-) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
-    """Split (bus, phase, magnitude) points into band violations and outages.
+def count_violations(
+    magnitudes: Mapping[tuple[str, str], float], band: tuple[float, float] = DEFAULT_BAND
+) -> ViolationReport:
+    """Count ``{(bus, phase): pu}`` points outside the band.
 
     A magnitude of exactly 0 is an outage (de-energized), not a violation.
     """
     low, high = band
     if low >= high:
         raise PowerFlowError(f"inverted band: {band}")
-    violations: list[tuple[str, str, float]] = []
-    outages: list[tuple[str, str]] = []
-    for bus, phase, mag in points:
-        if mag == 0.0:
-            outages.append((bus, phase))
-        elif mag < low or mag > high:
-            violations.append((bus, phase, mag))
-    return violations, outages
-
-
-def _unbalance_by_bus(points: Iterable[tuple[str, str, float]]) -> dict[str, float]:
-    """Unbalance percent of every bus with three nonzero phase magnitudes."""
-    by_bus: dict[str, dict[str, float]] = {}
-    for bus, phase, mag in points:
-        by_bus.setdefault(bus, {})[phase] = mag
-    return {
-        bus: unbalance_at(*(phases[p] for p in PHASES))
-        for bus, phases in by_bus.items()
-        if set(phases) == set(PHASES) and all(v > 0 for v in phases.values())
-    }
-
-
-def count_violations(
-    solution: VoltageSolution, band: tuple[float, float] = DEFAULT_BAND
-) -> ViolationReport:
-    """Count energized measurement points outside the band.
-
-    De-energized points (magnitude exactly 0) are reported as outages, not
-    violations.
-    """
-    if not solution.converged:
-        raise PowerFlowError("refusing to count violations on a non-converged solution")
-    points, outages = _out_of_band(solution.points(), band)
+    points = [
+        (bus, phase, mag)
+        for (bus, phase), mag in magnitudes.items()
+        if mag != 0.0 and (mag < low or mag > high)
+    ]
+    outages = [point for point, mag in magnitudes.items() if mag == 0.0]
     return ViolationReport(count=len(points), points=points, band=band, outages=outages)
 
 
@@ -477,32 +453,17 @@ def unbalance_at(v_a: float, v_b: float, v_c: float) -> float:
     return dev / v_avg * 100.0
 
 
-def max_unbalance(solution: VoltageSolution) -> UnbalanceReport:
-    """Worst unbalance over energized three-phase buses."""
-    if not solution.converged:
-        raise PowerFlowError("refusing to report unbalance on a non-converged solution")
-    per_bus = _unbalance_by_bus(solution.points())
-    if not per_bus:
-        raise PowerFlowError("no energized three-phase bus to measure")
-    max_bus = max(per_bus, key=lambda b: (per_bus[b], b))
-    return UnbalanceReport(per_bus=per_bus, max_pct=per_bus[max_bus], max_bus=max_bus)
-
-
-def unbalance_from_magnitudes(magnitudes: Mapping[tuple[str, str], float]) -> float:
-    """Worst unbalance computable from (bus, phase) magnitude readings.
-
-    Groups readings by bus and evaluates every bus carrying three nonzero
-    phases; returns 0.0 when none qualifies.  This is the client-side analog
-    of :func:`max_unbalance` for meter data read over the wire.
-    """
-    points = ((bus, phase, mag) for (bus, phase), mag in magnitudes.items())
-    return max(_unbalance_by_bus(points).values(), default=0.0)
-
-
-def count_violations_from_magnitudes(
-    magnitudes: Mapping[tuple[str, str], float],
-    band: tuple[float, float] = DEFAULT_BAND,
-) -> int:
-    """Band-violation count over wire-read meter magnitudes (zeros = outages)."""
-    points = ((bus, phase, mag) for (bus, phase), mag in magnitudes.items())
-    return len(_out_of_band(points, band)[0])
+def max_unbalance(magnitudes: Mapping[tuple[str, str], float]) -> UnbalanceReport:
+    """Worst unbalance over buses with three nonzero ``{(bus, phase): pu}``
+    magnitudes; ``max_pct`` 0.0 and ``max_bus`` None when no bus qualifies."""
+    by_bus: dict[str, dict[str, float]] = {}
+    for (bus, phase), mag in magnitudes.items():
+        by_bus.setdefault(bus, {})[phase] = mag
+    per_bus = {
+        bus: unbalance_at(*(phases[p] for p in PHASES))
+        for bus, phases in by_bus.items()
+        if all(phases.get(p, 0.0) > 0 for p in PHASES)
+    }
+    max_bus = max(per_bus, key=lambda b: (per_bus[b], b), default=None)
+    max_pct = 0.0 if max_bus is None else per_bus[max_bus]
+    return UnbalanceReport(per_bus=per_bus, max_pct=max_pct, max_bus=max_bus)

@@ -19,6 +19,8 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .feeder import PHASE_INDEX, FeederModel, SwitchConfig
 from .powerflow import VoltageSolution
 
@@ -127,12 +129,6 @@ class MeterMap:
                 return SETPOINT_BLOCK_START + k
         raise RegisterMapError(f"{node!r} has no setpoint register")
 
-    def setpoint_phase(self, node: str) -> str:
-        for n, p in self.setpoints:
-            if n == node:
-                return p
-        raise RegisterMapError(f"{node!r} has no setpoint register")
-
     def overrides(
         self, model: FeederModel, setpoints_kw: Mapping[str, int]
     ) -> dict[str, dict[str, tuple[float, float]]]:
@@ -169,17 +165,23 @@ def build_image(
 
     Pure function of its inputs: equal arguments produce identical images.
     """
-    top = FLOAT_BLOCK_START + 2 * len(meter_map.meters)
-    holding = [0] * top
-    for k, (bus, phase) in enumerate(meter_map.meters):
-        try:
-            mag = solution.magnitude(bus, phase)
-        except KeyError:
-            raise RegisterMapError(f"solution lacks metered point ({bus}, {phase})") from None
-        holding[VOLTAGE_BLOCK_START + k] = encode_voltage_word(mag)
-        hi, lo = encode_float_pair(mag, high_word_first)
-        holding[FLOAT_BLOCK_START + 2 * k] = hi
-        holding[FLOAT_BLOCK_START + 2 * k + 1] = lo
+    if solution.meters != meter_map.meters:
+        raise RegisterMapError("meter map and solution list different measurement points")
+    mags = np.array(list(solution.magnitudes().values()))
+    # The comparison is False for NaN, so this also rejects non-finite values.
+    bad = ~(mags <= MAX_SCALED_PU)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise RegisterMapError(
+            f"magnitude {mags[k]} at {meter_map.meters[k]} outside encodable range "
+            f"[0, {MAX_SCALED_PU}]"
+        )
+    n = len(meter_map.meters)
+    words = np.zeros(FLOAT_BLOCK_START + 2 * n, dtype=np.int64)
+    words[VOLTAGE_BLOCK_START : VOLTAGE_BLOCK_START + n] = np.floor(mags * VOLTAGE_SCALE + 0.5)
+    pairs = mags.astype(">f4").view(">u2").reshape(n, 2)
+    words[FLOAT_BLOCK_START:] = (pairs if high_word_first else pairs[:, ::-1]).ravel()
+    holding = words.tolist()
     for k, (node, _) in enumerate(meter_map.setpoints):
         kw = int(setpoints_kw.get(node, 0))
         if not 0 <= kw <= 0xFFFF:

@@ -32,11 +32,7 @@ from .feeder import FeederModel, load_default_feeder, load_feeder_file
 from .mitigate import MitigationPlan, Weights, mitigate_once
 from .modbus.client import ModbusClient
 from .modbus.server import FeederServer
-from .powerflow import (
-    DEFAULT_BAND,
-    count_violations_from_magnitudes,
-    unbalance_from_magnitudes,
-)
+from .powerflow import DEFAULT_BAND, count_violations, max_unbalance
 from .regmap import MeterMap, VOLTAGE_BLOCK_START
 
 log = logging.getLogger("gridbed.scenario")
@@ -146,12 +142,8 @@ def _check_read_consistency(
     server: FeederServer, magnitudes: dict[tuple[str, str], float]
 ) -> float:
     """Max |client-read - solver| over meters; must be within quantization."""
-    state = server.snapshot()
-    worst = 0.0
-    for (bus, phase), read in magnitudes.items():
-        direct = state.solution.magnitude(bus, phase)
-        worst = max(worst, abs(direct - read))
-    return worst
+    direct = server.snapshot().solution.magnitudes()
+    return max((abs(direct[point] - read) for point, read in magnitudes.items()), default=0.0)
 
 
 def run_case(config: ScenarioConfig, case: int, live: bool = False) -> CaseResult:
@@ -168,9 +160,7 @@ def run_case(config: ScenarioConfig, case: int, live: bool = False) -> CaseResul
             stage = "baseline"
             with ModbusClient(host, port) as attacker:
                 mags = attacker.read_all_voltages(meter_map)
-                result.violations_baseline = count_violations_from_magnitudes(
-                    mags, config.band
-                )
+                result.violations_baseline = count_violations(mags, config.band).count
 
                 stage = "attack"
                 if live:
@@ -185,8 +175,8 @@ def run_case(config: ScenarioConfig, case: int, live: bool = False) -> CaseResul
                 stage = "pre-snapshot"
                 mags = attacker.read_all_voltages(meter_map)
                 result.profile_pre = dict(mags)
-                result.violations_pre = count_violations_from_magnitudes(mags, config.band)
-                result.unbalance_pre_pct = unbalance_from_magnitudes(mags)
+                result.violations_pre = count_violations(mags, config.band).count
+                result.unbalance_pre_pct = max_unbalance(mags).max_pct
                 result.max_read_error_pu = max(
                     result.max_read_error_pu, _check_read_consistency(server, mags)
                 )
@@ -209,8 +199,8 @@ def run_case(config: ScenarioConfig, case: int, live: bool = False) -> CaseResul
                 stage = "post-snapshot"
                 mags = defender.read_all_voltages(meter_map)
                 result.profile_post = dict(mags)
-                result.violations_post = count_violations_from_magnitudes(mags, config.band)
-                result.unbalance_post_pct = unbalance_from_magnitudes(mags)
+                result.violations_post = count_violations(mags, config.band).count
+                result.unbalance_post_pct = max_unbalance(mags).max_pct
                 result.max_read_error_pu = max(
                     result.max_read_error_pu, _check_read_consistency(server, mags)
                 )

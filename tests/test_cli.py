@@ -1,6 +1,7 @@
 """Console entry points, run in-process (and the server via subprocess)."""
 
 import json
+import os
 import re
 import socket
 import subprocess
@@ -84,6 +85,9 @@ def test_scenario_cli_rejects_case_and_all():
 
 def test_server_cli_subprocess(tmp_path, feeder_file):
     src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "gridbed.modbus.server",
@@ -93,7 +97,7 @@ def test_server_cli_subprocess(tmp_path, feeder_file):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     try:
         match = None

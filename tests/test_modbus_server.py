@@ -116,9 +116,9 @@ def test_setpoint_write_loopback_matches_direct_solve(
     overrides = {"N102": {"C": (80.0, 0.0)}}
     # remaining controllable nodes sit at their base 40 kW
     view = apply_switch_config(fixture_model, SwitchConfig.normal(fixture_model))
-    direct = solve(fixture_model, view, overrides)
-    for (bus, phase), read in mags.items():
-        assert abs(direct.magnitude(bus, phase) - read) <= 5e-5
+    direct = solve(fixture_model, view, overrides).magnitudes()
+    for point, read in mags.items():
+        assert abs(direct[point] - read) <= 5e-5
 
 
 def test_write_setpoints_full_map_is_one_fc16_request(live_server, fixture_meter_map):

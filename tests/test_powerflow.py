@@ -9,11 +9,9 @@ from gridbed.feeder import PHASES, SwitchConfig, apply_switch_config, load_feede
 from gridbed.powerflow import (
     PowerFlowError,
     count_violations,
-    count_violations_from_magnitudes,
     max_unbalance,
     solve,
     unbalance_at,
-    unbalance_from_magnitudes,
 )
 
 from conftest import four_bus_doc, two_bus_doc
@@ -22,6 +20,11 @@ from oracles import dense_nodal_solve, reachable_from, two_bus_receiving_magnitu
 
 def _view(model, config=None):
     return apply_switch_config(model, config or SwitchConfig.normal(model))
+
+
+def _complex(solution):
+    """{(bus, phase): complex pu} from the solution's meter-order array."""
+    return dict(zip(solution.meters, solution.voltages))
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +37,7 @@ def test_zero_load_is_flat_in_one_iteration():
     solution = solve(model, _view(model))
     assert solution.converged
     assert solution.iterations == 1
-    assert solution.magnitude("B1", "A") == pytest.approx(1.0, abs=1e-12)
+    assert solution.magnitudes()[("B1", "A")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_bus_matches_closed_form():
@@ -45,23 +48,23 @@ def test_two_bus_matches_closed_form():
     assert solution.converged
     expected = two_bus_receiving_magnitude(1000.0, 0.01, 0.01, 100e3, 0.0) / 1000.0
     assert expected == pytest.approx(0.998998496489339, abs=1e-12)
-    assert solution.magnitude("B1", "A") == pytest.approx(expected, abs=1e-6)
+    assert solution.magnitudes()[("B1", "A")] == pytest.approx(expected, abs=1e-6)
 
 
 def test_fixture_baseline_converges_clean(fixture_model):
     solution = solve(fixture_model, _view(fixture_model))
     assert solution.converged
-    report = count_violations(solution)
+    report = count_violations(solution.magnitudes())
     assert report.count == 0
     assert not report.outages
 
 
 def test_source_voltage_exact(fixture_model):
     solution = solve(fixture_model, _view(fixture_model))
-    v = solution.voltages["N150"]
-    assert v["A"] == 1.0 + 0j
-    assert abs(v["B"] - complex(-0.5, -(3 ** 0.5) / 2)) < 1e-15
-    assert abs(v["C"] - complex(-0.5, +(3 ** 0.5) / 2)) < 1e-15
+    v = _complex(solution)
+    assert v[("N150", "A")] == 1.0 + 0j
+    assert abs(v[("N150", "B")] - complex(-0.5, -(3 ** 0.5) / 2)) < 1e-15
+    assert abs(v[("N150", "C")] - complex(-0.5, +(3 ** 0.5) / 2)) < 1e-15
 
 
 def test_de_energized_buses_report_zero(fixture_model):
@@ -70,8 +73,9 @@ def test_de_energized_buses_report_zero(fixture_model):
     solution = solve(fixture_model, view)
     assert solution.converged
     assert "N101" not in view.energized
-    assert solution.magnitude("N101", "A") == 0.0
-    assert solution.magnitude("N104", "C") == 0.0
+    v = _complex(solution)
+    assert v[("N101", "A")] == 0.0
+    assert v[("N104", "C")] == 0.0
 
 
 def test_override_on_dead_bus_errors(fixture_model):
@@ -91,12 +95,11 @@ def test_meshed_configs_solve_with_loop_compensation(fixture_model):
     solution = solve(fixture_model, view)
     assert solution.converged
     # zero-impedance ties: endpoints ride at one voltage, to solver tolerance
+    v = _complex(solution)
     for a, b in (("N54", "N105"), ("N71", "N114")):
         pa = set(fixture_model.bus(a).phases) & set(fixture_model.bus(b).phases)
         for p in pa:
-            assert solution.voltages[a][p] == pytest.approx(
-                solution.voltages[b][p], abs=2e-6
-            )
+            assert v[(a, p)] == pytest.approx(v[(b, p)], abs=2e-6)
 
 
 def test_non_convergence_flagged_not_raised():
@@ -106,7 +109,7 @@ def test_non_convergence_flagged_not_raised():
     assert not solution.converged
     assert solution.iterations == 100
     with pytest.raises(PowerFlowError, match="non-converged"):
-        count_violations(solution)
+        solution.magnitudes()
 
 
 @pytest.mark.xfail(
@@ -120,6 +123,7 @@ def test_meters_connected_on_their_phase_are_fed_with_s8_closed(fixture_model):
     solution = solve(fixture_model, _view(fixture_model, config))
     assert solution.converged
     closed = config.as_dict()
+    mags = solution.magnitudes()
     starved = []
     for p in PHASES:
         # branches that carry phase p: in service, and p at both endpoints
@@ -131,7 +135,7 @@ def test_meters_connected_on_their_phase_are_fed_with_s8_closed(fixture_model):
             and p in fixture_model.bus(br.to_bus).phases
         ]
         for bus in sorted(reachable_from(fixture_model.source_bus, edges)):
-            if p in fixture_model.bus(bus).phases and solution.magnitude(bus, p) <= 0.5:
+            if p in fixture_model.bus(bus).phases and mags[(bus, p)] <= 0.5:
                 starved.append((bus, p))
     assert not starved
 
@@ -155,9 +159,10 @@ def test_solver_matches_dense_oracle(doc):
     solution = solve(model, _view(model))
     assert solution.converged
     oracle = dense_nodal_solve(model)
+    v = _complex(solution)
     for bus in model.buses:
         for p in bus.phases:
-            assert abs(solution.voltages[bus.id][p] - oracle[bus.id][p]) < 1e-6, (
+            assert abs(v[(bus.id, p)] - oracle[bus.id][p]) < 1e-6, (
                 bus.id,
                 p,
             )
@@ -167,9 +172,10 @@ def test_solver_matches_oracle_with_overrides(four_bus_model):
     overrides = {"T": {"B": (260.0, 60.0)}, "U": {"A": (10.0, 2.0)}}
     solution = solve(four_bus_model, _view(four_bus_model), overrides)
     oracle = dense_nodal_solve(four_bus_model, overrides)
+    v = _complex(solution)
     for bus in four_bus_model.buses:
         for p in bus.phases:
-            assert abs(solution.voltages[bus.id][p] - oracle[bus.id][p]) < 1e-6
+            assert abs(v[(bus.id, p)] - oracle[bus.id][p]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +185,7 @@ def test_solver_matches_oracle_with_overrides(four_bus_model):
 
 def _complex_power_balance(model, solution):
     """Source injection minus (loads + line losses), in VA."""
-    v = {
-        (b, p): val * model.base_volts_ln
-        for b, phases in solution.voltages.items()
-        for p, val in phases.items()
-    }
+    v = {point: val * model.base_volts_ln for point, val in _complex(solution).items()}
     load = 0j
     for bus in model.buses:
         for p in bus.phases:
@@ -229,8 +231,9 @@ def test_power_conservation(four_bus_model):
         ]
     )
     vb = model.base_volts_ln
-    v_from = np.array([solution.voltages["S"][p] * vb for p in PHASES])
-    v_to = np.array([solution.voltages["M"][p] * vb for p in PHASES])
+    v = _complex(solution)
+    v_from = np.array([v[("S", p)] * vb for p in PHASES])
+    v_to = np.array([v[("M", p)] * vb for p in PHASES])
     cur = np.linalg.solve(z, v_from - v_to)
     injected = complex(np.vdot(cur, v_from))
     assert abs(injected - (load + loss)) <= 10 * 1e-6 * model.base_va
@@ -238,11 +241,11 @@ def test_power_conservation(four_bus_model):
 
 def test_increasing_load_weakly_decreases_feed_path_voltage(fixture_model):
     view = _view(fixture_model)
-    base = solve(fixture_model, view)
-    bumped = solve(fixture_model, view, {"N104": {"C": (120.0, 0.0)}})
+    base = solve(fixture_model, view).magnitudes()
+    bumped = solve(fixture_model, view, {"N104": {"C": (120.0, 0.0)}}).magnitudes()
     # every bus on the feed path to N104 sags (weakly) on the loaded phase
     for bus in ("N101", "N102", "N103", "N104", "N97", "N67"):
-        assert bumped.magnitude(bus, "C") <= base.magnitude(bus, "C") + 1e-12
+        assert bumped[(bus, "C")] <= base[(bus, "C")] + 1e-12
 
 
 def test_load_scaling_to_zero_gives_flat_profile(fixture_model):
@@ -253,7 +256,7 @@ def test_load_scaling_to_zero_gives_flat_profile(fixture_model):
     }
     solution = solve(fixture_model, _view(fixture_model), overrides)
     assert solution.converged
-    for _, _, mag in solution.points():
+    for mag in solution.magnitudes().values():
         assert mag == pytest.approx(1.0, abs=1e-9)
 
 
@@ -294,30 +297,40 @@ def test_max_unbalance_balanced_loading(fixture_model):
         if len(b.phases) == 1 and b.has_load():
             overrides[b.id] = {b.phases[0]: (0.0, 0.0)}
     solution = solve(fixture_model, _view(fixture_model), overrides)
-    report = max_unbalance(solution)
+    report = max_unbalance(solution.magnitudes())
     assert report.max_pct == pytest.approx(0.0, abs=1e-6)
 
 
 def test_max_unbalance_single_bus_case(four_bus_model):
     solution = solve(four_bus_model, _view(four_bus_model))
-    report = max_unbalance(solution)
+    report = max_unbalance(solution.magnitudes())
     assert set(report.per_bus) == {"S", "M", "T"}  # U carries two phases only
     assert report.max_pct == report.per_bus[report.max_bus]
     assert all(v >= 0 for v in report.per_bus.values())
 
+    # no bus with three live phases, from the solver and as read off the wire
+    # (D has a dead phase): nothing to measure
+    two_bus = load_feeder(json.dumps(two_bus_doc()))
+    wire = {("B1", "A"): 0.97, ("U", "A"): 1.0, ("U", "B"): 0.99,
+            ("D", "A"): 1.0, ("D", "B"): 0.0, ("D", "C"): 1.0}
+    for mags in (solve(two_bus, _view(two_bus)).magnitudes(), wire):
+        report = max_unbalance(mags)
+        assert (report.max_pct, report.max_bus, report.per_bus) == (0.0, None, {})
+
 
 def test_count_violations_band_logic():
     mags = {("B1", "A"): 1.0, ("B2", "A"): 0.94, ("B3", "A"): 0.0}
-    assert count_violations_from_magnitudes(mags) == 1
+    report = count_violations(mags)
+    assert (report.count, report.points, report.outages) == (1, [("B2", "A", 0.94)], [("B3", "A")])
     with pytest.raises(PowerFlowError, match="inverted"):
-        count_violations_from_magnitudes(mags, band=(1.05, 0.95))
+        count_violations(mags, band=(1.05, 0.95))
 
 
 def test_count_violations_reports_points_and_outages(fixture_model):
     config = SwitchConfig.normal(fixture_model).with_switch("S6", False)
     view = apply_switch_config(fixture_model, config)
     solution = solve(fixture_model, view)
-    report = count_violations(solution)
+    report = count_violations(solution.magnitudes())
     assert report.count == len(report.points)
     assert ("N135", "A") in report.outages  # zone behind S6 went dark
     for _, _, mag in report.points:
@@ -328,14 +341,6 @@ def test_violation_count_invariant_under_bus_order(fixture_model):
     solution = solve(
         fixture_model, _view(fixture_model), {"N102": {"C": (160.0, 0.0)}}
     )
-    report = count_violations(solution)
-    mags = {(b, p): m for b, p, m in solution.points()}
+    mags = solution.magnitudes()
     shuffled = dict(sorted(mags.items(), key=lambda kv: hash(kv[0])))
-    assert count_violations_from_magnitudes(shuffled) == report.count
-
-
-def test_unbalance_from_magnitudes_groups_by_bus(fixture_model):
-    solution = solve(fixture_model, _view(fixture_model))
-    direct = max_unbalance(solution).max_pct
-    mags = {(b, p): m for b, p, m in solution.points()}
-    assert unbalance_from_magnitudes(mags) == pytest.approx(direct, rel=1e-12)
+    assert count_violations(shuffled).count == count_violations(mags).count

@@ -2,15 +2,19 @@
 
 import random
 import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridbed.feeder import SwitchConfig, apply_switch_config
 from gridbed.powerflow import solve
 from gridbed.regmap import (
     FLOAT_BLOCK_START,
+    MAX_SCALED_PU,
     SETPOINT_BLOCK_START,
     STATUS_REGISTER,
+    VOLTAGE_SCALE,
     MeterMap,
     RegisterMapError,
     build_image,
@@ -139,7 +143,6 @@ def test_fixture_meter_map_shape(fixture_model, fixture_meter_map):
     ]
     assert fixture_meter_map.setpoint_register("N102") == 207
     assert fixture_meter_map.setpoint_register("N114") == 215
-    assert fixture_meter_map.setpoint_phase("N99") == "B"
 
 
 def test_meter_map_rejects_wrong_phase(fixture_model):
@@ -206,6 +209,42 @@ def test_scaled_and_float_blocks_agree(fixture_model, fixture_meter_map):
             )
         )
         assert abs(scaled - exact) <= 5e-5
+
+
+def test_build_image_matches_per_meter_codec(fixture_model, fixture_meter_map):
+    # a solved state with outages (S6 open) and an overloaded node, and the
+    # same state carrying round-half-up boundaries and both range ends
+    config = SwitchConfig.normal(fixture_model).with_switch("S6", False)
+    solved, _ = _solved(fixture_model, {"N102": {"C": (160.0, 0.0)}}, config)
+    rng = random.Random(31)
+    edges = [(rng.randrange(65535) + 0.5) / VOLTAGE_SCALE for _ in range(204)]
+    boundary = replace(solved, voltages=np.array([0.0, MAX_SCALED_PU] + edges, dtype=complex))
+    for solution in (solved, boundary):
+        mags = list(solution.magnitudes().values())
+        for high_word_first in (True, False):
+            image = build_image(
+                solution, {}, config, fixture_meter_map, high_word_first=high_word_first
+            )
+            assert list(image.holding[1:207]) == [encode_voltage_word(m) for m in mags]
+            assert list(image.holding[FLOAT_BLOCK_START:]) == [
+                w for m in mags for w in encode_float_pair(m, high_word_first)
+            ]
+
+
+@pytest.mark.parametrize("bad", [MAX_SCALED_PU + 1e-4, float("nan"), float("inf")])
+def test_build_image_rejects_unencodable_magnitude(fixture_model, fixture_meter_map, bad):
+    solution, config = _solved(fixture_model)
+    voltages = solution.voltages.copy()
+    voltages[5] = bad
+    with pytest.raises(RegisterMapError, match="outside encodable range"):
+        build_image(replace(solution, voltages=voltages), {}, config, fixture_meter_map)
+
+
+def test_build_image_rejects_meter_mismatch(fixture_model, fixture_meter_map):
+    solution, config = _solved(fixture_model)
+    reordered = replace(fixture_meter_map, meters=fixture_meter_map.meters[::-1])
+    with pytest.raises(RegisterMapError, match="measurement points"):
+        build_image(solution, {}, config, reordered)
 
 
 def test_render_register_map_mentions_all_blocks(fixture_meter_map):

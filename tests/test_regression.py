@@ -32,7 +32,7 @@ def base_view(fixture_model):
 
 def test_baseline_minimum_voltage(fixture_model, base_view):
     solution = solve(fixture_model, base_view)
-    low = min(m for _, _, m in solution.points())
+    low = min(solution.magnitudes().values())
     assert low == pytest.approx(BASELINE_MIN_PU, abs=1e-5)
 
 
@@ -45,7 +45,7 @@ def test_case_metrics_frozen(case, fixture_model, fixture_meter_map, base_view):
     }
     solution = solve(fixture_model, base_view, overrides)
     count, unbalance, at_bus = CASE_BASELINES[case]
-    assert count_violations(solution).count == count
-    report = max_unbalance(solution)
+    assert count_violations(solution.magnitudes()).count == count
+    report = max_unbalance(solution.magnitudes())
     assert report.max_pct == pytest.approx(unbalance, abs=1e-4)
     assert report.max_bus == at_bus

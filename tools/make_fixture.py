@@ -279,9 +279,10 @@ def check(doc: dict):
     view = apply_switch_config(model, base)
     print(f"base radial={is_radial(view)} energized={len(view.energized)}")
     sol = solve(model, view)
-    report = count_violations(sol)
-    mags = sorted(mag for _, _, mag in sol.points())
-    unb = max_unbalance(sol)
+    points = sol.magnitudes()
+    report = count_violations(points)
+    mags = sorted(points.values())
+    unb = max_unbalance(points)
     print(f"baseline: converged={sol.converged} iters={sol.iterations} "
           f"min={mags[0]:.4f} max={mags[-1]:.4f} violations={report.count} "
           f"maxU={unb.max_pct:.3f}% at {unb.max_bus}")
@@ -298,10 +299,11 @@ def check(doc: dict):
     for case in sorted(CASE_PATTERNS):
         ov = overrides_for(case)
         s = solve(model, view, ov)
-        rep = count_violations(s)
-        u = max_unbalance(s)
+        points = s.magnitudes()
+        rep = count_violations(points)
+        u = max_unbalance(points)
         unbalances[case] = u.max_pct
-        margin = min(abs(m - 0.95) for _, _, m in s.points() if m > 0)
+        margin = min(abs(m - 0.95) for m in points.values() if m > 0)
         plan = best_response_sweep(model, base, ov, Weights(), allow_meshed=True)
         oracle = exhaustive_best(model, base, ov, Weights(), allow_meshed=True)
         agree = (plan.post_violations, sorted(plan.toggles)) == (
