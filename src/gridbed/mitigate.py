@@ -143,7 +143,6 @@ def best_response_sweep(
     weights: Weights = Weights(),
     allow_meshed: bool = False,
     band=DEFAULT_BAND,
-    sweep_cap: int = DEFAULT_SWEEP_CAP,
 ) -> MitigationPlan:
     """Iterate per-switch best responses until a full sweep changes nothing.
 
@@ -156,7 +155,7 @@ def best_response_sweep(
     log_entries: list[dict] = []
     evaluated = 1
     sweeps = 0
-    for sweeps in range(1, sweep_cap + 1):
+    for sweeps in range(1, DEFAULT_SWEEP_CAP + 1):
         changed = False
         for name in model.switch_names:
             flipped = working.with_switch(name, not working.closed(name))

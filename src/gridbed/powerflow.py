@@ -1,10 +1,20 @@
 """Unbalanced three-phase steady-state solver and voltage-quality metrics.
 
-The solver runs a backward/forward sweep over a spanning tree of the
-energized subgraph.  Closed ties that create cycles are handled by
-loop-breakpoint current compensation: each non-tree active branch carries a
-compensation current solved each iteration from the loop impedance matrix, so
-weakly meshed configurations converge without rebuilding the sweep.
+The solver is one linear operator over a breadth-first spanning tree of the
+energized subgraph, ``sweep(source, current)``: node currents accumulate leaf
+to root onto tree branches, then voltages drop root to leaf through each
+branch's phase-masked 3x3 impedance.  Each fixed-point iteration computes
+``V = sweep(V_src, I_load + D J)`` for constant-power loads.
+
+Radial and meshed topologies share that path.  A closed tie that closes a
+loop is compensated at its breakpoint (Shirmohammadi et al., IEEE Trans.
+Power Systems 3(2), 1988): each loop coordinate, one phase of a closed
+non-tree branch fed at both ends, carries a loop current ``J`` drawn at one
+end and returned at the other, so ``D`` holds +1 and -1 at the two ends.  The
+loop matrix is the sweep's own response ``sweep(0, D)`` read across the ends,
+plus the ties' impedance block; it is built once per solve, and only when loop
+coordinates exist.  Each iteration corrects ``J`` toward the point where
+every tie's end voltages differ by the tie's own drop.
 
 All voltages are reported per-unit on the model's line-to-neutral base, as
 one complex array in ``model.meter_points()`` order; power mismatch is
@@ -110,8 +120,6 @@ def solve(
     model: FeederModel,
     view: TopologyView,
     overrides: Overrides | None = None,
-    tolerance_pu: float = DEFAULT_TOLERANCE_PU,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> VoltageSolution:
     """Solve the energized subgraph; de-energized buses come back at 0 pu.
 
@@ -131,13 +139,13 @@ def solve(
                     f"override on bus {bus_id!r} phase {phase}: phase not carried"
                 )
 
-    plan = _SweepPlan.build(model, view)
+    tree = _Tree.build(model, view)
     v_base = model.base_volts_ln
     s_base = model.base_va
 
     # Complex power demand in VA per energized (bus, phase), overrides applied.
-    demand = np.zeros((len(plan.order), 3), dtype=complex)
-    for bi, bus_id in enumerate(plan.order):
+    demand = np.zeros((len(tree.order), 3), dtype=complex)
+    for bi, bus_id in enumerate(tree.order):
         bus = model.bus(bus_id)
         per_phase = overrides.get(bus_id, {})
         for p in bus.phases:
@@ -147,69 +155,40 @@ def solve(
             else:
                 kw, kvar = bus.load_kw[pi], bus.load_kvar[pi]
             demand[bi, pi] = complex(kw, kvar) * 1000.0
+    demand[~tree.fed] = 0.0
+    volts = np.where(tree.fed, np.array(SOURCE_REFERENCE) * v_base, 0)
 
-    volts = np.zeros((len(plan.order), 3), dtype=complex)
-    for bi, bus_id in enumerate(plan.order):
-        for p in model.bus(bus_id).phases:
-            if plan.fed_mask[bi, PHASE_INDEX[p]]:
-                volts[bi, PHASE_INDEX[p]] = SOURCE_REFERENCE[PHASE_INDEX[p]] * v_base
-    demand[~plan.fed_mask] = 0.0
-
-    loop_currents = (
-        np.zeros(len(plan.loop_coords), dtype=complex) if plan.loop_coords else None
-    )
+    # Loop currents J, one per loop coordinate, drawn at its from end and
+    # returned at its to end: D holds +1 and -1 there.  The ends' voltage gap
+    # responds to J through sweep(0, D), so the loop matrix is the ties' own
+    # impedance less that response read at the ends.
+    fr, to, ph = tree.ends
+    loops = np.zeros(len(ph), dtype=complex)
+    if loops.size:
+        d = np.zeros((len(tree.order), 3, loops.size))
+        d[fr, ph, range(loops.size)] = 1.0
+        d[to, ph, range(loops.size)] = -1.0
+        response = tree.sweep(0, d)
+        loop_matrix = tree.tie_z - (response[fr, ph] - response[to, ph])
 
     converged = False
     iterations = 0
     mismatch = float("inf")
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             inj = np.where(volts != 0, np.conj(demand / np.where(volts == 0, 1, volts)), 0)
+        new_volts = tree.sweep(volts[0], inj + d @ loops if loops.size else inj)
 
-        # Backward: accumulate branch currents leaf-to-root, including tie
-        # compensation currents injected at breakpoint endpoints.
-        node_current = inj.copy()
-        if loop_currents is not None:
-            for k, (tie_idx, pi) in enumerate(plan.loop_coords):
-                u_bi, v_bi = plan.tie_endpoints[tie_idx]
-                node_current[u_bi, pi] += loop_currents[k]
-                node_current[v_bi, pi] -= loop_currents[k]
-        branch_current = np.zeros((len(plan.tree_edges), 3), dtype=complex)
-        for ei in range(len(plan.tree_edges) - 1, -1, -1):
-            child = plan.tree_child[ei]
-            total = node_current[child]
-            branch_current[ei] = np.where(plan.tree_mask[ei], total, 0)
-            parent = plan.tree_parent[ei]
-            node_current[parent] += branch_current[ei]
-
-        # Forward: propagate voltages root-to-leaf through branch impedances.
-        new_volts = volts.copy()
-        for ei in range(len(plan.tree_edges)):
-            parent = plan.tree_parent[ei]
-            child = plan.tree_child[ei]
-            drop = plan.tree_z[ei] @ branch_current[ei]
-            mask = plan.tree_mask[ei]
-            new_volts[child] = np.where(mask, new_volts[parent] - drop, new_volts[child])
-
-        # Tie compensation: enforce V_u - V_v = Z_tie * J for every tie.
+        # Tie compensation: drive V_u - V_v - Z_tie * J to zero at every
+        # loop coordinate.
         gap_pu = 0.0
-        if loop_currents is not None:
-            gap = np.zeros(len(plan.loop_coords), dtype=complex)
-            for k, (tie_idx, pi) in enumerate(plan.loop_coords):
-                u_bi, v_bi = plan.tie_endpoints[tie_idx]
-                z_row = plan.tie_z[tie_idx][pi]
-                drop = sum(
-                    z_row[q] * loop_currents[plan.coord_index.get((tie_idx, q), -1)]
-                    if (tie_idx, q) in plan.coord_index
-                    else 0
-                    for q in range(3)
-                )
-                gap[k] = new_volts[u_bi, pi] - new_volts[v_bi, pi] - drop
+        if loops.size:
+            gap = new_volts[fr, ph] - new_volts[to, ph] - tree.tie_z @ loops
             try:
-                delta = np.linalg.solve(plan.loop_matrix, gap)
+                delta = np.linalg.solve(loop_matrix, gap)
             except np.linalg.LinAlgError:
                 break
-            loop_currents = loop_currents + delta
+            loops = loops + delta
             gap_pu = float(np.max(np.abs(gap))) / v_base
 
         # Power mismatch: demand versus power actually drawn by the currents
@@ -217,13 +196,13 @@ def solve(
         drawn = new_volts * np.conj(inj)
         mismatch = float(np.max(np.abs(demand - drawn))) / s_base if demand.size else 0.0
         volts = new_volts
-        if mismatch <= tolerance_pu and gap_pu <= tolerance_pu:
+        if mismatch <= DEFAULT_TOLERANCE_PU and gap_pu <= DEFAULT_TOLERANCE_PU:
             converged = True
             break
 
     meters = model.meter_points()
     voltages = np.array(
-        [volts[plan.index[b], PHASE_INDEX[p]] if b in plan.index else 0j for b, p in meters],
+        [volts[tree.index[b], PHASE_INDEX[p]] if b in tree.index else 0j for b, p in meters],
         dtype=complex,
     ) / v_base
 
@@ -238,186 +217,120 @@ def solve(
 
 
 @dataclass
-class _SweepPlan:
-    """Spanning tree, conduction masks, and loop system for one topology."""
+class _Tree:
+    """BFS spanning tree of the energized subgraph, and its loop coordinates.
+
+    Buses are numbered in BFS order from the source (0).  Bus ``k > 0`` hangs
+    off bus ``parent[k]`` through its tree branch, whose impedance ``z[k]``
+    (ohm) and 0/1 phase ``mask[k]`` cover only the phases that branch conducts.
+    A phase is fed at a bus when every tree branch from the source carries
+    it.  A loop coordinate is one phase of a closed non-tree branch fed at
+    both ends; column ``c`` of ``ends`` holds its from bus, to bus and phase,
+    and ``tie_z`` couples coordinates of the same tie through its impedance.
+    """
 
     order: list[str]
     index: dict[str, int]
-    fed_mask: np.ndarray
-    tree_edges: list[int]
-    tree_parent: list[int]
-    tree_child: list[int]
-    tree_z: list[np.ndarray]
-    tree_mask: list[np.ndarray]
-    tie_endpoints: list[tuple[int, int]]
-    tie_z: list[np.ndarray]
-    loop_coords: list[tuple[int, int]]
-    coord_index: dict[tuple[int, int], int]
-    loop_matrix: np.ndarray | None
+    parent: list[int]
+    z: list[np.ndarray]
+    mask: list[np.ndarray]
+    fed: np.ndarray
+    ends: np.ndarray
+    tie_z: np.ndarray
 
     @staticmethod
-    def build(model: FeederModel, view: TopologyView) -> "_SweepPlan":
-        adjacency: dict[str, list[int]] = {b: [] for b in view.energized}
-        for i in view.active_branches:
-            br = model.branches[i]
-            if br.from_bus in view.energized and br.to_bus in view.energized:
-                adjacency[br.from_bus].append(i)
-                adjacency[br.to_bus].append(i)
-
-        order = [model.source_bus]
-        index = {model.source_bus: 0}
-        parent_edge: dict[str, int] = {}
-        tree_edges: list[int] = []
-        tree_parent: list[int] = []
-        tree_child: list[int] = []
-        used: set[int] = set()
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for ei in adjacency[u]:
-                if ei in used:
-                    continue
-                br = model.branches[ei]
-                v = br.other(u)
-                if v in index:
-                    continue
-                used.add(ei)
-                index[v] = len(order)
-                order.append(v)
-                parent_edge[v] = ei
-                tree_edges.append(ei)
-                tree_parent.append(index[u])
-                tree_child.append(index[v])
-
-        ties = [
+    def build(model: FeederModel, view: TopologyView) -> "_Tree":
+        live = [
             i
             for i in view.active_branches
-            if i not in used
-            and model.branches[i].from_bus in view.energized
+            if model.branches[i].from_bus in view.energized
             and model.branches[i].to_bus in view.energized
         ]
+        adjacency: dict[str, list[int]] = {b: [] for b in view.energized}
+        for i in live:
+            adjacency[model.branches[i].from_bus].append(i)
+            adjacency[model.branches[i].to_bus].append(i)
 
-        z_cache: dict[int, np.ndarray] = {}
-        mask_cache: dict[int, np.ndarray] = {}
-        for i in view.active_branches:
-            br = model.branches[i]
-            phases = conduction_phases(model, br)
-            mask = np.zeros(3, dtype=bool)
-            for p in phases:
-                mask[PHASE_INDEX[p]] = True
-            z = np.array(br.z_ohm, dtype=complex)
-            z[~mask, :] = 0
-            z[:, ~mask] = 0
-            z_cache[i] = z
-            mask_cache[i] = mask
+        source_phases = model.bus(model.source_bus).phases
+        order = [model.source_bus]
+        index = {model.source_bus: 0}
+        parent = [0]
+        z = [np.zeros((3, 3), dtype=complex)]
+        mask = [np.zeros(3)]
+        fed = [np.array([p in source_phases for p in PHASES])]
+        tree_branches: set[int] = set()
+        for head, u in enumerate(order):  # order grows as the walk reaches buses
+            for i in adjacency[u]:
+                v = model.branches[i].other(u)
+                if v in index:
+                    continue
+                tree_branches.add(i)
+                index[v] = len(order)
+                order.append(v)
+                parent.append(head)
+                z_i, mask_i = _conduction(model, i)
+                z.append(z_i)
+                mask.append(mask_i.astype(float))
+                fed.append(fed[head] & mask_i)
 
-        # Per-bus fed mask: a phase is fed iff carried along the whole tree
-        # path from the source.
-        fed = np.zeros((len(order), 3), dtype=bool)
-        src_phases = model.bus(model.source_bus).phases
-        for p in src_phases:
-            fed[0, PHASE_INDEX[p]] = True
-        for ei, pbi, cbi in zip(tree_edges, tree_parent, tree_child):
-            fed[cbi] = fed[pbi] & mask_cache[ei]
-            bus_phases = model.bus(order[cbi]).phases
-            for p in PHASES:
-                if p not in bus_phases:
-                    fed[cbi, PHASE_INDEX[p]] = False
-
-        tie_endpoints: list[tuple[int, int]] = []
-        tie_z: list[np.ndarray] = []
-        loop_coords: list[tuple[int, int]] = []
-        tie_paths: list[dict[int, int]] = []
-        tie_masks: list[np.ndarray] = []
-        for t in ties:
-            br = model.branches[t]
-            u_bi = index[br.from_bus]
-            v_bi = index[br.to_bus]
-            path = _tree_path(u_bi, v_bi, order, parent_edge, model, index)
-            loop_mask = mask_cache[t].copy()
-            for ei in path:
-                loop_mask &= mask_cache[ei]
-            if not loop_mask.any():
+        coords = []
+        for i in live:
+            if i in tree_branches:
                 continue
-            tie_endpoints.append((u_bi, v_bi))
-            tie_z.append(z_cache[t])
-            tie_paths.append(path)
-            tie_masks.append(loop_mask)
-            ti = len(tie_endpoints) - 1
-            for pi in range(3):
-                if loop_mask[pi]:
-                    loop_coords.append((ti, pi))
+            u, v = index[model.branches[i].from_bus], index[model.branches[i].to_bus]
+            z_i, mask_i = _conduction(model, i)
+            for pi in np.flatnonzero(mask_i & fed[u] & fed[v]):
+                coords.append((u, v, pi, z_i))
+        tie_z = np.zeros((len(coords), len(coords)), dtype=complex)
+        for a, (_, _, pa, z_a) in enumerate(coords):
+            for b, (_, _, pb, z_b) in enumerate(coords):
+                if z_b is z_a:  # a and b are phases of one tie
+                    tie_z[a, b] = z_a[pa, pb]
 
-        coord_index = {c: k for k, c in enumerate(loop_coords)}
-        loop_matrix = None
-        if loop_coords:
-            n = len(loop_coords)
-            loop_matrix = np.zeros((n, n), dtype=complex)
-            for a, (ti, pi) in enumerate(loop_coords):
-                for b, (tj, pj) in enumerate(loop_coords):
-                    total = 0j
-                    if ti == tj:
-                        total += tie_z[ti][pi][pj]
-                    for ei, sgn_i in tie_paths[ti].items():
-                        sgn_j = tie_paths[tj].get(ei)
-                        if sgn_j is not None:
-                            total += sgn_i * sgn_j * z_cache[ei][pi][pj]
-                    loop_matrix[a, b] = total
-
-        return _SweepPlan(
+        return _Tree(
             order=order,
             index=index,
-            fed_mask=fed,
-            tree_edges=tree_edges,
-            tree_parent=tree_parent,
-            tree_child=tree_child,
-            tree_z=[z_cache[e] for e in tree_edges],
-            tree_mask=[mask_cache[e] for e in tree_edges],
-            tie_endpoints=tie_endpoints,
+            parent=parent,
+            z=z,
+            mask=mask,
+            fed=np.array(fed),
+            ends=np.array([c[:3] for c in coords], dtype=int).reshape(-1, 3).T,
             tie_z=tie_z,
-            loop_coords=loop_coords,
-            coord_index=coord_index,
-            loop_matrix=loop_matrix,
         )
 
+    def sweep(self, source, current: np.ndarray) -> np.ndarray:
+        """Bus voltages with the source bus held at ``source`` and
+        ``current`` drawn at every bus; linear in both.
 
-def _tree_path(u_bi, v_bi, order, parent_edge, model, index) -> dict[int, int]:
-    """Tree path u->v as {edge index: direction}, +1 when walked parent->child."""
-    depth: dict[int, int] = {}
+        Currents accumulate leaf to root onto each bus's tree branch, then
+        voltages drop root to leaf.  Phases a branch does not conduct read 0
+        below it.  A trailing axis on ``current`` is carried through, so one
+        call answers several right-hand sides.
+        """
+        parent, z = self.parent, self.z
+        mask = self.mask if current.ndim == 2 else [m[:, None] for m in self.mask]
+        node = current.astype(complex)
+        branch = np.zeros_like(node)
+        for bi in range(len(parent) - 1, 0, -1):
+            branch[bi] = carried = node[bi] * mask[bi]
+            node[parent[bi]] += carried
+        volts = np.zeros_like(node)
+        volts[0] = source
+        for bi in range(1, len(parent)):
+            volts[bi] = (volts[parent[bi]] - z[bi] @ branch[bi]) * mask[bi]
+        return volts
 
-    def _depth(bi: int) -> int:
-        d = 0
-        b = bi
-        while order[b] in parent_edge:
-            ei = parent_edge[order[b]]
-            br = model.branches[ei]
-            b = index[br.other(order[b])]
-            d += 1
-        return d
 
-    du, dv = _depth(u_bi), _depth(v_bi)
-    path: dict[int, int] = {}
-    u, v = u_bi, v_bi
-    # Walk u up (child->parent = -1) and v up (+1 relative to the u->v walk)
-    while du > dv:
-        ei = parent_edge[order[u]]
-        path[ei] = -1
-        u = index[model.branches[ei].other(order[u])]
-        du -= 1
-    while dv > du:
-        ei = parent_edge[order[v]]
-        path[ei] = 1
-        v = index[model.branches[ei].other(order[v])]
-        dv -= 1
-    while u != v:
-        ei_u = parent_edge[order[u]]
-        path[ei_u] = -1
-        u = index[model.branches[ei_u].other(order[u])]
-        ei_v = parent_edge[order[v]]
-        path[ei_v] = 1
-        v = index[model.branches[ei_v].other(order[v])]
-    return path
+def _conduction(model: FeederModel, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Branch ``i``'s 3x3 impedance (ohm) zeroed outside the phases it
+    conducts, and that phase mask."""
+    br = model.branches[i]
+    phases = conduction_phases(model, br)
+    mask = np.array([p in phases for p in PHASES])
+    z = np.array(br.z_ohm, dtype=complex)
+    z[~mask, :] = 0
+    z[:, ~mask] = 0
+    return z, mask
 
 
 # ---------------------------------------------------------------------------

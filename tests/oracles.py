@@ -16,22 +16,31 @@ PHASES = ("A", "B", "C")
 ANGLES = (1.0 + 0j, cmath.exp(-2j * cmath.pi / 3), cmath.exp(2j * cmath.pi / 3))
 
 
-def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000):
-    """Full Y-bus fixed-point solution; line-only connected models.
+def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000, closed=()):
+    """Full Y-bus fixed-point solution over (bus, phase) nodes.
 
+    A switch named in ``closed`` merges the (bus, phase) points it joins into
+    one node; every other switch is open and ignored.  Lines enter the Y-bus.
     Returns {bus: {phase: complex pu}}.
     """
     overrides = overrides or {}
-    coords = []
-    for bus in model.buses:
-        for p in bus.phases:
-            coords.append((bus.id, p))
-    index = {c: k for k, c in enumerate(coords)}
-    n = len(coords)
+    points = [(bus.id, p) for bus in model.buses for p in bus.phases]
+    merged = UnionFind(points)
+    for br in model.branches:
+        if br.is_switch and br.switch in closed:
+            for p in model.bus(br.from_bus).phases:
+                if p in model.bus(br.to_bus).phases:
+                    merged.union((br.from_bus, p), (br.to_bus, p))
+    roots = {}
+    for point in points:
+        roots.setdefault(merged.find(point), len(roots))
+    index = {point: roots[merged.find(point)] for point in points}
+    n = len(roots)
 
     ybus = np.zeros((n, n), dtype=complex)
     for br in model.branches:
-        assert not br.is_switch, "dense oracle handles line-only models"
+        if br.is_switch:
+            continue
         from_phases = model.bus(br.from_bus).phases
         to_phases = model.bus(br.to_bus).phases
         shared = [p for p in PHASES if p in from_phases and p in to_phases]
@@ -57,14 +66,15 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000):
                 ybus[ia, ib] -= y[a, b]
 
     v_base = model.base_volts_ln
-    source = [k for k, (b, _) in enumerate(coords) if b == model.source_bus]
-    load = [k for k in range(n) if k not in source]
+    source_phase = {index[(model.source_bus, p)]: p for p in model.bus(model.source_bus).phases}
+    source = sorted(source_phase)
+    load = [k for k in range(n) if k not in source_phase]
     v_src = np.array(
-        [ANGLES[PHASES.index(coords[k][1])] * v_base for k in source], dtype=complex
+        [ANGLES[PHASES.index(source_phase[k])] * v_base for k in source], dtype=complex
     )
 
     demand = np.zeros(n, dtype=complex)
-    for k, (bus_id, p) in enumerate(coords):
+    for bus_id, p in points:
         bus = model.bus(bus_id)
         per_phase = overrides.get(bus_id, {})
         if p in per_phase:
@@ -72,7 +82,7 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000):
         else:
             kw = bus.load_kw[PHASES.index(p)]
             kvar = bus.load_kvar[PHASES.index(p)]
-        demand[k] = complex(kw, kvar) * 1000.0
+        demand[index[(bus_id, p)]] += complex(kw, kvar) * 1000.0
 
     y_ll = ybus[np.ix_(load, load)]
     y_ls = ybus[np.ix_(load, source)]
@@ -87,11 +97,12 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000):
             break
         v = v_new
 
+    node_v = np.zeros(n, dtype=complex)
+    node_v[source] = v_src
+    node_v[load] = v
     out = {bus.id: {} for bus in model.buses}
-    for k, val in zip(source, v_src):
-        out[coords[k][0]][coords[k][1]] = val / v_base
-    for k, val in zip(load, v):
-        out[coords[k][0]][coords[k][1]] = val / v_base
+    for (bus_id, p), k in index.items():
+        out[bus_id][p] = node_v[k] / v_base
     return out
 
 

@@ -13,6 +13,7 @@ from gridbed.powerflow import (
     solve,
     unbalance_at,
 )
+from gridbed.scenario import CASE_PATTERNS, case_vector
 
 from conftest import four_bus_doc, two_bus_doc
 from oracles import dense_nodal_solve, reachable_from, two_bus_receiving_magnitude
@@ -176,6 +177,27 @@ def test_solver_matches_oracle_with_overrides(four_bus_model):
     for bus in four_bus_model.buses:
         for p in bus.phases:
             assert abs(v[(bus.id, p)] - oracle[bus.id][p]) < 1e-6
+
+
+@pytest.mark.parametrize("ties", [(), ("S7",), ("S7", "S8")], ids=["normal", "S7", "S7+S8"])
+def test_fixture_matches_dense_oracle_radial_and_meshed(fixture_model, fixture_meter_map, ties):
+    # the oracle merges the points a closed switch joins; it shares no code
+    # with the sweep or its loop compensation
+    config = SwitchConfig.normal(fixture_model)
+    for tie in ties:
+        config = config.with_switch(tie, True)
+    view = _view(fixture_model, config)
+    closed = {name for name, state in config.as_dict().items() if state}
+    loads = [None] + [
+        fixture_meter_map.overrides(fixture_model, case_vector(fixture_meter_map, case))
+        for case in sorted(CASE_PATTERNS)
+    ]
+    for overrides in loads:
+        solution = solve(fixture_model, view, overrides)
+        assert solution.converged
+        oracle = dense_nodal_solve(fixture_model, overrides, closed=closed)
+        worst = max(abs(v - oracle[b][p]) for (b, p), v in _complex(solution).items())
+        assert worst < 1e-5, (overrides, worst)
 
 
 # ---------------------------------------------------------------------------

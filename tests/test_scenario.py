@@ -1,6 +1,7 @@
 """Scenario runner: end-to-end cases over real sockets, reports on disk."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -102,3 +103,34 @@ def test_config_json_parsing():
     assert config.band == (0.9, 1.1)
     assert config.weights.violation == 500
     assert config.attack_params.n_tar == 3
+
+
+# SHA-256 of every CSV that `gridbed-scenario --all --replay` writes. The
+# reports are a cross-commit contract: a change that moves any CSV byte fails
+# here, not only one whose two runs disagree.
+REPLAY_CSV_SHA256 = {
+    "summary.csv": "5efa1c99868c50604d483fc10e3b498b28a3585f0b356ea0de3e24ef056abf64",
+    "voltage_case1_post.csv": "708766192f51bbec33763bedb24e3d45679878a3af0b2efe32e3820bf5859ce1",
+    "voltage_case1_pre.csv": "bdf52542ff9afcc51421e237799947b21718bb0485e79e22411d33dbb415b8fb",
+    "voltage_case2_post.csv": "ec7c3d6955ef93e53ac7923343722884dc4dcae7bb60c4aaacc357ea77c5006c",
+    "voltage_case2_pre.csv": "02d997957f6ce527506841f33f503abed4a481cadf8799963158b8f29a24e9f6",
+    "voltage_case3_post.csv": "4744c6e7d0b48d0a948e655d8a37c3d4bc8418e221205c1f5a046dd53e84fa29",
+    "voltage_case3_pre.csv": "c9ef1d84a2bca664457475fd3cdb0241babe0c90f9006b6033837678707c9861",
+    "voltage_case4_post.csv": "06b60c0978a51421e8d2ff622d649ac2c21bb9bac49ade7e135fc15fddef1264",
+    "voltage_case4_pre.csv": "0f09be0dcdc4b29f05a586a22ed26c8070b5fc8cd45f5bb1af4bd1ca6a459772",
+    "voltage_case5_post.csv": "23dc55fe280954bd10128ab7345c6034e5dad1ad25e77f2077a11b2c7299a7a5",
+    "voltage_case5_pre.csv": "d6d4a05dd063e5d16861a29f4c5ed8656ce36903e210bfd32cbbdd1f8c4531a7",
+    "voltage_case6_post.csv": "dc5948bddd8d4573faa4c8bc9025314296069556c9dbd7a62aa8f4f3502495f9",
+    "voltage_case6_pre.csv": "289428436159ebda1815b5743164dc794cf464dc3522bb5c17c75a9358f60f3c",
+}
+
+
+def test_replay_all_csvs_match_frozen_digests(tmp_path):
+    config = ScenarioConfig()
+    report = run_scenario(config, sorted(CASE_PATTERNS))
+    emit_report(report, tmp_path, MeterMap.for_model(config.load_model()))
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.csv"))
+    }
+    assert digests == REPLAY_CSV_SHA256
