@@ -5,6 +5,13 @@ constant-power spot loads, branches with 3x3 series impedance matrices, and
 named switches (zero-impedance branches with a normal open/closed state).
 See ``docs/feeder_format.md`` for the schema.
 
+:func:`apply_switch_config` takes the one graph walk a topology gets: a
+breadth-first walk from the source over the closed branches.  Its
+:class:`TopologyView` is both the energized set and the spanning tree the
+solver sweeps, and :func:`is_radial` reads it without walking again.  Each
+branch's conducting phases and phase-masked impedance are computed once per
+:class:`FeederModel`.
+
 :class:`FeederModel` and :class:`TopologyView` are immutable after
 construction and safe to share across threads; switching actions are
 expressed as new :class:`SwitchConfig` values.
@@ -17,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Mapping
+
+import numpy as np
 
 PHASES = ("A", "B", "C")
 PHASE_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -67,9 +76,6 @@ class Branch:
     def is_switch(self) -> bool:
         return self.switch is not None
 
-    def other(self, bus_id: str) -> str:
-        return self.to_bus if bus_id == self.from_bus else self.from_bus
-
 
 @dataclass(frozen=True)
 class FeederModel:
@@ -84,6 +90,37 @@ class FeederModel:
     @cached_property
     def bus_map(self) -> Mapping[str, Bus]:
         return {b.id: b for b in self.buses}
+
+    @cached_property
+    def adjacency(self) -> Mapping[str, tuple[tuple[int, str], ...]]:
+        """Bus id -> (branch index, far bus) for every incident branch, in
+        branch-index order."""
+        incident: dict[str, list[tuple[int, str]]] = {b.id: [] for b in self.buses}
+        for i, br in enumerate(self.branches):
+            incident[br.from_bus].append((i, br.to_bus))
+            incident[br.to_bus].append((i, br.from_bus))
+        return {b: tuple(edges) for b, edges in incident.items()}
+
+    @cached_property
+    def branch_mask(self) -> np.ndarray:
+        """``(branch, phase)`` bool: the phases present at both endpoints,
+        the only ones a branch conducts."""
+        carried = {b.id: np.array([p in b.phases for p in PHASES]) for b in self.buses}
+        mask = np.array(
+            [carried[br.from_bus] & carried[br.to_bus] for br in self.branches], dtype=bool
+        ).reshape(-1, 3)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def branch_z(self) -> np.ndarray:
+        """``(branch, 3, 3)`` complex impedance (ohm), zeroed outside the
+        phases each branch conducts."""
+        mask = self.branch_mask
+        z = np.array([br.z_ohm for br in self.branches], dtype=complex).reshape(-1, 3, 3)
+        z = np.where(mask[:, :, None] & mask[:, None, :], z, 0)
+        z.flags.writeable = False
+        return z
 
     @cached_property
     def switch_names(self) -> tuple[str, ...]:
@@ -102,14 +139,6 @@ class FeederModel:
     def meter_points(self) -> tuple[tuple[str, str], ...]:
         """All (bus, phase) measurement points, in document order."""
         return tuple((b.id, p) for b in self.buses for p in b.phases)
-
-
-def conduction_phases(model: FeederModel, branch: Branch) -> tuple[str, ...]:
-    """Phases a branch can carry: those present at both endpoints."""
-    common = set(model.bus(branch.from_bus).phases) & set(
-        model.bus(branch.to_bus).phases
-    )
-    return tuple(p for p in PHASES if p in common)
 
 
 @dataclass(frozen=True)
@@ -165,19 +194,31 @@ class SwitchConfig:
 
 @dataclass(frozen=True)
 class TopologyView:
-    """Active edge set and energization derived from one switch config."""
+    """One switch config's breadth-first walk from the source.
+
+    ``order`` lists the energized buses, source first.  Bus ``order[k]``
+    (``k > 0``) was reached from ``order[parent[k]]`` through branch
+    ``via[k]``, so ``parent[k] < k``; ``parent[0]`` is 0 and ``via[0]`` is -1.
+    ``loops`` holds the closed branches between energized buses that the walk
+    did not take, in branch order.
+    """
 
     model: FeederModel
-    config: SwitchConfig | None
-    active_branches: tuple[int, ...]
-    energized: frozenset[str]
+    order: tuple[str, ...]
+    parent: tuple[int, ...]
+    via: tuple[int, ...]
+    loops: tuple[int, ...]
+
+    @cached_property
+    def energized(self) -> frozenset[str]:
+        return frozenset(self.order)
 
 
 def apply_switch_config(model: FeederModel, config: SwitchConfig) -> TopologyView:
-    """Resolve a switch config into active edges and the energized bus set.
+    """Walk the energized subgraph once, breadth first from the source.
 
-    Active edges are all lines plus closed switches; energization is graph
-    reachability from the source over active edges.
+    Closed branches are all lines plus closed switches; each bus takes its
+    branches in branch-index order.
     """
     missing = [n for n in model.switch_names if n not in config.as_dict()]
     extra = [n for n in config.as_dict() if n not in model.switch_names]
@@ -186,44 +227,30 @@ def apply_switch_config(model: FeederModel, config: SwitchConfig) -> TopologyVie
             f"switch config does not cover model switch set "
             f"(missing={missing}, extra={extra})"
         )
-    active = tuple(
+    closed = [not b.is_switch or config.closed(b.switch) for b in model.branches]
+    order = [model.source_bus]
+    index = {model.source_bus: 0}
+    parent = [0]
+    via = [-1]
+    for head, u in enumerate(order):  # order grows as the walk reaches buses
+        for i, v in model.adjacency[u]:
+            if closed[i] and v not in index:
+                index[v] = len(order)
+                order.append(v)
+                parent.append(head)
+                via.append(i)
+    taken = set(via)
+    loops = tuple(
         i
-        for i, b in enumerate(model.branches)
-        if not b.is_switch or config.closed(b.switch)
+        for i, br in enumerate(model.branches)
+        if closed[i] and br.from_bus in index and i not in taken
     )
-    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
-    for i in active:
-        br = model.branches[i]
-        adjacency[br.from_bus].append(br.to_bus)
-        adjacency[br.to_bus].append(br.from_bus)
-
-    energized = {model.source_bus}
-    stack = [model.source_bus]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v not in energized:
-                energized.add(v)
-                stack.append(v)
-    return TopologyView(
-        model=model,
-        config=config,
-        active_branches=active,
-        energized=frozenset(energized),
-    )
+    return TopologyView(model, tuple(order), tuple(parent), tuple(via), loops)
 
 
 def is_radial(view: TopologyView) -> bool:
     """True iff the energized subgraph is a tree spanning every load bus."""
-    model = view.model
-    if not model.load_buses <= view.energized:
-        return False
-    live_edges = sum(
-        1
-        for i in view.active_branches
-        if model.branches[i].from_bus in view.energized
-        and model.branches[i].to_bus in view.energized
-    )
-    return live_edges == len(view.energized) - 1
+    return view.model.load_buses <= view.energized and not view.loops
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +399,10 @@ def load_feeder(text: str) -> FeederModel:
         base_volts_ln=base_kv_ln * 1000.0,
         base_va=base_kva * 1000.0,
     )
-    for br in model.branches:
-        if not conduction_phases(model, br):
-            raise FeederError(
-                f"branch {br.from_bus!r}-{br.to_bus!r}: endpoints share no phase"
-            )
+    orphans = np.flatnonzero(~model.branch_mask.any(axis=1))
+    if orphans.size:
+        br = model.branches[orphans[0]]
+        raise FeederError(f"branch {br.from_bus!r}-{br.to_bus!r}: endpoints share no phase")
     return model
 
 

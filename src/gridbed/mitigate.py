@@ -29,12 +29,7 @@ from .feeder import (
     load_feeder_file,
 )
 from .modbus.client import ModbusClient
-from .powerflow import (
-    DEFAULT_BAND,
-    count_violations,
-    effective_overrides,
-    solve,
-)
+from .powerflow import DEFAULT_BAND, count_violations, solve
 from .regmap import MeterMap
 
 log = logging.getLogger("gridbed.mitigate")
@@ -117,7 +112,7 @@ def payoff(
         feasible = feasible and is_radial(view)
     if not feasible:
         return Payoff(False, 0, cost, INFEASIBLE)
-    solution = solve(model, view, effective_overrides(view, overrides))
+    solution = solve(model, view, overrides)
     if not solution.converged:
         return Payoff(False, 0, cost, INFEASIBLE)
     violations = count_violations(solution.magnitudes(), band).count

@@ -41,7 +41,7 @@ from ..feeder import (
     apply_switch_config,
     load_feeder_file,
 )
-from ..powerflow import VoltageSolution, effective_overrides, solve
+from ..powerflow import VoltageSolution, solve
 from ..regmap import MeterMap, RegisterImage, build_image
 from . import frames
 from .frames import (
@@ -225,7 +225,7 @@ class FeederServer:
         """
         view = apply_switch_config(self.model, config)
         overrides = self.meter_map.overrides(self.model, setpoints)
-        solution = solve(self.model, view, effective_overrides(view, overrides))
+        solution = solve(self.model, view, overrides)
         stale = not solution.converged
         if stale:
             if self.state is None:

@@ -1,9 +1,11 @@
 """Unbalanced three-phase steady-state solver and voltage-quality metrics.
 
-The solver is one linear operator over a breadth-first spanning tree of the
-energized subgraph, ``sweep(source, current)``: node currents accumulate leaf
-to root onto tree branches, then voltages drop root to leaf through each
-branch's phase-masked 3x3 impedance.  Each fixed-point iteration computes
+The solver is one linear operator over the breadth-first spanning tree that
+:func:`~gridbed.feeder.apply_switch_config` walked, ``sweep(source,
+current)``: node currents accumulate leaf to root onto tree branches, then
+voltages drop root to leaf through each branch's phase-masked 3x3 impedance.
+The solver gathers the tree from the view and the model's per-branch arrays
+and never walks the graph itself.  Each fixed-point iteration computes
 ``V = sweep(V_src, I_load + D J)`` for constant-power loads.
 
 Radial and meshed topologies share that path.  A closed tie that closes a
@@ -35,13 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .feeder import (
-    PHASES,
-    PHASE_INDEX,
-    FeederModel,
-    TopologyView,
-    conduction_phases,
-)
+from .feeder import PHASES, PHASE_INDEX, FeederModel, TopologyView
 
 DEFAULT_TOLERANCE_PU = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
@@ -75,7 +71,6 @@ class VoltageSolution:
     converged: bool
     iterations: int
     max_mismatch_pu: float
-    energized: frozenset[str]
 
     def magnitudes(self) -> dict[tuple[str, str], float]:
         """``{(bus, phase): pu}`` in meter order, the shape of a wire read."""
@@ -104,18 +99,6 @@ class UnbalanceReport:
     max_bus: str | None
 
 
-def effective_overrides(view: TopologyView, overrides: Overrides | None) -> Overrides:
-    """Drop override entries for de-energized buses.
-
-    Commanded setpoints on a dead section draw nothing until the section is
-    re-energized; callers that consider switching candidates use this to stay
-    physical without forgetting the command.
-    """
-    if not overrides:
-        return {}
-    return {b: v for b, v in overrides.items() if b in view.energized}
-
-
 def solve(
     model: FeederModel,
     view: TopologyView,
@@ -123,16 +106,15 @@ def solve(
 ) -> VoltageSolution:
     """Solve the energized subgraph; de-energized buses come back at 0 pu.
 
-    Raises :class:`PowerFlowError` for overrides that reference de-energized
-    or unknown buses/phases.  Non-convergence is not an error: the solution
-    is returned with ``converged`` False and callers decide.
+    An override on a de-energized bus draws nothing until a switch config
+    energizes the bus.  Raises :class:`PowerFlowError` for overrides that
+    reference unknown buses/phases.  Non-convergence is not an error: the
+    solution is returned with ``converged`` False and callers decide.
     """
     overrides = dict(overrides or {})
     for bus_id, per_phase in overrides.items():
         if bus_id not in model.bus_map:
             raise PowerFlowError(f"override references unknown bus {bus_id!r}")
-        if bus_id not in view.energized:
-            raise PowerFlowError(f"override references de-energized bus {bus_id!r}")
         for phase in per_phase:
             if phase not in model.bus(bus_id).phases:
                 raise PowerFlowError(
@@ -212,13 +194,13 @@ def solve(
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=mismatch,
-        energized=view.energized,
     )
 
 
 @dataclass
 class _Tree:
-    """BFS spanning tree of the energized subgraph, and its loop coordinates.
+    """The view's BFS spanning tree, gathered for the sweep, and its loop
+    coordinates.
 
     Buses are numbered in BFS order from the source (0).  Bus ``k > 0`` hangs
     off bus ``parent[k]`` through its tree branch, whose impedance ``z[k]``
@@ -229,9 +211,9 @@ class _Tree:
     and ``tie_z`` couples coordinates of the same tie through its impedance.
     """
 
-    order: list[str]
+    order: tuple[str, ...]
     index: dict[str, int]
-    parent: list[int]
+    parent: tuple[int, ...]
     z: list[np.ndarray]
     mask: list[np.ndarray]
     fed: np.ndarray
@@ -240,61 +222,34 @@ class _Tree:
 
     @staticmethod
     def build(model: FeederModel, view: TopologyView) -> "_Tree":
-        live = [
-            i
-            for i in view.active_branches
-            if model.branches[i].from_bus in view.energized
-            and model.branches[i].to_bus in view.energized
-        ]
-        adjacency: dict[str, list[int]] = {b: [] for b in view.energized}
-        for i in live:
-            adjacency[model.branches[i].from_bus].append(i)
-            adjacency[model.branches[i].to_bus].append(i)
-
-        source_phases = model.bus(model.source_bus).phases
-        order = [model.source_bus]
-        index = {model.source_bus: 0}
-        parent = [0]
-        z = [np.zeros((3, 3), dtype=complex)]
-        mask = [np.zeros(3)]
-        fed = [np.array([p in source_phases for p in PHASES])]
-        tree_branches: set[int] = set()
-        for head, u in enumerate(order):  # order grows as the walk reaches buses
-            for i in adjacency[u]:
-                v = model.branches[i].other(u)
-                if v in index:
-                    continue
-                tree_branches.add(i)
-                index[v] = len(order)
-                order.append(v)
-                parent.append(head)
-                z_i, mask_i = _conduction(model, i)
-                z.append(z_i)
-                mask.append(mask_i.astype(float))
-                fed.append(fed[head] & mask_i)
+        order, parent, via = view.order, view.parent, list(view.via[1:])
+        index = {b: k for k, b in enumerate(order)}
+        mask = np.zeros((len(order), 3), dtype=bool)
+        mask[1:] = model.branch_mask[via]
+        z = np.zeros((len(order), 3, 3), dtype=complex)
+        z[1:] = model.branch_z[via]
+        fed = np.empty_like(mask)
+        fed[0] = [p in model.bus(model.source_bus).phases for p in PHASES]
+        for k in range(1, len(order)):
+            fed[k] = fed[parent[k]] & mask[k]
 
         coords = []
-        for i in live:
-            if i in tree_branches:
-                continue
+        for i in view.loops:
             u, v = index[model.branches[i].from_bus], index[model.branches[i].to_bus]
-            z_i, mask_i = _conduction(model, i)
-            for pi in np.flatnonzero(mask_i & fed[u] & fed[v]):
-                coords.append((u, v, pi, z_i))
-        tie_z = np.zeros((len(coords), len(coords)), dtype=complex)
-        for a, (_, _, pa, z_a) in enumerate(coords):
-            for b, (_, _, pb, z_b) in enumerate(coords):
-                if z_b is z_a:  # a and b are phases of one tie
-                    tie_z[a, b] = z_a[pa, pb]
+            for pi in np.flatnonzero(model.branch_mask[i] & fed[u] & fed[v]):
+                coords.append((u, v, pi, i))
+        fr, to, ph, tie = np.array(coords, dtype=int).reshape(-1, 4).T
+        same_tie = tie[:, None] == tie[None, :]
+        tie_z = np.where(same_tie, model.branch_z[tie[:, None], ph[:, None], ph[None, :]], 0)
 
         return _Tree(
             order=order,
             index=index,
             parent=parent,
-            z=z,
-            mask=mask,
-            fed=np.array(fed),
-            ends=np.array([c[:3] for c in coords], dtype=int).reshape(-1, 3).T,
+            z=list(z),
+            mask=list(mask.astype(float)),
+            fed=fed,
+            ends=np.array([fr, to, ph]),
             tie_z=tie_z,
         )
 
@@ -319,18 +274,6 @@ class _Tree:
         for bi in range(1, len(parent)):
             volts[bi] = (volts[parent[bi]] - z[bi] @ branch[bi]) * mask[bi]
         return volts
-
-
-def _conduction(model: FeederModel, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Branch ``i``'s 3x3 impedance (ohm) zeroed outside the phases it
-    conducts, and that phase mask."""
-    br = model.branches[i]
-    phases = conduction_phases(model, br)
-    mask = np.array([p in phases for p in PHASES])
-    z = np.array(br.z_ohm, dtype=complex)
-    z[~mask, :] = 0
-    z[:, ~mask] = 0
-    return z, mask
 
 
 # ---------------------------------------------------------------------------

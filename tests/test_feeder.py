@@ -1,5 +1,6 @@
 """Feeder ingestion, topology derivation, and radiality checks."""
 
+import itertools
 import json
 
 import pytest
@@ -79,6 +80,15 @@ def test_asymmetric_impedance_rejected():
         load_feeder(json.dumps(doc))
 
 
+def test_branch_whose_endpoints_share_no_phase_rejected():
+    doc = two_bus_doc(phase="A")
+    doc["buses"][1]["phases"] = "B"
+    doc["buses"][1]["load_kw"] = [0, 0, 0]
+    doc["buses"][1]["load_kvar"] = [0, 0, 0]
+    with pytest.raises(FeederError, match="'B0'-'B1': endpoints share no phase"):
+        load_feeder(json.dumps(doc))
+
+
 def test_switch_with_impedance_rejected():
     doc = three_bus_switch_doc()
     doc["branches"][1]["r_ohm"][0][0] = 0.1
@@ -95,12 +105,17 @@ def test_serialize_round_trip(fixture_model):
 # ---------------------------------------------------------------------------
 
 
-def _oracle_energized(model, config):
-    edges = [
-        (b.from_bus, b.to_bus)
-        for b in model.branches
+def _closed_edges(model, config):
+    """(branch index, from bus, to bus) of every line and closed switch."""
+    return [
+        (i, b.from_bus, b.to_bus)
+        for i, b in enumerate(model.branches)
         if not b.is_switch or config.closed(b.switch)
     ]
+
+
+def _oracle_energized(model, config):
+    edges = [(u, v) for _, u, v in _closed_edges(model, config)]
     return reachable_from(model.source_bus, edges)
 
 
@@ -163,10 +178,7 @@ def test_closing_tie_breaks_radiality(fixture_model):
     config = SwitchConfig.normal(fixture_model).with_switch("S7", True)
     view = apply_switch_config(fixture_model, config)
     assert not is_radial(view)
-    live_edges = [
-        (fixture_model.branches[i].from_bus, fixture_model.branches[i].to_bus)
-        for i in view.active_branches
-    ]
+    live_edges = [(u, v) for _, u, v in _closed_edges(fixture_model, config)]
     assert edges_form_cycle([b.id for b in fixture_model.buses], live_edges)
 
 
@@ -183,19 +195,33 @@ def test_single_bus_no_edges_is_radial():
 
 
 def test_radial_views_contain_no_cycle(fixture_model):
-    # union-find oracle over every single-switch variation of the base state
-    normal = SwitchConfig.normal(fixture_model)
-    for name in fixture_model.switch_names:
-        config = normal.with_switch(name, not normal.closed(name))
+    # every switch config, against union-find and reachability oracles built
+    # from the config alone
+    names = fixture_model.switch_names
+    for bits in itertools.product((False, True), repeat=len(names)):
+        config = SwitchConfig(tuple(zip(names, bits)))
         view = apply_switch_config(fixture_model, config)
-        if is_radial(view):
-            live = [
-                (fixture_model.branches[i].from_bus, fixture_model.branches[i].to_bus)
-                for i in view.active_branches
-                if fixture_model.branches[i].from_bus in view.energized
-                and fixture_model.branches[i].to_bus in view.energized
-            ]
-            assert not edges_form_cycle(list(view.energized), live)
+        energized = _oracle_energized(fixture_model, config)
+        assert view.energized == frozenset(energized)
+        live = {
+            i: (u, v)
+            for i, u, v in _closed_edges(fixture_model, config)
+            if u in energized and v in energized
+        }
+        spans_loads = fixture_model.load_buses <= energized
+        assert is_radial(view) == (
+            spans_loads and not edges_form_cycle(list(energized), live.values())
+        )
+
+        # the walk: a spanning tree rooted at the source, in walk order
+        assert view.order[0] == fixture_model.source_bus
+        assert len(set(view.order)) == len(view.order)
+        for k in range(1, len(view.order)):
+            assert view.parent[k] < k
+            assert set(live[view.via[k]]) == {view.order[k], view.order[view.parent[k]]}
+        assert not set(view.via[1:]) & set(view.loops)
+        assert set(view.via[1:]) | set(view.loops) == set(live)
+        assert list(view.loops) == sorted(view.loops)
 
 
 def test_de_energized_load_bus_is_not_radial():

@@ -1,5 +1,6 @@
 """Defender: payoff scoring, best-response sweep, exhaustive oracle, live loop."""
 
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,37 @@ def test_oracle_dominates_sweep(case, fixture_model, fixture_meter_map):
         ).scalar
 
     assert scalar(oracle) >= scalar(sweep)
+
+
+# SHA-256 of MitigationPlan.to_json() under the radiality constraint (the
+# gridbed-mitigate default), per case: (exhaustive_best, best_response_sweep).
+# Through search_log these pin feasibility of all 256 candidates per case.
+RADIAL_PLAN_DIGESTS = {
+    1: ("330f0001e423c12e735977430f323829b645d8a71b6c3a6db685290f5c656fa1",
+        "daf152a963d85c5938074576a9468c0c0c6a8b26d82d187a9b4e49bba2a659f9"),
+    2: ("330f0001e423c12e735977430f323829b645d8a71b6c3a6db685290f5c656fa1",
+        "daf152a963d85c5938074576a9468c0c0c6a8b26d82d187a9b4e49bba2a659f9"),
+    3: ("952c30bd2df681faa41c8bb6b40dcf13cfa98dfdeb5f516a3e799c08ede6bbc0",
+        "c4f7bdfd489f246f391ed52111847fd234c1e9b3d2770a565422e260f53b54cf"),
+    4: ("c993240618021440cf489e2d242334e64c28eeb4d4425a5a64fa56a10f2649aa",
+        "5ea720e7fb5a84ce02025d60054dac03267e041938e9202bd99fb6ec5c3ed41e"),
+    5: ("efde67725f3ff3bda726773bf3f2c949fd584dc4c353776e4b17e2de06ee6fd9",
+        "1c0ae69832d42d5af7675b639a7910fd4eef672a6554d159dfa292bd5d591245"),
+    6: ("8ef5500e2f1d0e88c25acddd17494d537fd62d9465593eb55764a03e0d80303e",
+        "1c0ae69832d42d5af7675b639a7910fd4eef672a6554d159dfa292bd5d591245"),
+}
+
+
+def test_radial_only_plans_are_pinned(fixture_model, fixture_meter_map):
+    base = _normal(fixture_model)
+    for case, expected in sorted(RADIAL_PLAN_DIGESTS.items()):
+        overrides = _case_overrides(fixture_meter_map, case)
+        plans = [
+            search(fixture_model, base, overrides, allow_meshed=False)
+            for search in (exhaustive_best, best_response_sweep)
+        ]
+        digests = tuple(hashlib.sha256(p.to_json().encode()).hexdigest() for p in plans)
+        assert digests == expected, f"case {case}"
 
 
 def test_minimal_toggle_tie_break(fixture_model):

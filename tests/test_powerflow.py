@@ -79,11 +79,21 @@ def test_de_energized_buses_report_zero(fixture_model):
     assert v[("N104", "C")] == 0.0
 
 
-def test_override_on_dead_bus_errors(fixture_model):
+def test_override_on_dead_bus_draws_nothing(fixture_model):
     config = SwitchConfig.normal(fixture_model).with_switch("S5", False)
     view = apply_switch_config(fixture_model, config)
-    with pytest.raises(PowerFlowError, match="de-energized"):
-        solve(fixture_model, view, {"N102": {"C": (80.0, 0.0)}})
+    assert "N102" not in view.energized
+    without = solve(fixture_model, view)
+    with_dead = solve(fixture_model, view, {"N102": {"C": (80.0, 0.0)}})
+    assert with_dead.converged and with_dead.iterations == without.iterations
+    assert with_dead.voltages.tobytes() == without.voltages.tobytes()
+    # an unknown bus or a phase the bus does not carry still raises
+    with pytest.raises(PowerFlowError, match="unknown bus"):
+        solve(fixture_model, view, {"N999": {"A": (80.0, 0.0)}})
+    carried = fixture_model.bus("N102").phases
+    missing = next(p for p in PHASES if p not in carried)
+    with pytest.raises(PowerFlowError, match="not carried"):
+        solve(fixture_model, view, {"N102": {missing: (80.0, 0.0)}})
 
 
 def test_meshed_configs_solve_with_loop_compensation(fixture_model):
