@@ -3,24 +3,26 @@
 The register store is bound to a feeder model: coil writes reconfigure
 switches, setpoint-register writes change controllable loads, and the solver
 re-runs synchronously so the voltage registers already reflect the new state
-when the write response goes out.  All request processing is serialized
-through one lock, which gives per-request atomicity and a total order over
-writes.  Every write goes through :meth:`FeederServer._commit`, which solves
-and renders the new state before swapping it in, so a failing write leaves
-the previous state and image untouched and is answered with exception 0x04.
+when the write response goes out.  Every write goes through
+:meth:`FeederServer._commit`, which solves and renders the new state before
+swapping it in, so a failing write leaves the previous state and image
+untouched and is answered with exception 0x04.
 
 If a write produces a non-converging state the write is still accepted; the
 voltage registers keep the last converged values and the status register is
 set to 1 (stale) until a later write converges again.
 
-Lifecycle: the constructor binds the listening socket, :meth:`FeederServer.start`
-runs one accept thread, and every accepted connection is served by its own
-daemon thread.  The accept thread waits in a selector on the listener and on
-one end of a socket pair; :meth:`FeederServer.close` writes to the other end,
-so it wakes the accept thread at once instead of waiting out a poll interval.
-It then shuts down every open connection, joins all server threads and
-closes the sockets.  ``close()`` is idempotent and returns at once on a
-server that was never started.
+Lifecycle: the constructor binds the listening socket and
+:meth:`FeederServer.start` runs one thread, ``gridbed-server``, which waits in
+a selector on the listener, one end of a socket pair and every non-blocking
+connection.  Each turn of its loop runs at most one whole MBAP frame per
+connection, so requests run one at a time in arrival order and a pipelined
+burst cannot starve other peers; a connection with unsent output is not read
+until it drains.  As the only thread that runs requests, it is the only
+writer of ``state``, so no lock guards it.  :meth:`FeederServer.close` writes
+to the socket pair to wake the thread, which closes every connection on its
+way out, then joins it and closes the sockets.  ``close()`` is idempotent and
+returns at once on a server that was never started.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class ServerState:
 
 
 class FeederServer:
-    """Threaded Modbus/TCP server over one feeder simulation."""
+    """Modbus/TCP server over one feeder simulation, served by one thread."""
 
     state: ServerState | None = None  # replaced only by _commit
 
@@ -106,7 +108,6 @@ class FeederServer:
         self.model = model
         self.meter_map = meter_map or MeterMap.for_model(model)
         self.high_word_first = high_word_first
-        self._lock = threading.RLock()
         setpoints = {
             node: int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
             for node, phase in self.meter_map.setpoints
@@ -138,11 +139,7 @@ class FeederServer:
         self.address = self._listener.getsockname()
         self._wake_r, self._wake_w = socket.socketpair()
         self._closing = False
-        self._conns: dict[socket.socket, threading.Thread] = {}
-        self._conns_lock = threading.Lock()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="gridbed-server-accept", daemon=True
-        )
+        self._thread = threading.Thread(target=self._serve, name="gridbed-server", daemon=True)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -154,25 +151,13 @@ class FeederServer:
         return self
 
     def close(self):
-        """Stop accepting, drop every connection and join the server threads."""
-        with self._conns_lock:
-            if self._closing:
-                return
-            self._closing = True
+        """Wake the server thread, which drops every connection, and join it."""
+        if self._closing:
+            return
+        self._closing = True
         self._wake_w.send(b"\0")
         if self._thread.is_alive():
             self._thread.join()
-        # A connection thread closes its socket only after leaving _conns, so
-        # no socket is shut down here after its descriptor was released.
-        with self._conns_lock:
-            threads = list(self._conns.values())
-            for sock in self._conns:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        for thread in threads:
-            thread.join()
         for sock in (self._listener, self._wake_r, self._wake_w):
             sock.close()
 
@@ -182,38 +167,57 @@ class FeederServer:
     def __exit__(self, *exc):
         self.close()
 
-    def _accept_loop(self):
+    def _serve(self):
         with selectors.DefaultSelector() as selector:
             selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._wake_r, selectors.EVENT_READ)
-            while True:
-                selector.select()
-                if self._closing:
-                    return
-                try:
-                    sock, peer = self._listener.accept()
-                except OSError:
-                    continue
-                sock.setblocking(True)
-                thread = threading.Thread(
-                    target=self._run_connection,
-                    args=(sock,),
-                    name=f"gridbed-server-conn-{peer[1]}",
-                    daemon=True,
-                )
-                with self._conns_lock:
-                    self._conns[sock] = thread
-                thread.start()
+            try:
+                while True:
+                    ready = selector.select()
+                    if self._closing:
+                        return
+                    for key, _ in ready:
+                        if key.fileobj is self._listener:
+                            self._accept(selector)
+                        elif key.data is not None:
+                            self._turn(selector, key)
+            finally:
+                for key in selector.get_map().values():
+                    if key.data is not None:
+                        key.fileobj.close()
 
-    def _run_connection(self, sock: socket.socket):
+    def _accept(self, selector: selectors.BaseSelector):
         try:
-            self._serve_connection(sock)
-        except Exception:
-            log.exception("connection thread failed")
-        finally:
-            with self._conns_lock:
-                self._conns.pop(sock, None)
+            sock, _ = self._listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        selector.register(sock, selectors.EVENT_READ, (bytearray(), bytearray()))
+
+    def _turn(self, selector: selectors.BaseSelector, key: selectors.SelectorKey):
+        """Send what is pending, or else read on and answer a whole frame."""
+        sock = key.fileobj
+        inbox, outbox = key.data
+        try:
+            if not outbox:
+                frame = _receive_frame(sock, inbox)
+                if frame is None:
+                    return
+                header, pdu = frame
+                outbox += frames.encode_frame(header, frames.encode_pdu(self._dispatch(pdu)))
+            del outbox[: sock.send(outbox)]
+        except BlockingIOError:
+            pass  # the send buffer is full; the outbox waits for it to drain
+        except Exception as exc:
+            # A hang-up, a reset or a bad header (logged already) is no fault.
+            if not isinstance(exc, (EOFError, OSError)):
+                log.exception("connection failed")
+            selector.unregister(sock)
             sock.close()
+            return
+        # Unsent output is all this connection is watched for until it drains.
+        events = selectors.EVENT_WRITE if outbox else selectors.EVENT_READ
+        selector.modify(sock, events, key.data)
 
     # -- simulation --------------------------------------------------------
 
@@ -240,29 +244,10 @@ class FeederServer:
 
     def snapshot(self) -> ServerState:
         """Consistent copy of the live state (for tests and the orchestrator)."""
-        with self._lock:
-            return replace(self.state, setpoints_kw=dict(self.state.setpoints_kw))
+        state = self.state
+        return replace(state, setpoints_kw=dict(state.setpoints_kw))
 
     # -- protocol ----------------------------------------------------------
-
-    def _serve_connection(self, sock: socket.socket):
-        try:
-            while True:
-                head = _read_exact(sock, frames.MBAP_SIZE)
-                if head is None:
-                    return
-                txn, proto, length, unit = struct.unpack(">HHHB", head)
-                if proto != 0 or not 2 <= length <= 254:
-                    log.warning("dropping connection: bad MBAP (proto=%d len=%d)", proto, length)
-                    return
-                pdu = _read_exact(sock, length - 1)
-                if pdu is None:
-                    return
-                response = self._dispatch(pdu)
-                header = frames.MbapHeader(transaction_id=txn, unit_id=unit)
-                sock.sendall(frames.encode_frame(header, frames.encode_pdu(response)))
-        except (ConnectionError, OSError):
-            return
 
     def _dispatch(self, pdu: bytes):
         function = pdu[0]
@@ -272,12 +257,11 @@ class FeederServer:
             request = frames.decode_request(pdu)
         except frames.FrameError:
             return ExceptionResponse(function & 0x7F, EXC_ILLEGAL_VALUE)
-        with self._lock:
-            try:
-                return self._execute(request)
-            except Exception:
-                log.exception("server failure on function 0x%02X", function)
-                return ExceptionResponse(function, EXC_SERVER_FAILURE)
+        try:
+            return self._execute(request)
+        except Exception:
+            log.exception("server failure on function 0x%02X", function)
+            return ExceptionResponse(function, EXC_SERVER_FAILURE)
 
     def _execute(self, request):
         if isinstance(request, ReadHoldingRequest):
@@ -366,14 +350,29 @@ class FeederServer:
         return response
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _receive_frame(sock: socket.socket, inbox: bytearray):
+    """Receive only what the frame begun in ``inbox`` lacks, header first,
+    leaving later bytes to the kernel; return its header and PDU once whole.
+    Raises ``EOFError`` when the peer hung up or sent a bad MBAP header."""
+    while True:
+        size = frames.MBAP_SIZE
+        if len(inbox) >= size:
+            txn, proto, length, unit = struct.unpack_from(">HHHB", inbox)
+            if proto != 0 or not 2 <= length <= 254:
+                log.warning("dropping connection: bad MBAP (proto=%d len=%d)", proto, length)
+                raise EOFError
+            size += length - 1
+            if len(inbox) == size:
+                pdu = bytes(inbox[frames.MBAP_SIZE :])
+                inbox.clear()
+                return frames.MbapHeader(transaction_id=txn, unit_id=unit), pdu
+        try:
+            chunk = sock.recv(size - len(inbox))
+        except BlockingIOError:
             return None
-        buf += chunk
-    return buf
+        if not chunk:
+            raise EOFError
+        inbox += chunk
 
 
 def serve(

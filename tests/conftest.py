@@ -1,10 +1,23 @@
 import json
+import threading
 
 import pytest
 
 from gridbed.feeder import load_default_feeder, load_feeder
 from gridbed.modbus.server import FeederServer
 from gridbed.regmap import MeterMap
+
+
+@pytest.fixture(autouse=True)
+def no_server_thread_left_running():
+    """Fail a test that leaves a server thread alive, as a missing close() does."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [
+        t for t in threading.enumerate() if t.name == "gridbed-server" and t not in before
+    ]
+    assert not leaked, f"{len(leaked)} server thread(s) left running; close() the server"
+
 
 def zero3():
     return [[0.0] * 3 for _ in range(3)]

@@ -391,7 +391,7 @@ def test_close_of_unstarted_server_returns(fixture_model, fixture_meter_map):
 
 
 def _server_threads():
-    return {t for t in threading.enumerate() if t.name.startswith("gridbed-server-")}
+    return {t for t in threading.enumerate() if t.name == "gridbed-server"}
 
 
 def test_close_is_prompt_and_releases_port_connections_and_threads(
@@ -400,10 +400,11 @@ def test_close_is_prompt_and_releases_port_connections_and_threads(
     server = FeederServer(fixture_model, fixture_meter_map, bind=("127.0.0.1", 0))
     already_running = _server_threads()
     server.start()
-    with _client(server) as idle:
-        assert idle.read_holding(STATUS_REGISTER, 1) == [0]
+    with _client(server) as idle, _client(server) as second, _client(server) as third:
+        for client in (idle, second, third):
+            assert client.read_holding(STATUS_REGISTER, 1) == [0]
         started = _server_threads() - already_running
-        assert {t.name.split("-")[2] for t in started} == {"accept", "conn"}
+        assert len(started) == 1  # one thread serves every connection
 
         t0 = time.perf_counter()
         server.close()
@@ -417,20 +418,212 @@ def test_close_is_prompt_and_releases_port_connections_and_threads(
     server.close()  # idempotent
 
 
-def test_connection_thread_failure_is_logged_and_closes_the_socket(
+def test_connection_failure_is_logged_and_closes_only_that_socket(
     monkeypatch, caplog, live_server
 ):
     def broken_dispatch(pdu):
         raise KeyError("dispatch bug")
 
-    monkeypatch.setattr(live_server, "_dispatch", broken_dispatch)
-    with _client(live_server) as client:
+    with _client(live_server) as bystander, _client(live_server) as victim:
+        assert bystander.read_holding(STATUS_REGISTER, 1) == [0]
+        monkeypatch.setattr(live_server, "_dispatch", broken_dispatch)
         with pytest.raises(ConnectionError):
-            client.read_holding(STATUS_REGISTER, 1)
-    # the thread logs before it closes the socket the client saw close
+            victim.read_holding(STATUS_REGISTER, 1)
+        monkeypatch.undo()
+        assert bystander.read_holding(STATUS_REGISTER, 1) == [0]
+    # the server logs before it closes the socket the victim saw close
     [record] = caplog.records
-    assert record.getMessage() == "connection thread failed"
+    assert record.getMessage() == "connection failed"
     assert record.exc_info[0] is KeyError
+
+
+# ---------------------------------------------------------------------------
+# framing, fairness and backpressure on the one server thread
+# ---------------------------------------------------------------------------
+
+
+def _frame(txn, request):
+    return frames.encode_frame(frames.MbapHeader(txn, 1), frames.encode_pdu(request))
+
+
+def _read_reply(sock):
+    txn, _, length, _ = struct.unpack(">HHHB", _recv_exact(sock, 7))
+    return txn, _recv_exact(sock, length - 1)
+
+
+def _connect(server):
+    sock = socket.create_connection(server.address, timeout=10.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def test_request_sent_a_byte_at_a_time_is_answered(live_server):
+    request = frames.ReadHoldingRequest(SETPOINT_BLOCK_START - 1, 3)
+    raw = _frame(7, request)
+    with _connect(live_server) as sock:
+        for k in range(len(raw)):
+            sock.sendall(raw[k : k + 1])
+            time.sleep(0.002)
+        txn, pdu = _read_reply(sock)
+    assert txn == 7
+    assert frames.decode_response(pdu, request).words == (40, 40, 40)
+
+
+def test_pipelined_requests_are_answered_in_order(live_server):
+    requests = []
+    for k in range(25):  # each read must see the write just before it
+        requests.append(frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 10 + k))
+        requests.append(frames.ReadHoldingRequest(SETPOINT_BLOCK_START - 1, 1))
+    with _connect(live_server) as sock:
+        sock.sendall(b"".join(_frame(100 + k, r) for k, r in enumerate(requests)))
+        replies = [_read_reply(sock) for _ in requests]
+    assert [txn for txn, _ in replies] == list(range(100, 150))
+    for k, (request, (_, pdu)) in enumerate(zip(requests, replies)):
+        response = frames.decode_response(pdu, request)
+        if k % 2:
+            assert response.words == (10 + k // 2,)
+        else:
+            assert response == request
+
+
+def test_random_stream_cut_anywhere_gets_one_answer_per_frame(live_server):
+    rng = random.Random(7)
+    pdus = [
+        bytes([rng.choice([0x01, 0x03, 0x05, 0x06, 0x0F, 0x10, 0x07, 0x2B, 0x55])])
+        + bytes(rng.randrange(256) for _ in range(rng.randrange(0, 12)))
+        for _ in range(120)
+    ]
+    stream = b"".join(
+        frames.encode_frame(frames.MbapHeader(txn, 1), pdu) for txn, pdu in enumerate(pdus)
+    )
+    cuts = sorted(rng.sample(range(1, len(stream)), 80))
+    with _connect(live_server) as sock:
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            sock.sendall(stream[lo:hi])
+            time.sleep(0.001)
+        for txn, pdu in enumerate(pdus):
+            rtxn, rpdu = _read_reply(sock)
+            assert rtxn == txn
+            if rpdu[0] & 0x80:
+                assert rpdu[0] == pdu[0] | 0x80
+                assert rpdu[1] in (0x01, 0x02, 0x03)
+            else:
+                assert rpdu[0] == pdu[0]  # well-formed by luck: normal response
+        # the connection still serves after the stream
+        sock.sendall(_frame(999, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
+        assert _read_reply(sock)[0] == 999
+
+
+def test_bad_protocol_id_drops_only_that_connection(live_server, caplog):
+    request = frames.encode_pdu(frames.ReadHoldingRequest(0, 1))
+    with _connect(live_server) as bad, _client(live_server) as good:
+        assert good.read_holding(STATUS_REGISTER, 1) == [0]
+        bad.sendall(struct.pack(">HHHB", 1, 1, len(request) + 1, 1) + request)
+        try:
+            dropped = bad.recv(16) == b""
+        except ConnectionResetError:  # closed with the PDU still unread
+            dropped = True
+        assert dropped
+        assert good.read_holding(STATUS_REGISTER, 1) == [0]
+    assert "bad MBAP (proto=1" in caplog.text
+
+
+def test_pipelined_burst_does_not_starve_another_peer(live_server):
+    with _connect(live_server) as burst, _client(live_server) as reader:
+        # both connections are accepted before the burst
+        burst.sendall(_frame(0, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
+        _read_reply(burst)
+        assert reader.read_holding(SETPOINT_BLOCK_START, 1) == [40]
+
+        burst.sendall(
+            b"".join(
+                _frame(1 + k, frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 41 + k))
+                for k in range(40)
+            )
+        )
+        [kw] = reader.read_holding(SETPOINT_BLOCK_START, 1)
+        assert [_read_reply(burst)[0] for _ in range(40)] == list(range(1, 41))
+    assert kw < 50  # fewer than 10 of the 40 writes ran before the read
+
+
+def test_peer_that_never_reads_is_not_read_and_does_not_stall_others(live_server):
+    # 125-register reads whose answers overflow the socket buffers long
+    # before the stream ends, unless the server buffers them without bound
+    stream = memoryview(_frame(1, frames.ReadHoldingRequest(0, 125)) * 100_000)
+    with socket.socket() as hog:
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        hog.connect(live_server.address)
+        hog.setblocking(False)
+        sent, since = 0, time.monotonic()
+        while sent < len(stream) and time.monotonic() - since < 0.5:
+            try:
+                sent += hog.send(stream[sent : sent + 65536])
+                since = time.monotonic()
+            except BlockingIOError:
+                time.sleep(0.01)
+        assert sent < len(stream)  # the server stopped reading the hog
+        with _client(live_server) as client:
+            assert client.read_holding(STATUS_REGISTER, 1) == [0]
+
+
+def test_half_sent_header_does_not_stall_others(live_server):
+    with _connect(live_server) as stalled:
+        stalled.sendall(b"\x00\x01\x00")
+        with _client(live_server) as client:
+            assert client.read_holding(STATUS_REGISTER, 1) == [0]
+
+
+def test_interleaved_writes_from_two_connections_keep_image_consistent(
+    live_server, fixture_model, fixture_meter_map
+):
+    from gridbed.feeder import apply_switch_config
+    from gridbed.powerflow import solve
+
+    names = fixture_model.switch_names
+    nodes = [node for node, _ in fixture_meter_map.setpoints]
+    last_closed, last_kw = {}, {}
+
+    def writer(seed, switches, registers):
+        rng = random.Random(seed)
+        with _client(live_server) as client:
+            for _ in range(40):
+                if rng.random() < 0.5:
+                    name, closed = rng.choice(switches), rng.random() < 0.5
+                    client.write_coil(names.index(name) + 1, closed)
+                    last_closed[name] = closed
+                else:
+                    k, kw = rng.choice(registers), rng.randrange(200)
+                    client.write_register(SETPOINT_BLOCK_START + k, kw)
+                    last_kw[nodes[k]] = kw
+
+    # each connection owns every other switch and setpoint, so the last write
+    # to each is known while the two streams interleave at the server
+    threads = [
+        threading.Thread(target=writer, args=(seed, names[seed::2], range(seed, len(nodes), 2)))
+        for seed in (0, 1)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+    state = live_server.snapshot()
+    assert state.image == build_image(
+        state.solution, state.setpoints_kw, state.config, fixture_meter_map, state.stale
+    )
+    if not state.stale:
+        view = apply_switch_config(fixture_model, state.config)
+        overrides = fixture_meter_map.overrides(fixture_model, state.setpoints_kw)
+        direct = solve(fixture_model, view, overrides)
+        assert (direct.voltages == state.solution.voltages).all()
+    with _client(live_server) as client:
+        coils = client.read_switches(names)
+        setpoints = client.read_setpoints(fixture_meter_map)
+    assert last_closed and last_kw
+    assert {name: coils[name] for name in last_closed} == last_closed
+    assert {node: setpoints[node] for node in last_kw} == last_kw
 
 
 def test_server_down_raises_connection_error():
