@@ -1,30 +1,1 @@
 """Modbus/TCP transport: frame codec, register server, and client."""
-
-from .frames import (
-    EXC_ILLEGAL_ADDRESS,
-    EXC_ILLEGAL_FUNCTION,
-    EXC_ILLEGAL_VALUE,
-    FrameError,
-    MbapHeader,
-    decode_frame,
-    decode_request,
-    decode_response,
-    encode_frame,
-)
-from .client import ModbusClient, ModbusExceptionError
-from .server import FeederServer
-
-__all__ = [
-    "EXC_ILLEGAL_ADDRESS",
-    "EXC_ILLEGAL_FUNCTION",
-    "EXC_ILLEGAL_VALUE",
-    "FrameError",
-    "MbapHeader",
-    "decode_frame",
-    "decode_request",
-    "decode_response",
-    "encode_frame",
-    "ModbusClient",
-    "ModbusExceptionError",
-    "FeederServer",
-]

@@ -3,20 +3,24 @@
 Thin request/response wrapper plus the testbed-level operations the attack
 and mitigation engines use: chunked voltage reads, setpoint writes, and
 switch operations.  Exception responses surface as
-:class:`ModbusExceptionError` with the code; transport failures raise
-``ConnectionError``.
+:class:`ModbusExceptionError` with the code.  Replies are read with the
+server's own :func:`frames.receive_frame`; a transport failure, a timeout, a
+malformed reply or one that does not answer the request closes the
+connection and raises ``ConnectionError``, so a stream that has lost its
+place is never read again.  A request too large for one frame raises
+:class:`frames.FrameError` before anything is sent.
 """
 
 from __future__ import annotations
 
 import socket
-import struct
 
 from .. import regmap
 from ..regmap import MeterMap, decode_float_pair, decode_voltage_word, plan_chunked_read
 from . import frames
 from .frames import (
     ExceptionResponse,
+    FrameError,
     MbapHeader,
     ReadCoilsRequest,
     ReadHoldingRequest,
@@ -58,32 +62,21 @@ class ModbusClient:
     def request(self, request):
         self._txn = (self._txn + 1) & 0xFFFF
         header = MbapHeader(transaction_id=self._txn, unit_id=self.unit_id)
+        frame = frames.encode_frame(header, frames.encode_pdu(request))
         try:
-            self._sock.sendall(frames.encode_frame(header, frames.encode_pdu(request)))
-            head = self._recv_exact(frames.MBAP_SIZE)
-            txn, proto, length, _unit = struct.unpack(">HHHB", head)
-            pdu = self._recv_exact(length - 1)
-        except socket.timeout as exc:
-            raise ConnectionError("modbus request timed out") from exc
-        except OSError as exc:
-            raise ConnectionError(f"modbus transport failure: {exc}") from exc
-        if proto != 0:
-            raise ConnectionError("peer sent a non-Modbus protocol id")
-        if txn != self._txn:
-            raise ConnectionError(f"transaction id mismatch: sent {self._txn}, got {txn}")
-        response = frames.decode_response(pdu, request)
+            self._sock.sendall(frame)
+            reply, pdu = frames.receive_frame(self._sock, bytearray())
+            if reply.transaction_id != self._txn:
+                raise FrameError(
+                    f"transaction id mismatch: sent {self._txn}, got {reply.transaction_id}"
+                )
+            response = frames.decode_response(pdu, request)
+        except (OSError, EOFError, FrameError) as exc:
+            self.close()
+            raise ConnectionError(f"modbus request failed: {exc!r}") from exc
         if isinstance(response, ExceptionResponse):
             raise ModbusExceptionError(response.function, response.code)
         return response
-
-    def _recv_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
-            if not chunk:
-                raise ConnectionError("connection closed by peer")
-            buf += chunk
-        return buf
 
     # -- register primitives --------------------------------------------------
 

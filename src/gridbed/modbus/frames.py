@@ -1,9 +1,13 @@
-"""Modbus/TCP frame codec.
+"""Modbus/TCP frame codec, and the framing rule of both ends of the wire.
 
 Wire format: 7-byte MBAP header (transaction id, protocol id 0, remaining
 byte count, unit id) followed by the PDU (function code + body).  All
 multi-byte fields are big-endian; coil/register addresses are 0-based on the
-wire, so register number N travels as N - 1.
+wire, so register number N travels as N - 1.  The remaining byte count
+covers the unit id and a PDU of 1..253 bytes, so it lies in 2..254:
+:func:`encode_frame` refuses to build a frame outside that range, and
+:func:`receive_frame`, which the server and the client both read frames
+with, refuses to read one.
 
 Supported function codes: 0x01 read coils, 0x03 read holding registers,
 0x05 write single coil, 0x06 write single register, 0x0F write multiple
@@ -44,17 +48,17 @@ COIL_ON = 0xFF00
 COIL_OFF = 0x0000
 
 MBAP_SIZE = 7
+MBAP_LENGTHS = range(2, 255)  # unit id + a PDU of 1..253 bytes
 
 
 class FrameError(ValueError):
-    """Malformed frame: short, bad protocol id, bad length, unknown code."""
+    """Malformed frame or PDU, or a response that does not fit its request."""
 
 
 @dataclass(frozen=True)
 class MbapHeader:
     transaction_id: int
     unit_id: int
-    protocol_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -260,43 +264,51 @@ def decode_response(data: bytes, request: Request) -> Response:
         if len(payload) != 2 * request.count:
             raise FrameError("read-holding response length mismatch")
         return ReadHoldingResponse(struct.unpack(f">{request.count}H", payload))
-    if function in (FC_WRITE_COIL, FC_WRITE_REGISTER):
-        if len(body) != 4:
-            raise FrameError("single-write echo body must be 4 bytes")
-        address, value = struct.unpack(">HH", body)
-        cls = WriteCoilRequest if function == FC_WRITE_COIL else WriteRegisterRequest
-        return cls(address, value)
     if len(body) != 4:
-        raise FrameError("multiple-write response body must be 4 bytes")
-    start, count = struct.unpack(">HH", body)
+        raise FrameError("write response body must be 4 bytes")
+    first, second = struct.unpack(">HH", body)
+    if function in (FC_WRITE_COIL, FC_WRITE_REGISTER):
+        if (first, second) != (request.address, request.value):
+            raise FrameError("write echo does not match request")
+        return request
+    count = len(request.bits if function == FC_WRITE_COILS else request.words)
+    if (first, second) != (request.start, count):
+        raise FrameError("write response does not match request")
     cls = WriteCoilsResponse if function == FC_WRITE_COILS else WriteRegistersResponse
-    return cls(start, count)
+    return cls(first, second)
 
 
 def encode_frame(header: MbapHeader, pdu_bytes: bytes) -> bytes:
     """Wrap PDU bytes in an MBAP header."""
-    if header.protocol_id != 0:
-        raise FrameError("protocol id must be 0")
     length = len(pdu_bytes) + 1  # + unit id
-    return (
-        struct.pack(
-            ">HHHB", header.transaction_id, header.protocol_id, length, header.unit_id
-        )
-        + pdu_bytes
-    )
+    if length not in MBAP_LENGTHS:
+        raise FrameError(f"PDU of {len(pdu_bytes)} bytes does not fit an MBAP frame")
+    return struct.pack(">HHHB", header.transaction_id, 0, length, header.unit_id) + pdu_bytes
 
 
-def decode_frame(data: bytes) -> tuple[MbapHeader, bytes]:
-    """Split raw bytes into header and PDU bytes, validating framing."""
-    if len(data) < MBAP_SIZE + 1:
-        raise FrameError(f"short frame: {len(data)} bytes")
-    txn, proto, length, unit = struct.unpack(">HHHB", data[:MBAP_SIZE])
-    if proto != 0:
-        raise FrameError(f"bad protocol id {proto}")
-    if length != len(data) - 6:
-        raise FrameError(f"length field {length} does not match frame size {len(data)}")
-    pdu = data[MBAP_SIZE:]
-    function = pdu[0] & 0x7F
-    if function not in SUPPORTED_FUNCTIONS:
-        raise FrameError(f"unknown function code 0x{pdu[0]:02X}")
-    return MbapHeader(transaction_id=txn, unit_id=unit), pdu
+def receive_frame(sock, inbox: bytearray) -> tuple[MbapHeader, bytes] | None:
+    """Receive only what the frame begun in ``inbox`` lacks, header first,
+    leaving later bytes to the kernel; return its header and PDU once whole.
+
+    Returns ``None`` when a non-blocking socket has nothing more to give,
+    raises ``EOFError`` when the peer hung up and :class:`FrameError` on a
+    bad MBAP header.
+    """
+    while True:
+        size = MBAP_SIZE
+        if len(inbox) >= size:
+            txn, proto, length, unit = struct.unpack_from(">HHHB", inbox)
+            if proto != 0 or length not in MBAP_LENGTHS:
+                raise FrameError(f"bad MBAP (proto={proto} len={length})")
+            size += length - 1
+            if len(inbox) == size:
+                pdu = bytes(inbox[MBAP_SIZE:])
+                inbox.clear()
+                return MbapHeader(txn, unit), pdu
+        try:
+            chunk = sock.recv(size - len(inbox))
+        except BlockingIOError:
+            return None
+        if not chunk:
+            raise EOFError
+        inbox += chunk

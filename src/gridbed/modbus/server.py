@@ -15,14 +15,16 @@ set to 1 (stale) until a later write converges again.
 Lifecycle: the constructor binds the listening socket and
 :meth:`FeederServer.start` runs one thread, ``gridbed-server``, which waits in
 a selector on the listener, one end of a socket pair and every non-blocking
-connection.  Each turn of its loop runs at most one whole MBAP frame per
-connection, so requests run one at a time in arrival order and a pipelined
-burst cannot starve other peers; a connection with unsent output is not read
-until it drains.  As the only thread that runs requests, it is the only
-writer of ``state``, so no lock guards it.  :meth:`FeederServer.close` writes
-to the socket pair to wake the thread, which closes every connection on its
-way out, then joins it and closes the sockets.  ``close()`` is idempotent and
-returns at once on a server that was never started.
+connection.  Each turn of its loop reads with :func:`frames.receive_frame`
+and runs at most one whole MBAP frame per connection, so requests run one at
+a time in arrival order and a pipelined burst cannot starve other peers; a
+connection with unsent output is not read until it drains, and one that
+sends a bad MBAP header is logged and dropped.  As the only thread that runs
+requests, it is the only writer of ``state``, so no lock guards it.
+:meth:`FeederServer.close` writes to the socket pair to wake the thread,
+which closes every connection on its way out, then joins it and closes the
+sockets.  ``close()`` is idempotent and returns at once on a server that was
+never started.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import argparse
 import logging
 import selectors
 import socket
-import struct
 import threading
 from dataclasses import dataclass, replace
 
@@ -200,7 +201,7 @@ class FeederServer:
         inbox, outbox = key.data
         try:
             if not outbox:
-                frame = _receive_frame(sock, inbox)
+                frame = frames.receive_frame(sock, inbox)
                 if frame is None:
                     return
                 header, pdu = frame
@@ -209,8 +210,10 @@ class FeederServer:
         except BlockingIOError:
             pass  # the send buffer is full; the outbox waits for it to drain
         except Exception as exc:
-            # A hang-up, a reset or a bad header (logged already) is no fault.
-            if not isinstance(exc, (EOFError, OSError)):
+            # A hang-up or a reset is no fault, and a bad header is the peer's.
+            if isinstance(exc, frames.FrameError):
+                log.warning("dropping connection: %s", exc)
+            elif not isinstance(exc, (EOFError, OSError)):
                 log.exception("connection failed")
             selector.unregister(sock)
             sock.close()
@@ -348,31 +351,6 @@ class FeederServer:
             config = config.with_switch(name, closed)
         self._commit(config, self.state.setpoints_kw)
         return response
-
-
-def _receive_frame(sock: socket.socket, inbox: bytearray):
-    """Receive only what the frame begun in ``inbox`` lacks, header first,
-    leaving later bytes to the kernel; return its header and PDU once whole.
-    Raises ``EOFError`` when the peer hung up or sent a bad MBAP header."""
-    while True:
-        size = frames.MBAP_SIZE
-        if len(inbox) >= size:
-            txn, proto, length, unit = struct.unpack_from(">HHHB", inbox)
-            if proto != 0 or not 2 <= length <= 254:
-                log.warning("dropping connection: bad MBAP (proto=%d len=%d)", proto, length)
-                raise EOFError
-            size += length - 1
-            if len(inbox) == size:
-                pdu = bytes(inbox[frames.MBAP_SIZE :])
-                inbox.clear()
-                return frames.MbapHeader(transaction_id=txn, unit_id=unit), pdu
-        try:
-            chunk = sock.recv(size - len(inbox))
-        except BlockingIOError:
-            return None
-        if not chunk:
-            raise EOFError
-        inbox += chunk
 
 
 def serve(

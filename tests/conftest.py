@@ -1,9 +1,11 @@
 import json
+import socket
 import threading
 
 import pytest
 
 from gridbed.feeder import load_default_feeder, load_feeder
+from gridbed.modbus import frames
 from gridbed.modbus.server import FeederServer
 from gridbed.regmap import MeterMap
 
@@ -135,3 +137,76 @@ def live_server(fixture_model, fixture_meter_map):
     server.start()
     yield server
     server.close()
+
+
+def mbap_frame(txn, pdu):
+    """A whole MBAP frame, unit id 1, carrying a request or response object."""
+    return frames.encode_frame(frames.MbapHeader(txn, 1), frames.encode_pdu(pdu))
+
+
+class ScriptedPeer:
+    """Loopback peer that accepts one connection and answers its k-th request
+    with ``replies[k]``: bytes to send, or None to stay silent, as it does
+    past the end of the script.  ``requests`` holds the (header, PDU) of each
+    request received."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.address = self._listener.getsockname()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        # Short timeouts let close() stop a peer that is still waiting.
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(0.05)
+                self._answer(conn)
+            return
+
+    def _answer(self, conn):
+        inbox = bytearray()
+        while not self._stop.is_set():
+            try:
+                frame = frames.receive_frame(conn, inbox)
+                self.requests.append(frame)
+                k = len(self.requests) - 1
+                if k < len(self.replies) and self.replies[k] is not None:
+                    conn.sendall(self.replies[k])
+            except TimeoutError:
+                continue
+            except (EOFError, OSError):
+                return  # the client hung up
+
+    def join(self):
+        """Wait until the client has hung up and every request it sent is counted."""
+        self._thread.join(5.0)
+        assert not self._thread.is_alive(), "scripted peer is still connected"
+
+    def close(self):
+        self._stop.set()
+        self.join()
+        self._listener.close()
+
+
+@pytest.fixture()
+def scripted_peer():
+    """Start a :class:`ScriptedPeer` from a list of replies; each one started
+    is stopped, joined and closed at teardown."""
+    peers = []
+
+    def start(replies):
+        peers.append(ScriptedPeer(replies))
+        return peers[-1]
+
+    yield start
+    for peer in peers:
+        peer.close()

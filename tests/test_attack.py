@@ -6,6 +6,7 @@ import pytest
 
 from gridbed.attack import (
     STATUS_BUDGET,
+    STATUS_ERROR,
     STATUS_STEALTH,
     STATUS_STEP_CAP,
     STATUS_TARGET,
@@ -18,7 +19,11 @@ from gridbed.attack import (
     step,
     step_size,
 )
+from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
+from gridbed.regmap import READ_LIMIT
+
+from conftest import mbap_frame
 
 
 def _params(**kw):
@@ -147,6 +152,26 @@ def test_degenerate_zero_target_stops_at_first_step(live_server, fixture_meter_m
         trace = run_attack(client, fixture_meter_map, _params(n_tar=0), "C")
         assert trace.status == STATUS_STEP_CAP
         assert trace.steps == []
+
+
+def test_malformed_reply_mid_run_ends_with_error_status(scripted_peer, fixture_meter_map):
+    # baseline setpoints and a flat 1.0 pu profile, then the first setpoint
+    # write is answered as if it were a read
+    n = len(fixture_meter_map.meters)
+    peer = scripted_peer(
+        [
+            mbap_frame(1, frames.ReadHoldingResponse((40,) * len(fixture_meter_map.setpoints))),
+            mbap_frame(2, frames.ReadHoldingResponse((10_000,) * READ_LIMIT)),
+            mbap_frame(3, frames.ReadHoldingResponse((10_000,) * (n - READ_LIMIT))),
+            mbap_frame(4, frames.ReadHoldingResponse((0,))),
+        ]
+    )
+    with ModbusClient(*peer.address) as client:
+        trace = run_attack(client, fixture_meter_map, _params(), "C")
+    assert trace.status == STATUS_ERROR
+    assert trace.steps == []
+    peer.join()
+    assert [frame[1][0] for frame in peer.requests] == [0x03, 0x03, 0x03, 0x10]
 
 
 def test_attack_reaches_violation_target(live_server, fixture_meter_map):

@@ -17,10 +17,11 @@ from gridbed.mitigate import (
     run_mitigation,
     switching_cost,
 )
+from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
 from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW
 
-from conftest import three_bus_switch_doc
+from conftest import mbap_frame, three_bus_switch_doc
 
 
 def _case_overrides(meter_map, case):
@@ -306,6 +307,29 @@ def test_run_mitigation_unreachable_server_retries_then_fails(fixture_model, fix
         run_mitigation(
             connect, fixture_model, fixture_meter_map, once=True, max_retries=2
         )
+
+
+def test_run_mitigation_reconnects_after_malformed_reply(
+    scripted_peer, live_server, fixture_model, fixture_meter_map
+):
+    # the first connection's voltage read is answered as if it read coils
+    peer = scripted_peer([mbap_frame(1, frames.ReadCoilsResponse((False,)))])
+    addresses = iter([peer.address, live_server.address])
+    pattern = {"N102": 80, "N103": 80, "N104": 80,
+               "N106": 1, "N107": 1, "N99": 1, "N109": 1, "N111": 1, "N114": 1}
+    with ModbusClient(*live_server.address) as attacker:
+        attacker.write_setpoints(fixture_meter_map, pattern)
+    try:
+        plans = run_mitigation(
+            lambda: ModbusClient(*next(addresses)),
+            fixture_model, fixture_meter_map, once=True, allow_meshed=True,
+        )
+        assert len(peer.requests) == 1
+        assert [plan.toggles for plan in plans] == [("S7",)]
+    finally:
+        with ModbusClient(*live_server.address) as cleanup:
+            cleanup.write_switch(fixture_model.switch_names, "S7", False)
+            cleanup.write_setpoints(fixture_meter_map, {n: 40 for n in pattern})
 
 
 def test_plan_json_round_trip(fixture_model, fixture_meter_map):

@@ -1,5 +1,6 @@
 """Frame codec: byte-exact examples and randomized round-trip properties."""
 
+import io
 import random
 
 import pytest
@@ -19,12 +20,23 @@ from gridbed.modbus.frames import (
     WriteRegisterRequest,
     WriteRegistersRequest,
     WriteRegistersResponse,
-    decode_frame,
     decode_request,
     decode_response,
     encode_frame,
     encode_pdu,
+    receive_frame,
 )
+
+
+class _Stream:
+    """Socket stand-in that yields the given bytes, then end of stream."""
+
+    def __init__(self, data: bytes):
+        self.recv = io.BytesIO(data).read
+
+
+def _receive(data: bytes):
+    return receive_frame(_Stream(data), bytearray())
 
 
 def test_read_holding_frame_bytes():
@@ -38,35 +50,37 @@ def test_write_coil_pdu_bytes():
     assert encode_pdu(WriteCoilRequest(6, 0xFF00)) == bytes.fromhex("050006FF00")
 
 
-def test_truncated_frame_is_short_frame_error():
-    with pytest.raises(FrameError, match="short frame"):
-        decode_frame(bytes.fromhex("0001000000"))
+def test_truncated_frame_is_eof_error():
+    frame = encode_frame(MbapHeader(1, 1), encode_pdu(ReadHoldingRequest(0, 1)))
+    for cut in (0, 5, len(frame) - 1):
+        with pytest.raises(EOFError):
+            _receive(frame[:cut])
 
 
 def test_bad_protocol_id_rejected():
     frame = bytearray(encode_frame(MbapHeader(1, 1), encode_pdu(ReadHoldingRequest(0, 1))))
     frame[2] = 0x12
-    with pytest.raises(FrameError, match="protocol"):
-        decode_frame(bytes(frame))
+    with pytest.raises(FrameError, match="proto=4608"):
+        _receive(bytes(frame))
 
 
-def test_length_mismatch_rejected():
+def test_out_of_range_length_rejected():
     frame = bytearray(encode_frame(MbapHeader(1, 1), encode_pdu(ReadHoldingRequest(0, 1))))
-    frame[5] = 99
-    with pytest.raises(FrameError, match="length"):
-        decode_frame(bytes(frame))
+    for length in (0, 1, 255, 0xFFFF):
+        frame[4:6] = length.to_bytes(2, "big")
+        with pytest.raises(FrameError, match=f"len={length}"):
+            _receive(bytes(frame) + bytes(300))
 
 
 def test_unknown_function_rejected():
-    frame = encode_frame(MbapHeader(1, 1), bytes([0x2B, 0x00]))
     with pytest.raises(FrameError, match="unknown function"):
-        decode_frame(frame)
+        decode_request(bytes([0x2B, 0x00]))
 
 
 def test_frame_decode_round_trip():
     header = MbapHeader(transaction_id=77, unit_id=3)
     pdu = encode_pdu(ReadCoilsRequest(4, 8))
-    back_header, back_pdu = decode_frame(encode_frame(header, pdu))
+    back_header, back_pdu = _receive(encode_frame(header, pdu))
     assert back_header == header
     assert back_pdu == pdu
 
@@ -110,14 +124,22 @@ def _matching_response(rng, request):
 def test_randomized_request_round_trip():
     rng = random.Random(99)
     seen = set()
+    framed = oversized = 0
     for _ in range(2000):
         request = _random_request(rng)
         pdu = encode_pdu(request)
         assert decode_request(pdu) == request
         header = MbapHeader(rng.randrange(0, 0x10000), rng.randrange(0, 0x100))
-        assert decode_frame(encode_frame(header, pdu)) == (header, pdu)
+        if len(pdu) > 253:  # too long for the 2..254 MBAP length field
+            with pytest.raises(FrameError, match="does not fit"):
+                encode_frame(header, pdu)
+            oversized += 1
+        else:
+            assert _receive(encode_frame(header, pdu)) == (header, pdu)
+            framed += 1
         seen.add(request.function)
     assert seen == frames.SUPPORTED_FUNCTIONS
+    assert framed and oversized
 
 
 def test_randomized_response_round_trip():
@@ -126,6 +148,26 @@ def test_randomized_response_round_trip():
         request = _random_request(rng)
         response = _matching_response(rng, request)
         assert decode_response(encode_pdu(response), request) == response
+
+
+@pytest.mark.parametrize(
+    "request_, response",
+    [
+        (WriteCoilRequest(6, 0xFF00), WriteCoilRequest(6, 0x0000)),
+        (WriteCoilRequest(6, 0xFF00), WriteCoilRequest(7, 0xFF00)),
+        (WriteRegisterRequest(206, 80), WriteRegisterRequest(206, 81)),
+        (WriteRegisterRequest(206, 80), WriteRegisterRequest(205, 80)),
+        (WriteCoilsRequest(0, (True, False, True)), WriteCoilsResponse(0, 2)),
+        (WriteCoilsRequest(0, (True, False, True)), WriteCoilsResponse(1, 3)),
+        (WriteRegistersRequest(206, (1, 2, 3)), WriteRegistersResponse(206, 4)),
+        (WriteRegistersRequest(206, (1, 2, 3)), WriteRegistersResponse(207, 3)),
+    ],
+    ids=["fc05-value", "fc05-address", "fc06-value", "fc06-address",
+         "fc0f-count", "fc0f-start", "fc10-count", "fc10-start"],
+)
+def test_write_response_must_match_request(request_, response):
+    with pytest.raises(FrameError, match="does not match request"):
+        decode_response(encode_pdu(response), request_)
 
 
 def test_exception_response_round_trip():

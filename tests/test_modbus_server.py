@@ -22,7 +22,7 @@ from gridbed.regmap import (
     decode_voltage_word,
 )
 
-from conftest import three_bus_switch_doc, two_bus_doc
+from conftest import mbap_frame, three_bus_switch_doc, two_bus_doc
 
 
 def _client(server):
@@ -442,10 +442,6 @@ def test_connection_failure_is_logged_and_closes_only_that_socket(
 # ---------------------------------------------------------------------------
 
 
-def _frame(txn, request):
-    return frames.encode_frame(frames.MbapHeader(txn, 1), frames.encode_pdu(request))
-
-
 def _read_reply(sock):
     txn, _, length, _ = struct.unpack(">HHHB", _recv_exact(sock, 7))
     return txn, _recv_exact(sock, length - 1)
@@ -459,7 +455,7 @@ def _connect(server):
 
 def test_request_sent_a_byte_at_a_time_is_answered(live_server):
     request = frames.ReadHoldingRequest(SETPOINT_BLOCK_START - 1, 3)
-    raw = _frame(7, request)
+    raw = mbap_frame(7, request)
     with _connect(live_server) as sock:
         for k in range(len(raw)):
             sock.sendall(raw[k : k + 1])
@@ -475,7 +471,7 @@ def test_pipelined_requests_are_answered_in_order(live_server):
         requests.append(frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 10 + k))
         requests.append(frames.ReadHoldingRequest(SETPOINT_BLOCK_START - 1, 1))
     with _connect(live_server) as sock:
-        sock.sendall(b"".join(_frame(100 + k, r) for k, r in enumerate(requests)))
+        sock.sendall(b"".join(mbap_frame(100 + k, r) for k, r in enumerate(requests)))
         replies = [_read_reply(sock) for _ in requests]
     assert [txn for txn, _ in replies] == list(range(100, 150))
     for k, (request, (_, pdu)) in enumerate(zip(requests, replies)):
@@ -510,7 +506,7 @@ def test_random_stream_cut_anywhere_gets_one_answer_per_frame(live_server):
             else:
                 assert rpdu[0] == pdu[0]  # well-formed by luck: normal response
         # the connection still serves after the stream
-        sock.sendall(_frame(999, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
+        sock.sendall(mbap_frame(999, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
         assert _read_reply(sock)[0] == 999
 
 
@@ -531,13 +527,13 @@ def test_bad_protocol_id_drops_only_that_connection(live_server, caplog):
 def test_pipelined_burst_does_not_starve_another_peer(live_server):
     with _connect(live_server) as burst, _client(live_server) as reader:
         # both connections are accepted before the burst
-        burst.sendall(_frame(0, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
+        burst.sendall(mbap_frame(0, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
         _read_reply(burst)
         assert reader.read_holding(SETPOINT_BLOCK_START, 1) == [40]
 
         burst.sendall(
             b"".join(
-                _frame(1 + k, frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 41 + k))
+                mbap_frame(1 + k, frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 41 + k))
                 for k in range(40)
             )
         )
@@ -549,7 +545,7 @@ def test_pipelined_burst_does_not_starve_another_peer(live_server):
 def test_peer_that_never_reads_is_not_read_and_does_not_stall_others(live_server):
     # 125-register reads whose answers overflow the socket buffers long
     # before the stream ends, unless the server buffers them without bound
-    stream = memoryview(_frame(1, frames.ReadHoldingRequest(0, 125)) * 100_000)
+    stream = memoryview(mbap_frame(1, frames.ReadHoldingRequest(0, 125)) * 100_000)
     with socket.socket() as hog:
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
@@ -624,6 +620,71 @@ def test_interleaved_writes_from_two_connections_keep_image_consistent(
     assert last_closed and last_kw
     assert {name: coils[name] for name in last_closed} == last_closed
     assert {node: setpoints[node] for node in last_kw} == last_kw
+
+
+# ---------------------------------------------------------------------------
+# the client's failure rule: a bad reply closes the connection
+# ---------------------------------------------------------------------------
+
+READ = frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)
+WRITE = frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 80)
+
+
+def _mbap(proto, length, rest=b""):
+    return struct.pack(">HHHB", 1, proto, length, 1) + rest
+
+
+MALFORMED_REPLIES = {
+    "length-0": (READ, _mbap(0, 0)),
+    "length-1": (READ, _mbap(0, 1)),
+    "length-255": (READ, _mbap(0, 255, bytes([0x03, 2]) + bytes(252))),
+    "length-300": (READ, _mbap(0, 300)),
+    "protocol-id-1": (READ, _mbap(1, 5, bytes([0x03, 2, 0, 0]))),
+    "transaction-id-mismatch": (READ, mbap_frame(2, frames.ReadHoldingResponse((0,)))),
+    "wrong-function": (READ, mbap_frame(1, frames.ReadCoilsResponse((False,)))),
+    "read-byte-count-mismatch": (READ, _mbap(0, 5, bytes([0x03, 4, 0, 0]))),
+    "echo-mismatch": (WRITE, mbap_frame(1, frames.WriteRegisterRequest(WRITE.address, 81))),
+}
+
+
+@pytest.mark.parametrize(
+    "request_, reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES.keys()
+)
+def test_malformed_reply_is_connection_error_and_closes_client(
+    scripted_peer, request_, reply
+):
+    peer = scripted_peer([reply])
+    with ModbusClient(*peer.address, timeout=5.0) as client:
+        t0 = time.perf_counter()
+        with pytest.raises(ConnectionError):
+            client.request(request_)
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(ConnectionError):
+            client.request(READ)
+    peer.join()
+    assert len(peer.requests) == 1
+
+
+def test_timed_out_request_is_not_followed_by_another(scripted_peer):
+    peer = scripted_peer([None])
+    with ModbusClient(*peer.address, timeout=0.2) as client:
+        with pytest.raises(ConnectionError, match="timed out"):
+            client.request(READ)
+        with pytest.raises(ConnectionError):
+            client.request(READ)
+    peer.join()
+    assert len(peer.requests) == 1
+
+
+def test_oversized_write_is_refused_before_sending(live_server):
+    with _client(live_server) as client:
+        with pytest.raises(frames.FrameError, match="does not fit"):
+            client.write_registers(SETPOINT_BLOCK_START, [40] * 124)
+        # the largest FC16 that fits a frame goes out, and the server answers it
+        with pytest.raises(ModbusExceptionError) as exc:
+            client.write_registers(SETPOINT_BLOCK_START, [40] * 123)
+        assert exc.value.code == frames.EXC_ILLEGAL_VALUE
+        assert client.read_holding(STATUS_REGISTER, 1) == [0]
 
 
 def test_server_down_raises_connection_error():
