@@ -38,6 +38,12 @@ class AttackError(ValueError):
     """Bad attack parameters or an unusable mode/observation."""
 
 
+def _reject_unknown(doc: dict, known: set[str], what: str):
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise AttackError(f"unknown key(s) in {what}: {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class NMaxRule:
     """Upper load multiplier as a function of the violation gain so far."""
@@ -64,6 +70,10 @@ class NMaxRule:
         if isinstance(doc, (int, float)):
             return cls("constant", float(doc))
         kind = doc.get("kind", "constant")
+        keys = {"constant": {"kind", "value"}, "linear": {"kind", "base", "slope", "cap"}}
+        if kind not in keys:
+            raise AttackError(f"unknown n_max rule {kind!r}")
+        _reject_unknown(doc, keys[kind], f"n_max {kind} rule")
         if kind == "constant":
             return cls("constant", float(doc["value"]))
         return cls(
@@ -117,6 +127,7 @@ class AttackParams:
             "gamma_a_mw", "gamma_b_mw", "gamma_c_mw",
             "n_tar", "av_max_mw", "n_min", "max_steps", "stealth_limit_pct",
         }
+        _reject_unknown(doc, known | {"n_max", "band"}, "attack parameters")
         kwargs = {k: doc[k] for k in known if k in doc}
         if "n_max" in doc:
             kwargs["n_max"] = NMaxRule.from_doc(doc["n_max"])
@@ -279,14 +290,15 @@ def run_attack(
     if not groups.get(mode):
         raise AttackError(f"no controllable nodes on phase group {mode}")
 
-    baseline_kw = client.read_setpoints(meter_map)
-    baselines_mw = {node: kw / 1000.0 for node, kw in baseline_kw.items()}
-    v_vio, unbalance = _observe(client, meter_map, params.band)
-    trace = AttackTrace(mode=mode, baseline_mw=dict(baselines_mw), v_vio_init=v_vio)
-
-    prev = dict(baselines_mw)
-    spent = 0.0
+    # A failure before the first observation leaves no baseline (-1, {}).
+    trace = AttackTrace(mode=mode, baseline_mw={}, v_vio_init=-1)
     try:
+        baseline_kw = client.read_setpoints(meter_map)
+        baselines_mw = {node: kw / 1000.0 for node, kw in baseline_kw.items()}
+        v_vio, unbalance = _observe(client, meter_map, params.band)
+        trace.baseline_mw, trace.v_vio_init = dict(baselines_mw), v_vio
+        prev = dict(baselines_mw)
+        spent = 0.0
         for t in range(1, params.max_steps + 1):
             if v_vio >= params.n_tar:
                 # Hold branch forever; with a real target this is success,
@@ -322,7 +334,7 @@ def run_attack(
         trace.status = STATUS_STEP_CAP
         return trace
     except ConnectionError as exc:
-        log.error("transport failure mid-run: %s", exc)
+        log.error("transport failure: %s", exc)
         trace.status = STATUS_ERROR
         return trace
 
@@ -354,7 +366,12 @@ def main(argv=None) -> int:
         params = AttackParams()
 
     host, _, port = args.server.rpartition(":")
-    with ModbusClient(host or "127.0.0.1", int(port)) as client:
+    try:
+        client = ModbusClient(host or "127.0.0.1", int(port))
+    except OSError as exc:
+        print(f"error: cannot connect to {args.server}: {exc}")
+        return 1
+    with client:
         trace = run_attack(client, meter_map, params, args.mode)
 
     node_order = [node for node, _ in meter_map.setpoints]

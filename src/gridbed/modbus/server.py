@@ -8,6 +8,18 @@ when the write response goes out.  Every write goes through
 swapping it in, so a failing write leaves the previous state and image
 untouched and is answered with exception 0x04.
 
+One address rule answers every request.  Each function code has a table
+of the registers (or coils) it may touch, in unbroken runs: holding reads
+(FC03) reach every mapped holding register, register writes (FC06, FC16)
+only the setpoint block, and coil requests (FC01, FC05, FC0F) coils
+1..len(switch_names).  A request whose first register is not in its table
+is answered 0x02; one with a count below 1, a holding read of more than
+``READ_LIMIT`` registers, or a span that runs past the end of the first
+register's run is answered 0x03.  Blocks that touch form one run, so on the
+bundled feeder a read of registers 200..215 crosses from the voltage block
+into the setpoint block, while 200..216 gets 0x03.  An FC05 value other
+than 0xFF00 or 0x0000 is answered 0x03 before the address is looked up.
+
 If a write produces a non-converging state the write is still accepted; the
 voltage registers keep the last converged values and the status register is
 set to 1 (stale) until a later write converges again.
@@ -48,20 +60,22 @@ from ..powerflow import VoltageSolution, solve
 from ..regmap import MeterMap, RegisterImage, build_image
 from . import frames
 from .frames import (
+    COIL_OFF,
+    COIL_ON,
     EXC_ILLEGAL_ADDRESS,
     EXC_ILLEGAL_FUNCTION,
     EXC_ILLEGAL_VALUE,
     EXC_SERVER_FAILURE,
+    FC_READ_COILS,
+    FC_READ_HOLDING,
+    FC_WRITE_COIL,
+    FC_WRITE_COILS,
+    FC_WRITE_REGISTER,
+    FC_WRITE_REGISTERS,
     ExceptionResponse,
-    ReadCoilsRequest,
     ReadCoilsResponse,
-    ReadHoldingRequest,
     ReadHoldingResponse,
-    WriteCoilRequest,
-    WriteCoilsRequest,
     WriteCoilsResponse,
-    WriteRegisterRequest,
-    WriteRegistersRequest,
     WriteRegistersResponse,
 )
 
@@ -70,23 +84,18 @@ log = logging.getLogger("gridbed.server")
 DEFAULT_PORT = 1502
 
 
-def _merge_blocks(blocks: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    blocks = sorted(blocks)
-    merged = [blocks[0]]
-    for lo, hi in blocks[1:]:
-        if lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
+def _run_ends(registers) -> dict[int, int]:
+    """Map each register to the last register of the unbroken run holding it."""
+    ends: dict[int, int] = {}
+    for register in sorted(set(registers), reverse=True):
+        ends[register] = ends.get(register + 1, register)
+    return ends
 
 
 @dataclass(frozen=True)
 class ServerState:
     """Simulation + register state; the server swaps in a new one per write."""
 
-    model: FeederModel
-    meter_map: MeterMap
     config: SwitchConfig
     setpoints_kw: dict[str, int]
     image: RegisterImage
@@ -115,25 +124,30 @@ class FeederServer:
         }
         self._commit(SwitchConfig.normal(model), setpoints)
 
-        self._holding_blocks = _merge_blocks(
+        # The address rule's table: function code -> _run_ends of its registers.
+        n = len(self.meter_map.meters)
+        setpoint_block = range(
+            regmap.SETPOINT_BLOCK_START,
+            regmap.SETPOINT_BLOCK_START + len(self.meter_map.setpoints),
+        )
+        writable = _run_ends(setpoint_block)
+        readable = _run_ends(
             [
-                (regmap.VOLTAGE_BLOCK_START, len(self.meter_map.meters)),
-                (
-                    regmap.SETPOINT_BLOCK_START,
-                    regmap.SETPOINT_BLOCK_START + len(self.meter_map.setpoints) - 1,
-                ),
-                (regmap.STATUS_REGISTER, regmap.STATUS_REGISTER),
-                (
-                    regmap.FLOAT_BLOCK_START,
-                    regmap.FLOAT_BLOCK_START + 2 * len(self.meter_map.meters) - 1,
-                ),
+                *range(regmap.VOLTAGE_BLOCK_START, regmap.VOLTAGE_BLOCK_START + n),
+                *setpoint_block,
+                regmap.STATUS_REGISTER,
+                *range(regmap.FLOAT_BLOCK_START, regmap.FLOAT_BLOCK_START + 2 * n),
             ]
         )
-        self._writable_registers = (
-            regmap.SETPOINT_BLOCK_START,
-            regmap.SETPOINT_BLOCK_START + len(self.meter_map.setpoints) - 1,
-        )
-        self._coil_range = (1, len(model.switch_names))
+        coils = _run_ends(range(1, len(model.switch_names) + 1))
+        self._run_end = {
+            FC_READ_HOLDING: readable,
+            FC_WRITE_REGISTER: writable,
+            FC_WRITE_REGISTERS: writable,
+            FC_READ_COILS: coils,
+            FC_WRITE_COIL: coils,
+            FC_WRITE_COILS: coils,
+        }
 
         self._listener = socket.create_server(bind)
         self._listener.setblocking(False)  # a peer may vanish before accept()
@@ -241,9 +255,7 @@ class FeederServer:
         image = build_image(
             solution, setpoints, config, self.meter_map, stale, self.high_word_first
         )
-        self.state = ServerState(
-            self.model, self.meter_map, config, setpoints, image, solution, stale
-        )
+        self.state = ServerState(config, setpoints, image, solution, stale)
 
     def snapshot(self) -> ServerState:
         """Consistent copy of the live state (for tests and the orchestrator)."""
@@ -267,100 +279,49 @@ class FeederServer:
             return ExceptionResponse(function, EXC_SERVER_FAILURE)
 
     def _execute(self, request):
-        if isinstance(request, ReadHoldingRequest):
-            return self._read_holding(request)
-        if isinstance(request, ReadCoilsRequest):
-            return self._read_coils(request)
-        if isinstance(request, WriteRegisterRequest):
-            return self._write_registers(
-                request.function, request.address + 1, [request.value], request
-            )
-        if isinstance(request, WriteRegistersRequest):
-            return self._write_registers(
-                request.function,
-                request.start + 1,
-                list(request.words),
-                WriteRegistersResponse(request.start, len(request.words)),
-            )
-        if isinstance(request, WriteCoilRequest):
-            if request.value not in (frames.COIL_ON, frames.COIL_OFF):
-                return ExceptionResponse(request.function, EXC_ILLEGAL_VALUE)
-            return self._write_coils(
-                request.function,
-                request.address + 1,
-                [request.value == frames.COIL_ON],
-                request,
-            )
-        if isinstance(request, WriteCoilsRequest):
-            return self._write_coils(
-                request.function,
-                request.start + 1,
-                list(request.bits),
-                WriteCoilsResponse(request.start, len(request.bits)),
-            )
-        return ExceptionResponse(0, EXC_ILLEGAL_FUNCTION)
+        """Answer a decoded request under the address rule (module docstring)."""
+        fc = request.function
+        if fc == FC_WRITE_COIL and request.value not in (COIL_ON, COIL_OFF):
+            return ExceptionResponse(fc, EXC_ILLEGAL_VALUE)
+        if fc in (FC_READ_COILS, FC_READ_HOLDING):
+            start, count, values = request.start, request.count, ()
+        elif fc in (FC_WRITE_COIL, FC_WRITE_REGISTER):
+            value = request.value == COIL_ON if fc == FC_WRITE_COIL else request.value
+            start, count, values = request.address, 1, (value,)
+        else:
+            values = request.bits if fc == FC_WRITE_COILS else request.words
+            start, count = request.start, len(values)
 
-    def _read_holding(self, request: ReadHoldingRequest):
-        first = request.start + 1
-        block = next(
-            (b for b in self._holding_blocks if b[0] <= first <= b[1]), None
-        )
-        if block is None:
-            return ExceptionResponse(request.function, EXC_ILLEGAL_ADDRESS)
-        if not 1 <= request.count <= regmap.READ_LIMIT:
-            return ExceptionResponse(request.function, EXC_ILLEGAL_VALUE)
-        if first + request.count - 1 > block[1]:
-            return ExceptionResponse(request.function, EXC_ILLEGAL_VALUE)
-        words = self.state.image.holding[first : first + request.count]
-        return ReadHoldingResponse(tuple(words))
+        first = start + 1
+        end = self._run_end[fc].get(first)
+        if end is None:
+            return ExceptionResponse(fc, EXC_ILLEGAL_ADDRESS)
+        if (
+            count < 1
+            or (fc == FC_READ_HOLDING and count > regmap.READ_LIMIT)
+            or first + count - 1 > end
+        ):
+            return ExceptionResponse(fc, EXC_ILLEGAL_VALUE)
 
-    def _read_coils(self, request: ReadCoilsRequest):
-        first = request.start + 1
-        lo, hi = self._coil_range
-        if not lo <= first <= hi:
-            return ExceptionResponse(request.function, EXC_ILLEGAL_ADDRESS)
-        if request.count < 1:
-            return ExceptionResponse(request.function, EXC_ILLEGAL_VALUE)
-        if first + request.count - 1 > hi:
-            return ExceptionResponse(request.function, EXC_ILLEGAL_VALUE)
-        bits = self.state.image.coils[first : first + request.count]
-        return ReadCoilsResponse(tuple(bits))
-
-    def _write_registers(self, function: int, first: int, values: list[int], response):
-        lo, hi = self._writable_registers
-        if not lo <= first <= hi:
-            return ExceptionResponse(function, EXC_ILLEGAL_ADDRESS)
-        if first + len(values) - 1 > hi:
-            return ExceptionResponse(function, EXC_ILLEGAL_VALUE)
-        setpoints = dict(self.state.setpoints_kw)
-        for offset, value in enumerate(values):
-            node, _ = self.meter_map.setpoints[first - lo + offset]
-            setpoints[node] = value
-        self._commit(self.state.config, setpoints)
-        return response
-
-    def _write_coils(self, function: int, first: int, bits: list[bool], response):
-        lo, hi = self._coil_range
-        if not lo <= first <= hi:
-            return ExceptionResponse(function, EXC_ILLEGAL_ADDRESS)
-        if first + len(bits) - 1 > hi:
-            return ExceptionResponse(function, EXC_ILLEGAL_VALUE)
-        config = self.state.config
-        for offset, closed in enumerate(bits):
-            name = self.model.switch_names[first - lo + offset]
-            config = config.with_switch(name, closed)
-        self._commit(config, self.state.setpoints_kw)
-        return response
-
-
-def serve(
-    model: FeederModel,
-    meter_map: MeterMap | None = None,
-    bind: tuple[str, int] = ("127.0.0.1", DEFAULT_PORT),
-    high_word_first: bool = True,
-) -> FeederServer:
-    """Start a server and return its handle (caller closes)."""
-    return FeederServer(model, meter_map, bind, high_word_first).start()
+        if fc == FC_READ_HOLDING:
+            return ReadHoldingResponse(self.state.image.holding[first : first + count])
+        if fc == FC_READ_COILS:
+            return ReadCoilsResponse(self.state.image.coils[first : first + count])
+        config, setpoints = self.state.config, self.state.setpoints_kw
+        if fc in (FC_WRITE_COIL, FC_WRITE_COILS):
+            for name, closed in zip(self.model.switch_names[start:], values):
+                config = config.with_switch(name, closed)
+        else:
+            setpoints = dict(setpoints)
+            offset = first - regmap.SETPOINT_BLOCK_START
+            for (node, _), kw in zip(self.meter_map.setpoints[offset:], values):
+                setpoints[node] = kw
+        self._commit(config, setpoints)
+        if fc == FC_WRITE_COILS:
+            return WriteCoilsResponse(start, count)
+        if fc == FC_WRITE_REGISTERS:
+            return WriteRegistersResponse(start, count)
+        return request  # FC05/FC06 answer with the echo
 
 
 def main(argv=None) -> int:
@@ -381,11 +342,11 @@ def main(argv=None) -> int:
 
     host, _, port = args.bind.rpartition(":")
     model = load_feeder_file(args.feeder)
-    server = serve(
+    server = FeederServer(
         model,
         bind=(host or "127.0.0.1", int(port)),
         high_word_first=args.float_order == "hi-lo",
-    )
+    ).start()
     print(f"serving {args.feeder} on {server.address[0]}:{server.address[1]}", flush=True)
     try:
         threading.Event().wait()

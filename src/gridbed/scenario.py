@@ -52,6 +52,12 @@ OFF_LEVEL_MW = 0.001
 QUANTIZATION_PU = 5e-5
 
 
+def _reject_unknown(doc: dict, known: set[str], prefix: str = ""):
+    unknown = [prefix + key for key in sorted(set(doc) - known)]
+    if unknown:
+        raise ValueError(f"unknown scenario config key(s): {', '.join(unknown)}")
+
+
 @dataclass
 class ScenarioConfig:
     feeder: str | None = None  # None = bundled fixture
@@ -64,6 +70,10 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         doc = json.loads(text)
+        _reject_unknown(
+            doc, {"feeder", "allow_meshed", "oracle", "band", "weights", "attack_params"}
+        )
+        _reject_unknown(doc.get("weights", {}), {"violation", "cost"}, "weights.")
         cfg = cls()
         cfg.feeder = doc.get("feeder")
         cfg.allow_meshed = bool(doc.get("allow_meshed", cfg.allow_meshed))

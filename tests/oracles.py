@@ -3,7 +3,9 @@
 Nothing here shares code paths with the package solver: the dense oracle
 assembles the full nodal admittance system over (bus, phase) coordinates and
 fixed-point iterates on injected currents; the graph oracles are plain
-union-find / breadth-first implementations.
+union-find / breadth-first implementations; the Modbus address oracle checks
+every register of a span against sets written out from the documented
+register layout.
 """
 
 from __future__ import annotations
@@ -160,3 +162,26 @@ def reachable_from(start, edges) -> set:
                     nxt.append(v)
         frontier = nxt
     return seen
+
+
+def modbus_address_sets(n_meters, n_setpoints, n_switches) -> dict:
+    """Registers (or coils) each function code may touch, 1-based, as the
+    register map documents them."""
+    setpoints = set(range(207, 207 + n_setpoints))
+    holding = (
+        set(range(1, 1 + n_meters)) | setpoints | {500} | set(range(1001, 1001 + 2 * n_meters))
+    )
+    coils = set(range(1, 1 + n_switches))
+    return {0x01: coils, 0x03: holding, 0x05: coils, 0x06: setpoints, 0x0F: coils, 0x10: setpoints}
+
+
+def modbus_address_verdict(mapped: dict, function: int, first: int, count: int):
+    """Exception code a request must get, or None when it is served."""
+    registers = mapped[function]
+    if first not in registers:
+        return 0x02
+    if count < 1 or (function == 0x03 and count > 125):
+        return 0x03
+    if any(r not in registers for r in range(first, first + count)):
+        return 0x03
+    return None

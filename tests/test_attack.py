@@ -174,6 +174,15 @@ def test_malformed_reply_mid_run_ends_with_error_status(scripted_peer, fixture_m
     assert [frame[1][0] for frame in peer.requests] == [0x03, 0x03, 0x03, 0x10]
 
 
+def test_bad_first_reply_ends_with_error_status(scripted_peer, fixture_meter_map):
+    # the baseline setpoint read is answered as if it were a coil read
+    peer = scripted_peer([mbap_frame(1, frames.ReadCoilsResponse((True,)))])
+    with ModbusClient(*peer.address) as client:
+        trace = run_attack(client, fixture_meter_map, _params(), "C")
+    assert trace.status == STATUS_ERROR
+    assert (trace.steps, trace.baseline_mw, trace.v_vio_init) == ([], {}, -1)
+
+
 def test_attack_reaches_violation_target(live_server, fixture_meter_map):
     params = _params(alpha_mw=0.01, n_tar=2, av_max_mw=100.0, max_steps=60)
     with ModbusClient(*live_server.address) as client:
@@ -297,6 +306,16 @@ def test_monotone_pressure_on_radial_fixture(fixture_model, fixture_meter_map):
         assert count >= last
         last = count
     assert last > 0
+
+
+def test_params_json_rejects_unknown_key():
+    with pytest.raises(AttackError, match="alpha"):
+        AttackParams.from_json('{"alpha": 0.5}')
+
+
+def test_n_max_rule_rejects_unknown_kind():
+    with pytest.raises(AttackError, match="quadratic"):
+        NMaxRule.from_doc({"kind": "quadratic"})
 
 
 def test_params_json_round_trip():

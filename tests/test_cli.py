@@ -47,6 +47,13 @@ def test_attack_cli_writes_trace(tmp_path, live_server, fixture_meter_map):
         client.write_setpoints(fixture_meter_map, {n: 40 for n, _ in fixture_meter_map.setpoints})
 
 
+def test_attack_cli_closed_port_exits_1(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    assert attack.main(["--server", f"127.0.0.1:{port}", "--mode", "C"]) == 1
+    assert capsys.readouterr().out.startswith("error: ")
+
+
 def test_mitigate_cli_once(tmp_path, live_server, feeder_file, fixture_meter_map, fixture_model):
     with ModbusClient(*live_server.address) as client:
         client.write_setpoints(

@@ -23,6 +23,7 @@ from gridbed.regmap import (
 )
 
 from conftest import mbap_frame, three_bus_switch_doc, two_bus_doc
+from oracles import modbus_address_sets, modbus_address_verdict
 
 
 def _client(server):
@@ -234,6 +235,86 @@ def _recv_exact(sock, n):
         assert chunk, "server closed mid-frame"
         buf += chunk
     return buf
+
+
+def _probe_request(function, first, count):
+    """A request for ``count`` registers from ``first`` and the values it
+    writes, or None when its PDU cannot carry that count."""
+    start = first - 1
+    if function == 0x01:
+        return frames.ReadCoilsRequest(start, count), None
+    if function == 0x03:
+        return frames.ReadHoldingRequest(start, count), None
+    if function == 0x05:
+        closed = first % 2 == 1
+        value = frames.COIL_ON if closed else frames.COIL_OFF
+        return frames.WriteCoilRequest(start, value), (closed,)
+    if function == 0x06:
+        return frames.WriteRegisterRequest(start, 40 + first % 7), (40 + first % 7,)
+    if function == 0x0F and 1 <= count <= 1968:
+        bits = tuple(k % 3 != 0 for k in range(count))
+        return frames.WriteCoilsRequest(start, bits), bits
+    if function == 0x10 and 1 <= count <= 123:
+        words = tuple(40 + k for k in range(count))
+        return frames.WriteRegistersRequest(start, words), words
+    return None
+
+
+def _read_back(server, function, first, count):
+    """What a read of the span a write of ``function`` touched returns."""
+    if function in (0x05, 0x0F):
+        return server._dispatch(frames.encode_pdu(frames.ReadCoilsRequest(first - 1, count))).bits
+    return server._dispatch(frames.encode_pdu(frames.ReadHoldingRequest(first - 1, count))).words
+
+
+@pytest.mark.parametrize("model_name", ["bundled", "three_bus_switch"])
+def test_address_rule_matches_reference(model_name, fixture_model, fixture_meter_map):
+    # On the bundled feeder the voltage and setpoint blocks touch (1..215 is
+    # one run); on the three-bus model no two blocks touch.
+    if model_name == "bundled":
+        model, meter_map = fixture_model, fixture_meter_map
+    else:
+        model = load_feeder(json.dumps(three_bus_switch_doc()))
+        meter_map = MeterMap.for_model(model, setpoint_nodes=[("B1", "A"), ("B2", "A")])
+    mapped = modbus_address_sets(
+        len(meter_map.meters), len(meter_map.setpoints), len(model.switch_names)
+    )
+    # every run's edges and their neighbours, the ends of the address space,
+    # and 200 (200..215 crosses two touching blocks)
+    firsts = {1, 200, 0x10000}
+    for registers in mapped.values():
+        for r in registers:
+            if r - 1 not in registers or r + 1 not in registers:
+                firsts |= {r - 1, r, r + 1}
+    probes = [
+        (function, first, count)
+        for function in sorted(mapped)
+        for first in sorted(r for r in firsts if 1 <= r <= 0x10000)
+        for count in (
+            (0, 1, 2, 3, 16, 17, 124, 125, 126, 0xFFFF) if function in (1, 3, 15, 16) else (1,)
+        )
+    ]
+
+    server = FeederServer(model, meter_map)
+    try:
+        served = 0
+        for function, first, count in probes:
+            probe = _probe_request(function, first, count)
+            if probe is None:
+                continue
+            request, written = probe
+            response = server._dispatch(frames.encode_pdu(request))
+            code = modbus_address_verdict(mapped, function, first, count)
+            if code is not None:
+                assert response == frames.ExceptionResponse(function, code), probe
+                continue
+            assert not isinstance(response, frames.ExceptionResponse), probe
+            served += 1
+            if written is not None:
+                assert _read_back(server, function, first, count) == written
+        assert served > 0
+    finally:
+        server.close()
 
 
 # ---------------------------------------------------------------------------

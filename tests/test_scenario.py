@@ -105,6 +105,13 @@ def test_config_json_parsing():
     assert config.attack_params.n_tar == 3
 
 
+def test_config_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="use_oracle"):
+        ScenarioConfig.from_json('{"use_oracle": true}')
+    with pytest.raises(ValueError, match="weights.violations"):
+        ScenarioConfig.from_json('{"weights": {"violations": 5}}')
+
+
 # SHA-256 of every CSV that `gridbed-scenario --all --replay` writes. The
 # reports are a cross-commit contract: a change that moves any CSV byte fails
 # here, not only one whose two runs disagree.
