@@ -16,11 +16,11 @@ import argparse
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .modbus.client import ModbusClient
-from .powerflow import DEFAULT_BAND, count_violations, max_unbalance
+from .powerflow import DEFAULT_BAND, check_band, count_violations, max_unbalance
 from .regmap import MeterMap
 
 log = logging.getLogger("gridbed.attack")
@@ -38,10 +38,20 @@ class AttackError(ValueError):
     """Bad attack parameters or an unusable mode/observation."""
 
 
-def _reject_unknown(doc: dict, known: set[str], what: str):
+def _reject_unknown(doc, known: set[str], what: str):
+    if not isinstance(doc, dict):
+        raise AttackError(f"{what} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - known)
     if unknown:
         raise AttackError(f"unknown key(s) in {what}: {', '.join(unknown)}")
+
+
+def _number(value, key: str, kind=(int, float)):
+    """``value``, which must be a ``kind`` and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is int else "a number"
+        raise AttackError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,21 +77,20 @@ class NMaxRule:
 
     @classmethod
     def from_doc(cls, doc) -> "NMaxRule":
-        if isinstance(doc, (int, float)):
+        if isinstance(doc, (int, float)) and not isinstance(doc, bool):
             return cls("constant", float(doc))
+        if not isinstance(doc, dict):
+            raise AttackError(f"n_max must be a number or a JSON object, got {doc!r}")
         kind = doc.get("kind", "constant")
         keys = {"constant": {"kind", "value"}, "linear": {"kind", "base", "slope", "cap"}}
-        if kind not in keys:
+        if not isinstance(kind, str) or kind not in keys:
             raise AttackError(f"unknown n_max rule {kind!r}")
         _reject_unknown(doc, keys[kind], f"n_max {kind} rule")
         if kind == "constant":
-            return cls("constant", float(doc["value"]))
-        return cls(
-            "linear",
-            float(doc.get("base", 1.0)),
-            float(doc.get("slope", 0.0)),
-            float(doc.get("cap", doc.get("base", 1.0))),
-        )
+            return cls("constant", float(_number(doc.get("value"), "value")))
+        base = float(_number(doc.get("base", 1.0), "base"))
+        slope = float(_number(doc.get("slope", 0.0), "slope"))
+        return cls("linear", base, slope, float(_number(doc.get("cap", base), "cap")))
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,7 @@ class AttackParams:
             raise AttackError("n_min must be positive")
         if self.stealth_limit_pct <= 0:
             raise AttackError("stealth limit must be positive")
+        object.__setattr__(self, "band", check_band(self.band))
 
     def gamma_for(self, group: str) -> float:
         value = {
@@ -122,36 +132,22 @@ class AttackParams:
     @classmethod
     def from_json(cls, text: str) -> "AttackParams":
         doc = json.loads(text)
-        known = {
-            "alpha_mw", "k_mw", "delta_mw", "floor_step_mw",
-            "gamma_a_mw", "gamma_b_mw", "gamma_c_mw",
-            "n_tar", "av_max_mw", "n_min", "max_steps", "stealth_limit_pct",
-        }
-        _reject_unknown(doc, known | {"n_max", "band"}, "attack parameters")
-        kwargs = {k: doc[k] for k in known if k in doc}
-        if "n_max" in doc:
-            kwargs["n_max"] = NMaxRule.from_doc(doc["n_max"])
-        if "band" in doc:
-            kwargs["band"] = tuple(doc["band"])
+        _reject_unknown(doc, {f.name for f in fields(cls)}, "attack parameters")
+        kwargs = {}
+        for key, value in doc.items():
+            if key == "n_max":
+                value = NMaxRule.from_doc(value)
+            elif key in ("n_tar", "max_steps"):
+                value = _number(value, key, int)
+            # A null gamma means alpha; the band is checked on construction.
+            elif key != "band" and not (key.startswith("gamma_") and value is None):
+                value = _number(value, key)
+            kwargs[key] = value
         return cls(**kwargs)
 
     def to_json(self) -> str:
-        doc = {
-            "alpha_mw": self.alpha_mw,
-            "k_mw": self.k_mw,
-            "delta_mw": self.delta_mw,
-            "floor_step_mw": self.floor_step_mw,
-            "gamma_a_mw": self.gamma_a_mw,
-            "gamma_b_mw": self.gamma_b_mw,
-            "gamma_c_mw": self.gamma_c_mw,
-            "n_tar": self.n_tar,
-            "av_max_mw": self.av_max_mw,
-            "n_min": self.n_min,
-            "n_max": self.n_max.to_doc(),
-            "max_steps": self.max_steps,
-            "stealth_limit_pct": self.stealth_limit_pct,
-            "band": list(self.band),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(n_max=self.n_max.to_doc(), band=list(self.band))
         return json.dumps(doc, indent=1)
 
 
@@ -359,11 +355,14 @@ def main(argv=None) -> int:
 
     model = load_feeder_file(args.feeder) if args.feeder else load_default_feeder()
     meter_map = MeterMap.for_model(model)
+    params = AttackParams()
     if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            params = AttackParams.from_json(fh.read())
-    else:
-        params = AttackParams()
+        try:
+            with open(args.params, "r", encoding="utf-8") as fh:
+                params = AttackParams.from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            print(f"error: bad attack parameters {args.params}: {exc}")
+            return 1
 
     host, _, port = args.server.rpartition(":")
     try:

@@ -10,7 +10,7 @@ breadth-first walk from the source over the closed branches.  Its
 :class:`TopologyView` is both the energized set and the spanning tree the
 solver sweeps, and :func:`is_radial` reads it without walking again.  Each
 branch's conducting phases and phase-masked impedance are computed once per
-:class:`FeederModel`.
+:class:`FeederModel`, as are its per-(bus, phase) arrays (see there).
 
 :class:`FeederModel` and :class:`TopologyView` are immutable after
 construction and safe to share across threads; switching actions are
@@ -50,11 +50,6 @@ class Bus:
     load_kw: tuple[float, float, float]
     load_kvar: tuple[float, float, float]
 
-    def has_load(self) -> bool:
-        return any(v != 0.0 for v in self.load_kw) or any(
-            v != 0.0 for v in self.load_kvar
-        )
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -79,17 +74,20 @@ class Branch:
 
 @dataclass(frozen=True)
 class FeederModel:
-    """Validated feeder: buses, branches, switches, and the slack source."""
+    """Validated feeder: buses, branches, switches, and the slack source.
+
+    Every per-(bus, phase) quantity has one shape: a ``(bus, 3)`` array with
+    one row per bus in ``buses`` order (``bus_index`` maps an id to its row)
+    and columns A, B, C.  ``carried`` marks the phases each bus carries; its
+    True cells read row by row are :meth:`meter_points`, so ``array[carried]``
+    is any such array in meter order.  The arrays are built once per model.
+    """
 
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     source_bus: str
     base_volts_ln: float
     base_va: float
-
-    @cached_property
-    def bus_map(self) -> Mapping[str, Bus]:
-        return {b.id: b for b in self.buses}
 
     @cached_property
     def adjacency(self) -> Mapping[str, tuple[tuple[int, str], ...]]:
@@ -102,12 +100,39 @@ class FeederModel:
         return {b: tuple(edges) for b, edges in incident.items()}
 
     @cached_property
+    def bus_index(self) -> Mapping[str, int]:
+        """Bus id -> its row in every ``(bus, 3)`` array."""
+        return {b.id: k for k, b in enumerate(self.buses)}
+
+    @cached_property
+    def carried(self) -> np.ndarray:
+        """``(bus, phase)`` bool: the phases each bus carries."""
+        carried = np.array(
+            [[p in b.phases for p in PHASES] for b in self.buses], dtype=bool
+        ).reshape(-1, 3)
+        carried.flags.writeable = False
+        return carried
+
+    @cached_property
+    def base_demand(self) -> np.ndarray:
+        """``(bus, phase)`` complex spot load in VA, zero on phases not
+        carried."""
+        demand = np.array(
+            [[complex(kw, kvar) * 1000.0 for kw, kvar in zip(b.load_kw, b.load_kvar)]
+             for b in self.buses],
+            dtype=complex,
+        ).reshape(-1, 3)
+        demand.flags.writeable = False
+        return demand
+
+    @cached_property
     def branch_mask(self) -> np.ndarray:
         """``(branch, phase)`` bool: the phases present at both endpoints,
         the only ones a branch conducts."""
-        carried = {b.id: np.array([p in b.phases for p in PHASES]) for b in self.buses}
+        carried, row = self.carried, self.bus_index
         mask = np.array(
-            [carried[br.from_bus] & carried[br.to_bus] for br in self.branches], dtype=bool
+            [carried[row[br.from_bus]] & carried[row[br.to_bus]] for br in self.branches],
+            dtype=bool,
         ).reshape(-1, 3)
         mask.flags.writeable = False
         return mask
@@ -128,16 +153,17 @@ class FeederModel:
 
     @cached_property
     def load_buses(self) -> frozenset[str]:
-        return frozenset(b.id for b in self.buses if b.has_load())
+        return frozenset(b.id for b, load in zip(self.buses, self.base_demand) if load.any())
 
     def bus(self, bus_id: str) -> Bus:
         try:
-            return self.bus_map[bus_id]
+            return self.buses[self.bus_index[bus_id]]
         except KeyError:
             raise FeederError(f"unknown bus {bus_id!r}") from None
 
     def meter_points(self) -> tuple[tuple[str, str], ...]:
-        """All (bus, phase) measurement points, in document order."""
+        """All (bus, phase) measurement points, in document order: the
+        ``carried`` cells read row by row."""
         return tuple((b.id, p) for b in self.buses for p in b.phases)
 
 

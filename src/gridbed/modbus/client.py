@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import socket
 
+import numpy as np
+
 from .. import regmap
-from ..regmap import MeterMap, decode_float_pair, decode_voltage_word, plan_chunked_read
+from ..regmap import MeterMap, plan_chunked_read
 from . import frames
 from .frames import (
     ExceptionResponse,
@@ -108,24 +110,22 @@ class ModbusClient:
         source: str = "scaled",
         high_word_first: bool = True,
     ) -> dict[tuple[str, str], float]:
-        """All meter magnitudes (pu) in meter order, read in chunked spans."""
-        n = len(meter_map.meters)
-        if source == "scaled":
-            words: list[int] = []
-            for start, count in plan_chunked_read(regmap.VOLTAGE_BLOCK_START, n):
-                words.extend(self.read_holding(start, count))
-            mags = [decode_voltage_word(w) for w in words]
-        elif source == "float":
-            words = []
-            for start, count in plan_chunked_read(regmap.FLOAT_BLOCK_START, 2 * n):
-                words.extend(self.read_holding(start, count))
-            mags = [
-                decode_float_pair(words[2 * i : 2 * i + 2], high_word_first)
-                for i in range(n)
-            ]
-        else:
+        """All meter magnitudes (pu) in meter order, read in chunked spans and
+        decoded as :func:`regmap.decode_voltage_word` or
+        :func:`regmap.decode_float_pair` would, bit for bit."""
+        if source not in ("scaled", "float"):
             raise ValueError(f"unknown voltage source {source!r}")
-        return {point: mag for point, mag in zip(meter_map.meters, mags)}
+        width = 1 if source == "scaled" else 2
+        first = regmap.VOLTAGE_BLOCK_START if width == 1 else regmap.FLOAT_BLOCK_START
+        words: list[int] = []
+        for start, count in plan_chunked_read(first, width * len(meter_map.meters)):
+            words.extend(self.read_holding(start, count))
+        if width == 1:
+            mags = np.array(words) / regmap.VOLTAGE_SCALE
+        else:
+            pairs = np.array(words, dtype=">u2").reshape(-1, 2)
+            mags = np.ascontiguousarray(pairs if high_word_first else pairs[:, ::-1]).view(">f4")
+        return dict(zip(meter_map.meters, mags.ravel().tolist()))
 
     def read_setpoints(self, meter_map: MeterMap) -> dict[str, int]:
         k = len(meter_map.setpoints)

@@ -18,10 +18,13 @@ plus the ties' impedance block; it is built once per solve, and only when loop
 coordinates exist.  Each iteration corrects ``J`` toward the point where
 every tie's end voltages differ by the tie's own drop.
 
-All voltages are reported per-unit on the model's line-to-neutral base, as
-one complex array in ``model.meter_points()`` order; power mismatch is
-per-unit on the model's VA base.  De-energized buses report exactly zero on
-all phases.
+Every per-(bus, phase) quantity is a ``(bus, 3)`` array in the model's bus
+order (see :class:`~gridbed.feeder.FeederModel`): the demand is
+``model.base_demand`` with the overrides written in, and the sweep runs on
+model bus rows.  Voltages are reported per-unit on the model's line-to-neutral
+base, read at ``model.carried`` into one complex array in meter order; power
+mismatch is per-unit on the model's VA base.  De-energized buses report
+exactly zero on all phases.
 
 :meth:`VoltageSolution.magnitudes` returns the ``{(bus, phase): pu}`` mapping
 that a client reads off the wire, so :func:`count_violations` and
@@ -32,12 +35,14 @@ readings alike.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .feeder import PHASES, PHASE_INDEX, FeederModel, TopologyView
+from .feeder import PHASE_INDEX, FeederModel, TopologyView
 
 DEFAULT_TOLERANCE_PU = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
@@ -111,32 +116,23 @@ def solve(
     reference unknown buses/phases.  Non-convergence is not an error: the
     solution is returned with ``converged`` False and callers decide.
     """
-    overrides = dict(overrides or {})
-    for bus_id, per_phase in overrides.items():
-        if bus_id not in model.bus_map:
+    # Complex power demand in VA per (bus, phase), overrides applied.
+    demand = model.base_demand.copy()
+    for bus_id, per_phase in (overrides or {}).items():
+        if bus_id not in model.bus_index:
             raise PowerFlowError(f"override references unknown bus {bus_id!r}")
-        for phase in per_phase:
-            if phase not in model.bus(bus_id).phases:
+        row = model.bus_index[bus_id]
+        for phase, load in per_phase.items():
+            pi = PHASE_INDEX.get(phase)
+            if pi is None or not model.carried[row, pi]:
                 raise PowerFlowError(
                     f"override on bus {bus_id!r} phase {phase}: phase not carried"
                 )
+            demand[row, pi] = complex(*load) * 1000.0
 
     tree = _Tree.build(model, view)
     v_base = model.base_volts_ln
     s_base = model.base_va
-
-    # Complex power demand in VA per energized (bus, phase), overrides applied.
-    demand = np.zeros((len(tree.order), 3), dtype=complex)
-    for bi, bus_id in enumerate(tree.order):
-        bus = model.bus(bus_id)
-        per_phase = overrides.get(bus_id, {})
-        for p in bus.phases:
-            pi = PHASE_INDEX[p]
-            if p in per_phase:
-                kw, kvar = per_phase[p]
-            else:
-                kw, kvar = bus.load_kw[pi], bus.load_kvar[pi]
-            demand[bi, pi] = complex(kw, kvar) * 1000.0
     demand[~tree.fed] = 0.0
     volts = np.where(tree.fed, np.array(SOURCE_REFERENCE) * v_base, 0)
 
@@ -147,7 +143,7 @@ def solve(
     fr, to, ph = tree.ends
     loops = np.zeros(len(ph), dtype=complex)
     if loops.size:
-        d = np.zeros((len(tree.order), 3, loops.size))
+        d = np.zeros((len(model.buses), 3, loops.size))
         d[fr, ph, range(loops.size)] = 1.0
         d[to, ph, range(loops.size)] = -1.0
         response = tree.sweep(0, d)
@@ -159,7 +155,7 @@ def solve(
     for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             inj = np.where(volts != 0, np.conj(demand / np.where(volts == 0, 1, volts)), 0)
-        new_volts = tree.sweep(volts[0], inj + d @ loops if loops.size else inj)
+        new_volts = tree.sweep(volts[tree.order[0]], inj + d @ loops if loops.size else inj)
 
         # Tie compensation: drive V_u - V_v - Z_tie * J to zero at every
         # loop coordinate.
@@ -176,21 +172,15 @@ def solve(
         # Power mismatch: demand versus power actually drawn by the currents
         # used this iteration, evaluated at the updated voltages.
         drawn = new_volts * np.conj(inj)
-        mismatch = float(np.max(np.abs(demand - drawn))) / s_base if demand.size else 0.0
+        mismatch = float(np.max(np.abs(demand - drawn))) / s_base
         volts = new_volts
         if mismatch <= DEFAULT_TOLERANCE_PU and gap_pu <= DEFAULT_TOLERANCE_PU:
             converged = True
             break
 
-    meters = model.meter_points()
-    voltages = np.array(
-        [volts[tree.index[b], PHASE_INDEX[p]] if b in tree.index else 0j for b, p in meters],
-        dtype=complex,
-    ) / v_base
-
     return VoltageSolution(
-        meters=meters,
-        voltages=voltages,
+        meters=model.meter_points(),
+        voltages=volts[model.carried] / v_base,
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=mismatch,
@@ -199,21 +189,21 @@ def solve(
 
 @dataclass
 class _Tree:
-    """The view's BFS spanning tree, gathered for the sweep, and its loop
-    coordinates.
+    """The view's BFS spanning tree over model bus rows, gathered for the
+    sweep, and its loop coordinates.
 
-    Buses are numbered in BFS order from the source (0).  Bus ``k > 0`` hangs
-    off bus ``parent[k]`` through its tree branch, whose impedance ``z[k]``
-    (ohm) and 0/1 phase ``mask[k]`` cover only the phases that branch conducts.
-    A phase is fed at a bus when every tree branch from the source carries
-    it.  A loop coordinate is one phase of a closed non-tree branch fed at
-    both ends; column ``c`` of ``ends`` holds its from bus, to bus and phase,
-    and ``tie_z`` couples coordinates of the same tie through its impedance.
+    ``order`` lists the energized buses' rows in BFS order, source first.
+    Bus row ``b`` hangs off row ``parent[b]`` through its tree branch, whose
+    impedance ``z[b]`` (ohm) and 0/1 phase ``mask[b]`` cover only the phases
+    that branch conducts.  A phase is fed at a bus when every tree branch from
+    the source carries it.  A loop coordinate is one phase of a closed
+    non-tree branch fed at both ends; column ``c`` of ``ends`` holds its from
+    row, to row and phase, and ``tie_z`` couples coordinates of the same tie
+    through its impedance.
     """
 
-    order: tuple[str, ...]
-    index: dict[str, int]
-    parent: tuple[int, ...]
+    order: tuple[int, ...]
+    parent: list[int]
     z: list[np.ndarray]
     mask: list[np.ndarray]
     fed: np.ndarray
@@ -222,20 +212,23 @@ class _Tree:
 
     @staticmethod
     def build(model: FeederModel, view: TopologyView) -> "_Tree":
-        order, parent, via = view.order, view.parent, list(view.via[1:])
-        index = {b: k for k, b in enumerate(order)}
-        mask = np.zeros((len(order), 3), dtype=bool)
-        mask[1:] = model.branch_mask[via]
-        z = np.zeros((len(order), 3, 3), dtype=complex)
-        z[1:] = model.branch_z[via]
-        fed = np.empty_like(mask)
-        fed[0] = [p in model.bus(model.source_bus).phases for p in PHASES]
-        for k in range(1, len(order)):
-            fed[k] = fed[parent[k]] & mask[k]
+        row = model.bus_index
+        order = tuple(row[b] for b in view.order)
+        kids, via = list(order[1:]), list(view.via[1:])
+        parent = [0] * len(model.buses)
+        mask = np.zeros((len(model.buses), 3), dtype=bool)
+        mask[kids] = model.branch_mask[via]
+        z = np.zeros((len(model.buses), 3, 3), dtype=complex)
+        z[kids] = model.branch_z[via]
+        fed = np.zeros_like(mask)
+        fed[order[0]] = model.carried[order[0]]
+        for b, up in zip(kids, view.parent[1:]):
+            parent[b] = order[up]
+            fed[b] = fed[parent[b]] & mask[b]
 
         coords = []
         for i in view.loops:
-            u, v = index[model.branches[i].from_bus], index[model.branches[i].to_bus]
+            u, v = row[model.branches[i].from_bus], row[model.branches[i].to_bus]
             for pi in np.flatnonzero(model.branch_mask[i] & fed[u] & fed[v]):
                 coords.append((u, v, pi, i))
         fr, to, ph, tie = np.array(coords, dtype=int).reshape(-1, 4).T
@@ -244,7 +237,6 @@ class _Tree:
 
         return _Tree(
             order=order,
-            index=index,
             parent=parent,
             z=list(z),
             mask=list(mask.astype(float)),
@@ -259,26 +251,38 @@ class _Tree:
 
         Currents accumulate leaf to root onto each bus's tree branch, then
         voltages drop root to leaf.  Phases a branch does not conduct read 0
-        below it.  A trailing axis on ``current`` is carried through, so one
-        call answers several right-hand sides.
+        below it, as do buses off the tree.  A trailing axis on ``current`` is
+        carried through, so one call answers several right-hand sides.
         """
-        parent, z = self.parent, self.z
+        order, parent, z = self.order, self.parent, self.z
         mask = self.mask if current.ndim == 2 else [m[:, None] for m in self.mask]
         node = current.astype(complex)
         branch = np.zeros_like(node)
-        for bi in range(len(parent) - 1, 0, -1):
-            branch[bi] = carried = node[bi] * mask[bi]
-            node[parent[bi]] += carried
+        for b in order[:0:-1]:
+            branch[b] = carried = node[b] * mask[b]
+            node[parent[b]] += carried
         volts = np.zeros_like(node)
-        volts[0] = source
-        for bi in range(1, len(parent)):
-            volts[bi] = (volts[parent[bi]] - z[bi] @ branch[bi]) * mask[bi]
+        volts[order[0]] = source
+        for b in order[1:]:
+            volts[b] = (volts[parent[b]] - z[b] @ branch[b]) * mask[b]
         return volts
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
+
+
+def check_band(band) -> tuple[float, float]:
+    """``band`` as a ``(low, high)`` pair of numbers with low < high."""
+    if not (
+        isinstance(band, (list, tuple))
+        and len(band) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in band)
+        and band[0] < band[1]
+    ):
+        raise PowerFlowError(f"inverted or malformed band {band!r}: need two numbers, low < high")
+    return tuple(band)
 
 
 def count_violations(
@@ -288,9 +292,7 @@ def count_violations(
 
     A magnitude of exactly 0 is an outage (de-energized), not a violation.
     """
-    low, high = band
-    if low >= high:
-        raise PowerFlowError(f"inverted band: {band}")
+    low, high = check_band(band)
     points = [
         (bus, phase, mag)
         for (bus, phase), mag in magnitudes.items()
@@ -300,26 +302,33 @@ def count_violations(
     return ViolationReport(count=len(points), points=points, band=band, outages=outages)
 
 
-def unbalance_at(v_a: float, v_b: float, v_c: float) -> float:
-    """Percent deviation of the worst phase from the three-phase mean."""
-    if v_a <= 0 or v_b <= 0 or v_c <= 0:
-        raise PowerFlowError("unbalance needs three positive phase magnitudes")
-    v_avg = (v_a + v_b + v_c) / 3.0
-    dev = max(abs(v_a - v_avg), abs(v_b - v_avg), abs(v_c - v_avg))
-    return dev / v_avg * 100.0
+@functools.lru_cache(maxsize=8)
+def _bus_positions(points: tuple[tuple[str, str], ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A reading's buses in first-seen order, and a ``(bus, 3)`` array of
+    each bus's A, B, C positions in the reading; ``len(points)`` stands for a
+    phase the reading lacks.  Cached, since every read of one meter map has
+    the same points."""
+    cells: dict[str, list[int]] = {}
+    for k, (bus, phase) in enumerate(points):
+        cells.setdefault(bus, [len(points)] * 3)[PHASE_INDEX[phase]] = k
+    return tuple(cells), np.array(list(cells.values()), dtype=int).reshape(-1, 3)
 
 
 def max_unbalance(magnitudes: Mapping[tuple[str, str], float]) -> UnbalanceReport:
     """Worst unbalance over buses with three nonzero ``{(bus, phase): pu}``
-    magnitudes; ``max_pct`` 0.0 and ``max_bus`` None when no bus qualifies."""
-    by_bus: dict[str, dict[str, float]] = {}
-    for (bus, phase), mag in magnitudes.items():
-        by_bus.setdefault(bus, {})[phase] = mag
-    per_bus = {
-        bus: unbalance_at(*(phases[p] for p in PHASES))
-        for bus, phases in by_bus.items()
-        if all(phases.get(p, 0.0) > 0 for p in PHASES)
-    }
+    magnitudes; ``max_pct`` 0.0 and ``max_bus`` None when no bus qualifies.
+
+    A bus's unbalance is the deviation of its worst phase magnitude from the
+    mean of its three, in percent of that mean.  Ties on the percentage go to
+    the greatest bus id.
+    """
+    buses, positions = _bus_positions(tuple(magnitudes))
+    mags = np.array([*magnitudes.values(), 0.0])[positions]
+    live = (mags > 0).all(axis=1)
+    mags = mags[live]
+    mean = (mags[:, 0] + mags[:, 1] + mags[:, 2]) / 3.0
+    pct = np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0
+    per_bus = dict(zip(itertools.compress(buses, live), pct.tolist()))
     max_bus = max(per_bus, key=lambda b: (per_bus[b], b), default=None)
     max_pct = 0.0 if max_bus is None else per_bus[max_bus]
     return UnbalanceReport(per_bus=per_bus, max_pct=max_pct, max_bus=max_bus)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .feeder import PHASE_INDEX, FeederModel, SwitchConfig
-from .powerflow import VoltageSolution
+from .powerflow import PowerFlowError, VoltageSolution
 
 VOLTAGE_BLOCK_START = 1
 SETPOINT_BLOCK_START = 207
@@ -167,7 +167,9 @@ def build_image(
     """
     if solution.meters != meter_map.meters:
         raise RegisterMapError("meter map and solution list different measurement points")
-    mags = np.array(list(solution.magnitudes().values()))
+    if not solution.converged:
+        raise PowerFlowError("refusing to read magnitudes of a non-converged solution")
+    mags = np.hypot(solution.voltages.real, solution.voltages.imag)
     # The comparison is False for NaN, so this also rejects non-finite values.
     bad = ~(mags <= MAX_SCALED_PU)
     if bad.any():

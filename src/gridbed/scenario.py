@@ -32,7 +32,7 @@ from .feeder import FeederModel, load_default_feeder, load_feeder_file
 from .mitigate import MitigationPlan, Weights, mitigate_once
 from .modbus.client import ModbusClient
 from .modbus.server import FeederServer
-from .powerflow import DEFAULT_BAND, count_violations, max_unbalance
+from .powerflow import DEFAULT_BAND, check_band, count_violations, max_unbalance
 from .regmap import MeterMap, VOLTAGE_BLOCK_START
 
 log = logging.getLogger("gridbed.scenario")
@@ -52,10 +52,22 @@ OFF_LEVEL_MW = 0.001
 QUANTIZATION_PU = 5e-5
 
 
-def _reject_unknown(doc: dict, known: set[str], prefix: str = ""):
+def _reject_unknown(doc, known: set[str], prefix: str = ""):
+    if not isinstance(doc, dict):
+        what = prefix.rstrip(".") or "document"
+        raise ValueError(f"scenario config {what} must be a JSON object, got {doc!r}")
     unknown = [prefix + key for key in sorted(set(doc) - known)]
     if unknown:
         raise ValueError(f"unknown scenario config key(s): {', '.join(unknown)}")
+
+
+def _typed(doc: dict, key: str, default, kinds: tuple, what: str):
+    """``doc[key]`` (``default`` when absent), which must be one of ``kinds``;
+    a boolean passes only where ``kinds`` names bool."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        raise ValueError(f"scenario config {key} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -73,20 +85,23 @@ class ScenarioConfig:
         _reject_unknown(
             doc, {"feeder", "allow_meshed", "oracle", "band", "weights", "attack_params"}
         )
-        _reject_unknown(doc.get("weights", {}), {"violation", "cost"}, "weights.")
+        weights = doc.get("weights", {})
+        _reject_unknown(weights, {"violation", "cost"}, "weights.")
         cfg = cls()
-        cfg.feeder = doc.get("feeder")
-        cfg.allow_meshed = bool(doc.get("allow_meshed", cfg.allow_meshed))
-        cfg.use_oracle = bool(doc.get("oracle", cfg.use_oracle))
+        cfg.feeder = _typed(doc, "feeder", None, (str, type(None)), "a path")
+        cfg.allow_meshed = _typed(doc, "allow_meshed", True, (bool,), "true or false")
+        cfg.use_oracle = _typed(doc, "oracle", False, (bool,), "true or false")
         if "band" in doc:
-            cfg.band = tuple(doc["band"])
-        if "weights" in doc:
-            cfg.weights = Weights(
-                violation=float(doc["weights"].get("violation", 1000.0)),
-                cost=float(doc["weights"].get("cost", 1.0)),
-            )
+            cfg.band = check_band(doc["band"])
+        cfg.weights = Weights(
+            violation=float(_typed(weights, "violation", 1000.0, (int, float), "a number")),
+            cost=float(_typed(weights, "cost", 1.0, (int, float), "a number")),
+        )
         if "attack_params" in doc:
-            cfg.attack_params = AttackParams.from_json(json.dumps(doc["attack_params"]))
+            try:
+                cfg.attack_params = AttackParams.from_json(json.dumps(doc["attack_params"]))
+            except ValueError as exc:
+                raise ValueError(f"scenario config attack_params: {exc}") from exc
         return cfg
 
     def load_model(self) -> FeederModel:
@@ -316,11 +331,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
+    config = ScenarioConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ScenarioConfig.from_json(fh.read())
-    else:
-        config = ScenarioConfig()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = ScenarioConfig.from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            print(f"error: bad scenario config {args.config}: {exc}")
+            return 1
     cases = [args.case] if args.case else sorted(CASE_PATTERNS)
 
     report = run_scenario(config, cases, live=args.live)

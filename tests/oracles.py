@@ -5,7 +5,8 @@ assembles the full nodal admittance system over (bus, phase) coordinates and
 fixed-point iterates on injected currents; the graph oracles are plain
 union-find / breadth-first implementations; the Modbus address oracle checks
 every register of a span against sets written out from the documented
-register layout.
+register layout; the unbalance reference groups a reading by bus in a dict
+and applies the scalar formula one bus at a time.
 """
 
 from __future__ import annotations
@@ -120,6 +121,30 @@ def two_bus_receiving_magnitude(vs, r, x, p_w, q_var):
     assert disc >= 0, "load exceeds deliverable power"
     v2 = (-b + disc ** 0.5) / 2.0
     return v2 ** 0.5
+
+
+def unbalance_at(v_a: float, v_b: float, v_c: float) -> float:
+    """Percent deviation of the worst phase from the three-phase mean."""
+    if v_a <= 0 or v_b <= 0 or v_c <= 0:
+        raise ValueError("unbalance needs three positive phase magnitudes")
+    v_avg = (v_a + v_b + v_c) / 3.0
+    dev = max(abs(v_a - v_avg), abs(v_b - v_avg), abs(v_c - v_avg))
+    return dev / v_avg * 100.0
+
+
+def max_unbalance_reference(magnitudes):
+    """(per_bus, max_pct, max_bus) over buses with three nonzero phase
+    magnitudes; ties go to the greatest bus id."""
+    by_bus = {}
+    for (bus, phase), mag in magnitudes.items():
+        by_bus.setdefault(bus, {})[phase] = mag
+    per_bus = {
+        bus: unbalance_at(*(phases[p] for p in PHASES))
+        for bus, phases in by_bus.items()
+        if all(phases.get(p, 0.0) > 0 for p in PHASES)
+    }
+    max_bus = max(per_bus, key=lambda b: (per_bus[b], b), default=None)
+    return per_bus, 0.0 if max_bus is None else per_bus[max_bus], max_bus
 
 
 class UnionFind:

@@ -54,6 +54,61 @@ def test_attack_cli_closed_port_exits_1(capsys):
     assert capsys.readouterr().out.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "parse, text, key",
+    [
+        (attack.AttackParams.from_json, '{"n_max": "x"}', "n_max"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "constant"}}', "value"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": [1]}}', "n_max"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "cap": "4"}}', "cap"),
+        (attack.AttackParams.from_json, '{"band": 5}', "band"),
+        (attack.AttackParams.from_json, '{"band": [1.05, 0.95]}', "band"),
+        (attack.AttackParams.from_json, '{"band": [0.9, "1.1"]}', "band"),
+        (attack.AttackParams.from_json, '{"band": [0.9, 1.0, 1.1]}', "band"),
+        (attack.AttackParams.from_json, '{"alpha_mw": "0.5"}', "alpha_mw"),
+        (attack.AttackParams.from_json, '{"max_steps": 2.5}', "max_steps"),
+        (attack.AttackParams.from_json, "[1]", "attack parameters"),
+        (scenario.ScenarioConfig.from_json, '{"weights": 5}', "weights"),
+        (scenario.ScenarioConfig.from_json, '{"weights": {"cost": "1"}}', "cost"),
+        (scenario.ScenarioConfig.from_json, "[1]", "document"),
+        (scenario.ScenarioConfig.from_json, '{"attack_params": [1]}', "attack_params"),
+        (scenario.ScenarioConfig.from_json, '{"attack_params": {"band": 5}}', "band"),
+        (scenario.ScenarioConfig.from_json, '{"band": [1.1, 0.9]}', "band"),
+        (scenario.ScenarioConfig.from_json, '{"allow_meshed": "no"}', "allow_meshed"),
+        (scenario.ScenarioConfig.from_json, '{"feeder": 3}', "feeder"),
+    ],
+)
+def test_config_errors_name_the_bad_key(parse, text, key):
+    with pytest.raises(ValueError, match=key):
+        parse(text)
+
+
+def test_attack_params_reject_inverted_band():
+    with pytest.raises(ValueError, match="band"):
+        attack.AttackParams(band=(1.05, 0.95))
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b'{"alpha": 1}'])
+def test_attack_cli_bad_params_file_exits_1(tmp_path, capsys, content):
+    params = tmp_path / "params.json"
+    if content is not None:
+        params.write_bytes(content)
+    rc = attack.main(["--server", "127.0.0.1:1", "--mode", "C", "--params", str(params)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("error: ")
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b'{"weights": 5}'])
+def test_scenario_cli_bad_config_file_exits_1(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_bytes(content)
+    rc = scenario.main(["--config", str(config), "--case", "1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("error: ")
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_mitigate_cli_once(tmp_path, live_server, feeder_file, fixture_meter_map, fixture_model):
     with ModbusClient(*live_server.address) as client:
         client.write_setpoints(

@@ -3,9 +3,11 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from gridbed.feeder import (
+    PHASES,
     FeederError,
     SwitchConfig,
     apply_switch_config,
@@ -16,6 +18,21 @@ from gridbed.feeder import (
 
 from conftest import three_bus_switch_doc, two_bus_doc
 from oracles import edges_form_cycle, reachable_from
+
+
+def test_bus_phase_arrays_follow_meter_order(fixture_model):
+    rows, cols = np.nonzero(fixture_model.carried)
+    ids = [fixture_model.buses[r].id for r in rows]
+    assert list(zip(ids, (PHASES[c] for c in cols))) == list(fixture_model.meter_points())
+    assert all(fixture_model.bus_index[b] == r for b, r in zip(ids, rows))
+    for bus, row in zip(fixture_model.buses, fixture_model.base_demand):
+        assert list(row) == [complex(p, q) * 1000.0 for p, q in zip(bus.load_kw, bus.load_kvar)]
+    for i, br in enumerate(fixture_model.branches):
+        ends = fixture_model.bus(br.from_bus), fixture_model.bus(br.to_bus)
+        both = [all(p in bus.phases for bus in ends) for p in PHASES]
+        assert list(fixture_model.branch_mask[i]) == both
+    with pytest.raises(ValueError):
+        fixture_model.base_demand[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

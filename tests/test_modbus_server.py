@@ -19,6 +19,7 @@ from gridbed.regmap import (
     STATUS_REGISTER,
     MeterMap,
     build_image,
+    decode_float_pair,
     decode_voltage_word,
 )
 
@@ -33,6 +34,32 @@ def _client(server):
 # ---------------------------------------------------------------------------
 # read/write semantics
 # ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return [struct.pack(">d", v) for v in values]
+
+
+@pytest.mark.parametrize("high_word_first", [True, False])
+def test_read_all_voltages_decodes_as_the_word_helpers(fixture_meter_map, high_word_first):
+    """Both sources decode bit for bit as the per-word codec helpers do,
+    NaN and infinity patterns included, on random register contents."""
+    rng = random.Random(15)
+    n = len(fixture_meter_map.meters)
+    holding = {r: rng.randrange(0x10000) for r in range(1, FLOAT_BLOCK_START + 2 * n)}
+    specials = [(0x7F80, 0x0001), (0xFF80, 0x0000), (0x7FC0, 0x1234), (0x7F80, 0x0000), (0, 1)]
+    for k, pair in enumerate(specials):
+        pair = pair if high_word_first else pair[::-1]
+        holding[FLOAT_BLOCK_START + 2 * k], holding[FLOAT_BLOCK_START + 2 * k + 1] = pair
+    client = ModbusClient.__new__(ModbusClient)
+    client.read_holding = lambda first, count: [holding[first + i] for i in range(count)]
+
+    scaled = client.read_all_voltages(fixture_meter_map, "scaled", high_word_first)
+    exact = client.read_all_voltages(fixture_meter_map, "float", high_word_first)
+    assert list(scaled) == list(exact) == list(fixture_meter_map.meters)
+    assert _bits(scaled.values()) == _bits(decode_voltage_word(holding[1 + k]) for k in range(n))
+    pairs = [[holding[FLOAT_BLOCK_START + 2 * k + i] for i in (0, 1)] for k in range(n)]
+    assert _bits(exact.values()) == _bits(decode_float_pair(p, high_word_first) for p in pairs)
 
 
 def test_read_all_voltages_baseline(live_server, fixture_meter_map):

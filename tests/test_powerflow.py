@@ -11,12 +11,17 @@ from gridbed.powerflow import (
     count_violations,
     max_unbalance,
     solve,
-    unbalance_at,
 )
 from gridbed.scenario import CASE_PATTERNS, case_vector
 
 from conftest import four_bus_doc, two_bus_doc
-from oracles import dense_nodal_solve, reachable_from, two_bus_receiving_magnitude
+from oracles import (
+    dense_nodal_solve,
+    max_unbalance_reference,
+    reachable_from,
+    two_bus_receiving_magnitude,
+    unbalance_at,
+)
 
 
 def _view(model, config=None):
@@ -284,7 +289,7 @@ def test_load_scaling_to_zero_gives_flat_profile(fixture_model):
     overrides = {
         b.id: {p: (0.0, 0.0) for p in b.phases}
         for b in fixture_model.buses
-        if b.has_load()
+        if b.id in fixture_model.load_buses
     }
     solution = solve(fixture_model, _view(fixture_model), overrides)
     assert solution.converged
@@ -314,7 +319,7 @@ def test_unbalance_scale_invariance():
 
 
 def test_unbalance_rejects_nonpositive():
-    with pytest.raises(PowerFlowError):
+    with pytest.raises(ValueError):
         unbalance_at(1.0, 0.0, 1.0)
 
 
@@ -326,7 +331,7 @@ def test_max_unbalance_balanced_loading(fixture_model):
     }
     # single-phase buses keep their loads; zero them for a fully balanced case
     for b in fixture_model.buses:
-        if len(b.phases) == 1 and b.has_load():
+        if len(b.phases) == 1 and b.id in fixture_model.load_buses:
             overrides[b.id] = {b.phases[0]: (0.0, 0.0)}
     solution = solve(fixture_model, _view(fixture_model), overrides)
     report = max_unbalance(solution.magnitudes())
@@ -348,6 +353,49 @@ def test_max_unbalance_single_bus_case(four_bus_model):
     for mags in (solve(two_bus, _view(two_bus)).magnitudes(), wire):
         report = max_unbalance(mags)
         assert (report.max_pct, report.max_bus, report.per_bus) == (0.0, None, {})
+
+
+def _random_reading(rng):
+    """A wire-shaped reading over random buses carrying one, two or three
+    phases, with outages, repeated magnitude triples (equal-percent ties)
+    and shuffled key order."""
+    reading = {}
+    triples = [tuple(rng.choice((0.85, 0.95, 1.0, 1.1)) for _ in range(3)) for _ in range(3)]
+    for n in range(rng.randrange(0, 60)):
+        phases = rng.choice(("A", "B", "C", "AB", "BC", "AC", "ABC", "ABC", "ABC"))
+        if len(phases) == 3 and rng.random() < 0.4:
+            mags = rng.choice(triples)
+        else:
+            mags = [rng.uniform(0.98, 1.02) for _ in phases]
+        bus = f"N{rng.randrange(1000)}x{n}"
+        for phase, mag in zip(phases, mags):
+            reading[(bus, phase)] = 0.0 if rng.random() < 0.05 else mag
+    items = list(reading.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_max_unbalance_equals_scalar_reference():
+    rng = random.Random(15)
+    ties = 0
+    for _ in range(300):
+        reading = _random_reading(rng)
+        report = max_unbalance(reading)
+        per_bus, max_pct, max_bus = max_unbalance_reference(reading)
+        assert list(report.per_bus.items()) == list(per_bus.items())
+        assert (report.max_pct, report.max_bus) == (max_pct, max_bus)
+        ties += list(per_bus.values()).count(max_pct) > 1
+    assert ties > 0
+
+
+def test_max_unbalance_equals_reference_on_solver_output(fixture_model, fixture_meter_map):
+    view = _view(fixture_model)
+    for case in sorted(CASE_PATTERNS):
+        setpoints = case_vector(fixture_meter_map, case)
+        overrides = fixture_meter_map.overrides(fixture_model, setpoints)
+        mags = solve(fixture_model, view, overrides).magnitudes()
+        report = max_unbalance(mags)
+        assert (report.per_bus, report.max_pct, report.max_bus) == max_unbalance_reference(mags)
 
 
 def test_count_violations_band_logic():

@@ -160,7 +160,7 @@ def test_build_image_flat_profile(fixture_model, fixture_meter_map):
     overrides = {
         b.id: {p: (0.0, 0.0) for p in b.phases}
         for b in fixture_model.buses
-        if b.has_load()
+        if b.id in fixture_model.load_buses
     }
     solution, config = _solved(fixture_model, overrides)
     image = build_image(solution, {}, config, fixture_meter_map)

@@ -25,3 +25,14 @@ def test_make_fixture_check_scorecard_agrees():
 def test_register_map_doc_matches_render(fixture_meter_map):
     committed = (ROOT / "docs" / "register_map.md").read_text(encoding="utf-8")
     assert render_register_map(fixture_meter_map) == committed
+
+
+def test_state_digest_prints_one_sha256():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "state_digest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
