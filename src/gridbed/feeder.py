@@ -12,18 +12,34 @@ solver sweeps, and :func:`is_radial` reads it without walking again.  Each
 branch's conducting phases and phase-masked impedance are computed once per
 :class:`FeederModel`, as are its per-(bus, phase) arrays (see there).
 
-:class:`FeederModel` and :class:`TopologyView` are immutable after
-construction and safe to share across threads; switching actions are
-expressed as new :class:`SwitchConfig` values.
+Each model keeps the views it has walked in one cache keyed by
+``config.states``, filled on first use and bounded by
+:data:`TOPOLOGY_CACHE_SIZE` (256, every config of the bundled feeder's eight
+switches), evicting the least recently used view beyond that.  A view keeps
+what the solver gathers from it on its first solve (``derived``), so server
+writes and both defense searches walk and gather each topology once per
+model.  On the bundled feeder a view takes about 1.3 KB and a solved radial
+tree about 3.3 KB; a meshed tree takes about 10 KB per loop coordinate (at
+most four there), so all 256 topologies solved take about 1.7 MB.  The cache
+lives and dies with its model, which it references, so a model and its cache
+are freed together.
+
+A model's document fields never change after construction, and its derived
+data is read-only arrays and tuples.  The cache is a ``functools.lru_cache``,
+safe to call from several threads: two threads that miss on one config at
+once may each walk it, and either view is correct.  So one model can serve a
+server thread and a defender at once; switching actions are expressed as new
+:class:`SwitchConfig` values.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,6 +47,10 @@ PHASES = ("A", "B", "C")
 PHASE_INDEX = {"A": 0, "B": 1, "C": 2}
 
 DEFAULT_FEEDER_RESOURCE = "ieee123.json"
+
+# Topologies each model keeps, least recently used evicted first: every
+# config of a feeder with up to eight switches, as the bundled one has.
+TOPOLOGY_CACHE_SIZE = 256
 
 
 class FeederError(ValueError):
@@ -148,6 +168,22 @@ class FeederModel:
         return z
 
     @cached_property
+    def branch_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per branch, its ``branch_z`` block and its ``branch_mask`` row as
+        0/1 floats: read-only views that every topology's tree shares."""
+        mask = self.branch_mask.astype(float)
+        mask.flags.writeable = False
+        return tuple(self.branch_z), tuple(mask)
+
+    @cached_property
+    def _topologies(self):
+        """``config.states`` -> :class:`TopologyView`, walked on first use and
+        kept in an LRU cache of :data:`TOPOLOGY_CACHE_SIZE` entries."""
+        return functools.lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)(
+            functools.partial(_walk, self)
+        )
+
+    @cached_property
     def switch_names(self) -> tuple[str, ...]:
         return tuple(b.switch for b in self.branches if b.is_switch)
 
@@ -179,8 +215,7 @@ class SwitchConfig:
 
     @classmethod
     def from_mapping(cls, model: FeederModel, states: Mapping[str, bool]) -> "SwitchConfig":
-        missing = [n for n in model.switch_names if n not in states]
-        extra = [n for n in states if n not in model.switch_names]
+        missing, extra = _coverage(model, states)
         if missing:
             raise FeederError(f"switch config missing switches: {missing}")
         if extra:
@@ -226,7 +261,9 @@ class TopologyView:
     (``k > 0``) was reached from ``order[parent[k]]`` through branch
     ``via[k]``, so ``parent[k] < k``; ``parent[0]`` is 0 and ``via[0]`` is -1.
     ``loops`` holds the closed branches between energized buses that the walk
-    did not take, in branch order.
+    did not take, in branch order.  ``derived`` keeps what other modules
+    compute from the walk alone (the solver's gathered tree), filled on first
+    use; it takes no part in comparisons.
     """
 
     model: FeederModel
@@ -234,26 +271,45 @@ class TopologyView:
     parent: tuple[int, ...]
     via: tuple[int, ...]
     loops: tuple[int, ...]
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def energized(self) -> frozenset[str]:
         return frozenset(self.order)
 
 
+def _coverage(model: FeederModel, names: Iterable[str]) -> tuple[list[str], list[str]]:
+    """Model switches missing from ``names``, and names that are not model
+    switches; both empty when ``names`` covers the switch set exactly."""
+    names = dict.fromkeys(names)
+    if names.keys() == set(model.switch_names):
+        return [], []
+    return (
+        [n for n in model.switch_names if n not in names],
+        [n for n in names if n not in model.switch_names],
+    )
+
+
 def apply_switch_config(model: FeederModel, config: SwitchConfig) -> TopologyView:
+    """The topology ``config`` energizes: the model's cached view of it, or
+    one new walk.  Equal ``states`` give the same view object."""
+    return model._topologies(config.states)
+
+
+def _walk(model: FeederModel, states: tuple[tuple[str, bool], ...]) -> TopologyView:
     """Walk the energized subgraph once, breadth first from the source.
 
     Closed branches are all lines plus closed switches; each bus takes its
     branches in branch-index order.
     """
-    missing = [n for n in model.switch_names if n not in config.as_dict()]
-    extra = [n for n in config.as_dict() if n not in model.switch_names]
+    state = dict(states)
+    missing, extra = _coverage(model, state)
     if missing or extra:
         raise FeederError(
             f"switch config does not cover model switch set "
             f"(missing={missing}, extra={extra})"
         )
-    closed = [not b.is_switch or config.closed(b.switch) for b in model.branches]
+    closed = [not b.is_switch or state[b.switch] for b in model.branches]
     order = [model.source_bus]
     index = {model.source_bus: 0}
     parent = [0]

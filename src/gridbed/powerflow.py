@@ -4,8 +4,10 @@ The solver is one linear operator over the breadth-first spanning tree that
 :func:`~gridbed.feeder.apply_switch_config` walked, ``sweep(source,
 current)``: node currents accumulate leaf to root onto tree branches, then
 voltages drop root to leaf through each branch's phase-masked 3x3 impedance.
-The solver gathers the tree from the view and the model's per-branch arrays
-and never walks the graph itself.  Each fixed-point iteration computes
+The solver gathers the tree from the view and the model's per-branch rows on
+the view's first solve, keeps it with the view (see
+:mod:`gridbed.feeder` for the per-model topology cache), and never walks the
+graph itself.  Each fixed-point iteration computes
 ``V = sweep(V_src, I_load + D J)`` for constant-power loads.
 
 Radial and meshed topologies share that path.  A closed tie that closes a
@@ -14,9 +16,13 @@ Power Systems 3(2), 1988): each loop coordinate, one phase of a closed
 non-tree branch fed at both ends, carries a loop current ``J`` drawn at one
 end and returned at the other, so ``D`` holds +1 and -1 at the two ends.  The
 loop matrix is the sweep's own response ``sweep(0, D)`` read across the ends,
-plus the ties' impedance block; it is built once per solve, and only when loop
+plus the ties' impedance block; it is built with the tree, and only when loop
 coordinates exist.  Each iteration corrects ``J`` toward the point where
-every tie's end voltages differ by the tie's own drop.
+every tie's end voltages differ by the tie's own drop, and moves the voltages
+by the correction's response ``sweep(0, D) @ delta`` in the same iteration,
+so every iterate meets the ties exactly and only the constant-power
+nonlinearity is left to converge: meshed topologies take about as many
+iterations as radial ones.
 
 Every per-(bus, phase) quantity is a ``(bus, 3)`` array in the model's bus
 order (see :class:`~gridbed.feeder.FeederModel`): the demand is
@@ -35,6 +41,7 @@ readings alike.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -130,24 +137,13 @@ def solve(
                 )
             demand[row, pi] = complex(*load) * 1000.0
 
-    tree = _Tree.build(model, view)
+    tree = _Tree.of(view)
     v_base = model.base_volts_ln
     s_base = model.base_va
     demand[~tree.fed] = 0.0
     volts = np.where(tree.fed, np.array(SOURCE_REFERENCE) * v_base, 0)
-
-    # Loop currents J, one per loop coordinate, drawn at its from end and
-    # returned at its to end: D holds +1 and -1 there.  The ends' voltage gap
-    # responds to J through sweep(0, D), so the loop matrix is the ties' own
-    # impedance less that response read at the ends.
     fr, to, ph = tree.ends
     loops = np.zeros(len(ph), dtype=complex)
-    if loops.size:
-        d = np.zeros((len(model.buses), 3, loops.size))
-        d[fr, ph, range(loops.size)] = 1.0
-        d[to, ph, range(loops.size)] = -1.0
-        response = tree.sweep(0, d)
-        loop_matrix = tree.tie_z - (response[fr, ph] - response[to, ph])
 
     converged = False
     iterations = 0
@@ -155,18 +151,20 @@ def solve(
     for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             inj = np.where(volts != 0, np.conj(demand / np.where(volts == 0, 1, volts)), 0)
-        new_volts = tree.sweep(volts[tree.order[0]], inj + d @ loops if loops.size else inj)
+        new_volts = tree.sweep(volts[tree.order[0]], inj + tree.d @ loops if loops.size else inj)
 
         # Tie compensation: drive V_u - V_v - Z_tie * J to zero at every
-        # loop coordinate.
+        # loop coordinate, and move the voltages by the correction's own
+        # response, so that every iterate meets the ties exactly.
         gap_pu = 0.0
         if loops.size:
             gap = new_volts[fr, ph] - new_volts[to, ph] - tree.tie_z @ loops
             try:
-                delta = np.linalg.solve(loop_matrix, gap)
+                delta = np.linalg.solve(tree.loop_matrix, gap)
             except np.linalg.LinAlgError:
                 break
             loops = loops + delta
+            new_volts = new_volts + tree.response @ delta
             gap_pu = float(np.max(np.abs(gap))) / v_base
 
         # Power mismatch: demand versus power actually drawn by the currents
@@ -187,7 +185,13 @@ def solve(
     )
 
 
-@dataclass
+# A tree's rows for buses off the tree, and for the source.
+_NO_Z = np.zeros((3, 3), dtype=complex)
+_NO_MASK = np.zeros(3)
+_NO_Z.flags.writeable = _NO_MASK.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class _Tree:
     """The view's BFS spanning tree over model bus rows, gathered for the
     sweep, and its loop coordinates.
@@ -195,36 +199,50 @@ class _Tree:
     ``order`` lists the energized buses' rows in BFS order, source first.
     Bus row ``b`` hangs off row ``parent[b]`` through its tree branch, whose
     impedance ``z[b]`` (ohm) and 0/1 phase ``mask[b]`` cover only the phases
-    that branch conducts.  A phase is fed at a bus when every tree branch from
-    the source carries it.  A loop coordinate is one phase of a closed
-    non-tree branch fed at both ends; column ``c`` of ``ends`` holds its from
-    row, to row and phase, and ``tie_z`` couples coordinates of the same tie
-    through its impedance.
+    that branch conducts; both are the model's shared per-branch rows.  A
+    phase is fed at a bus when every tree branch from the source carries it.
+    A loop coordinate is one phase of a closed non-tree branch fed at both
+    ends; column ``c`` of ``ends`` holds its from row, to row and phase, and
+    ``tie_z`` couples coordinates of the same tie through its impedance.
+
+    With loop coordinates, ``d`` draws each coordinate's loop current at its
+    from end and returns it at its to end (+1 and -1), ``response`` is
+    ``sweep(0, d)``, and ``loop_matrix`` is ``tie_z`` less the response's gap
+    across the ends; without them all three are None.  Every array is
+    read-only, so one tree serves every thread that solves its view.
     """
 
     order: tuple[int, ...]
-    parent: list[int]
-    z: list[np.ndarray]
-    mask: list[np.ndarray]
+    parent: tuple[int, ...]
+    z: tuple[np.ndarray, ...]
+    mask: tuple[np.ndarray, ...]
     fed: np.ndarray
     ends: np.ndarray
     tie_z: np.ndarray
+    d: np.ndarray | None = None
+    response: np.ndarray | None = None
+    loop_matrix: np.ndarray | None = None
 
     @staticmethod
-    def build(model: FeederModel, view: TopologyView) -> "_Tree":
-        row = model.bus_index
+    def of(view: TopologyView) -> "_Tree":
+        """The view's tree, gathered on its first solve and kept with it."""
+        tree = view.derived.get("tree")
+        if tree is None:
+            tree = view.derived.setdefault("tree", _Tree.build(view))
+        return tree
+
+    @staticmethod
+    def build(view: TopologyView) -> "_Tree":
+        model = view.model
+        row, n = model.bus_index, len(model.buses)
+        branch_z, branch_mask = model.branch_rows
         order = tuple(row[b] for b in view.order)
-        kids, via = list(order[1:]), list(view.via[1:])
-        parent = [0] * len(model.buses)
-        mask = np.zeros((len(model.buses), 3), dtype=bool)
-        mask[kids] = model.branch_mask[via]
-        z = np.zeros((len(model.buses), 3, 3), dtype=complex)
-        z[kids] = model.branch_z[via]
-        fed = np.zeros_like(mask)
+        parent, z, mask = [0] * n, [_NO_Z] * n, [_NO_MASK] * n
+        fed = np.zeros((n, 3), dtype=bool)
         fed[order[0]] = model.carried[order[0]]
-        for b, up in zip(kids, view.parent[1:]):
-            parent[b] = order[up]
-            fed[b] = fed[parent[b]] & mask[b]
+        for b, up, i in zip(order[1:], view.parent[1:], view.via[1:]):
+            parent[b], z[b], mask[b] = order[up], branch_z[i], branch_mask[i]
+            fed[b] = fed[parent[b]] & model.branch_mask[i]
 
         coords = []
         for i in view.loops:
@@ -234,16 +252,22 @@ class _Tree:
         fr, to, ph, tie = np.array(coords, dtype=int).reshape(-1, 4).T
         same_tie = tie[:, None] == tie[None, :]
         tie_z = np.where(same_tie, model.branch_z[tie[:, None], ph[:, None], ph[None, :]], 0)
-
-        return _Tree(
-            order=order,
-            parent=parent,
-            z=list(z),
-            mask=list(mask.astype(float)),
-            fed=fed,
-            ends=np.array([fr, to, ph]),
-            tie_z=tie_z,
-        )
+        tree = _Tree(order, tuple(parent), tuple(z), tuple(mask), fed,
+                     np.array([fr, to, ph]), tie_z)
+        if ph.size:
+            # The ends' voltage gap responds to the loop currents through
+            # sweep(0, d), so the loop matrix is the ties' own impedance less
+            # that response read at the ends.
+            d = np.zeros((n, 3, ph.size))
+            d[fr, ph, range(ph.size)] = 1.0
+            d[to, ph, range(ph.size)] = -1.0
+            response = tree.sweep(0, d)
+            loop_matrix = tie_z - (response[fr, ph] - response[to, ph])
+            tree = dataclasses.replace(tree, d=d, response=response, loop_matrix=loop_matrix)
+        for array in (fed, tree.ends, tie_z, tree.d, tree.response, tree.loop_matrix):
+            if array is not None:
+                array.flags.writeable = False
+        return tree
 
     def sweep(self, source, current: np.ndarray) -> np.ndarray:
         """Bus voltages with the source bus held at ``source`` and
@@ -290,13 +314,14 @@ def count_violations(
 ) -> ViolationReport:
     """Count ``{(bus, phase): pu}`` points outside the band.
 
-    A magnitude of exactly 0 is an outage (de-energized), not a violation.
+    A magnitude of exactly 0 is an outage (de-energized), not a violation; a
+    non-finite one is a violation.
     """
     low, high = check_band(band)
     points = [
         (bus, phase, mag)
         for (bus, phase), mag in magnitudes.items()
-        if mag != 0.0 and (mag < low or mag > high)
+        if mag != 0.0 and not low <= mag <= high
     ]
     outages = [point for point, mag in magnitudes.items() if mag == 0.0]
     return ViolationReport(count=len(points), points=points, band=band, outages=outages)
@@ -315,8 +340,9 @@ def _bus_positions(points: tuple[tuple[str, str], ...]) -> tuple[tuple[str, ...]
 
 
 def max_unbalance(magnitudes: Mapping[tuple[str, str], float]) -> UnbalanceReport:
-    """Worst unbalance over buses with three nonzero ``{(bus, phase): pu}``
-    magnitudes; ``max_pct`` 0.0 and ``max_bus`` None when no bus qualifies.
+    """Worst unbalance over buses with three nonzero, finite ``{(bus, phase):
+    pu}`` magnitudes; ``max_pct`` 0.0 and ``max_bus`` None when no bus
+    qualifies.
 
     A bus's unbalance is the deviation of its worst phase magnitude from the
     mean of its three, in percent of that mean.  Ties on the percentage go to
@@ -324,7 +350,7 @@ def max_unbalance(magnitudes: Mapping[tuple[str, str], float]) -> UnbalanceRepor
     """
     buses, positions = _bus_positions(tuple(magnitudes))
     mags = np.array([*magnitudes.values(), 0.0])[positions]
-    live = (mags > 0).all(axis=1)
+    live = ((mags > 0) & np.isfinite(mags)).all(axis=1)
     mags = mags[live]
     mean = (mags[:, 0] + mags[:, 1] + mags[:, 2]) / 3.0
     pct = np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0

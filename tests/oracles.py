@@ -133,15 +133,15 @@ def unbalance_at(v_a: float, v_b: float, v_c: float) -> float:
 
 
 def max_unbalance_reference(magnitudes):
-    """(per_bus, max_pct, max_bus) over buses with three nonzero phase
-    magnitudes; ties go to the greatest bus id."""
+    """(per_bus, max_pct, max_bus) over buses with three nonzero, finite
+    phase magnitudes; ties go to the greatest bus id."""
     by_bus = {}
     for (bus, phase), mag in magnitudes.items():
         by_bus.setdefault(bus, {})[phase] = mag
     per_bus = {
         bus: unbalance_at(*(phases[p] for p in PHASES))
         for bus, phases in by_bus.items()
-        if all(phases.get(p, 0.0) > 0 for p in PHASES)
+        if all(0 < phases.get(p, 0.0) < float("inf") for p in PHASES)
     }
     max_bus = max(per_bus, key=lambda b: (per_bus[b], b), default=None)
     return per_bus, 0.0 if max_bus is None else per_bus[max_bus], max_bus

@@ -1,17 +1,21 @@
 """Feeder ingestion, topology derivation, and radiality checks."""
 
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from gridbed import feeder
 from gridbed.feeder import (
     PHASES,
     FeederError,
     SwitchConfig,
+    TopologyView,
     apply_switch_config,
     is_radial,
+    load_default_feeder,
     load_feeder,
     serialize_feeder,
 )
@@ -251,3 +255,63 @@ def test_de_energized_load_bus_is_not_radial():
     # close both -> cycle -> not radial
     both_closed = SwitchConfig.from_mapping(model, {"SW1": True, "SW2": True})
     assert not is_radial(apply_switch_config(model, both_closed))
+
+
+# ---------------------------------------------------------------------------
+# per-model topology cache
+# ---------------------------------------------------------------------------
+
+
+def _every_config(model):
+    return [
+        SwitchConfig(tuple(zip(model.switch_names, closed)))
+        for closed in itertools.product((False, True), repeat=len(model.switch_names))
+    ]
+
+
+def test_cached_views_equal_fresh_walks():
+    model = load_default_feeder()
+    configs = _every_config(model)
+    assert len(configs) <= feeder.TOPOLOGY_CACHE_SIZE
+    for config in configs:
+        apply_switch_config(model, config)
+    for config in configs:
+        cached = apply_switch_config(model, config)
+        fresh = feeder._walk(model, config.states)
+        assert cached is not fresh
+        for f in dataclasses.fields(TopologyView):
+            if f.name != "derived":
+                assert getattr(cached, f.name) == getattr(fresh, f.name), (config, f.name)
+        assert cached.energized == fresh.energized
+    info = model._topologies.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(configs), len(configs), len(configs))
+
+
+def test_repeated_apply_returns_the_same_view_from_one_walk():
+    model = load_default_feeder()
+    config = SwitchConfig.normal(model)
+    first = apply_switch_config(model, config)
+    assert apply_switch_config(model, SwitchConfig(tuple(config.states))) is first
+    info = model._topologies.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a config that fails the coverage check is checked again, never kept
+    for _ in range(2):
+        with pytest.raises(FeederError, match="missing"):
+            apply_switch_config(model, SwitchConfig((("S1", True),)))
+    assert model._topologies.cache_info().currsize == 1
+
+
+def test_cache_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(feeder, "TOPOLOGY_CACHE_SIZE", 4)
+    model = load_default_feeder()
+    configs = _every_config(model)
+    views = []
+    for config in configs:
+        views.append(apply_switch_config(model, config))
+        assert model._topologies.cache_info().currsize <= 4
+    # the four most recent configs hit; the one before them was evicted
+    for config, view in zip(configs[-4:], views[-4:]):
+        assert apply_switch_config(model, config) is view
+    assert apply_switch_config(model, configs[-5]) is not views[-5]
+    info = model._topologies.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, len(configs) + 1, 4)

@@ -1,11 +1,14 @@
 """Defender: payoff scoring, best-response sweep, exhaustive oracle, live loop."""
 
 import hashlib
+import itertools
 import json
+import sys
+import threading
 
 import pytest
 
-from gridbed.feeder import SwitchConfig, load_feeder
+from gridbed.feeder import SwitchConfig, load_default_feeder, load_feeder
 from gridbed.mitigate import (
     INFEASIBLE,
     MitigationError,
@@ -19,6 +22,7 @@ from gridbed.mitigate import (
 )
 from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
+from gridbed.modbus.server import FeederServer
 from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW
 
 from conftest import mbap_frame, three_bus_switch_doc
@@ -200,6 +204,48 @@ def test_oracle_dominates_sweep(case, fixture_model, fixture_meter_map):
         ).scalar
 
     assert scalar(oracle) >= scalar(sweep)
+
+
+def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map):
+    # the server thread walks and solves new topologies on the model whose
+    # topology cache the search fills at the same time
+    overrides = _case_overrides(fixture_meter_map, 6)
+    alone = load_default_feeder()
+    expected = exhaustive_best(alone, _normal(alone), overrides, allow_meshed=True)
+
+    model = load_default_feeder()
+    server = FeederServer(model, fixture_meter_map, bind=("127.0.0.1", 0))
+    server.start()
+    stop, writes = threading.Event(), []
+
+    def toggle_coils():
+        with ModbusClient(*server.address) as client:
+            closed = dict(_normal(model).states)
+            for name in itertools.cycle(model.switch_names):
+                if stop.is_set():
+                    return
+                closed[name] = not closed[name]
+                client.write_switch(model.switch_names, name, closed[name])
+                writes.append(name)
+
+    writer = threading.Thread(target=toggle_coils)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the three threads finely
+    writer.start()
+    try:
+        while not writes:
+            stop.wait(0.001)
+        before = len(writes)
+        shared = exhaustive_best(model, _normal(model), overrides, allow_meshed=True)
+        during = len(writes) - before
+    finally:
+        stop.set()
+        writer.join(10.0)
+        server.close()
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert during > 0
+    assert shared.to_json() == expected.to_json()
 
 
 # SHA-256 of MitigationPlan.to_json() under the radiality constraint (the

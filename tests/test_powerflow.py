@@ -1,20 +1,33 @@
 """Sweep solver and voltage metrics against independent oracles."""
 
+import itertools
 import json
 import random
+import warnings
 
+import numpy as np
 import pytest
 
-from gridbed.feeder import PHASES, SwitchConfig, apply_switch_config, load_feeder
+from gridbed.feeder import (
+    PHASES,
+    SwitchConfig,
+    apply_switch_config,
+    load_default_feeder,
+    load_feeder,
+)
+from gridbed.modbus import frames
+from gridbed.modbus.client import ModbusClient
 from gridbed.powerflow import (
     PowerFlowError,
+    _Tree,
     count_violations,
     max_unbalance,
     solve,
 )
+from gridbed.regmap import MeterMap
 from gridbed.scenario import CASE_PATTERNS, case_vector
 
-from conftest import four_bus_doc, two_bus_doc
+from conftest import four_bus_doc, mbap_frame, two_bus_doc
 from oracles import (
     dense_nodal_solve,
     max_unbalance_reference,
@@ -116,6 +129,43 @@ def test_meshed_configs_solve_with_loop_compensation(fixture_model):
         pa = set(fixture_model.bus(a).phases) & set(fixture_model.bus(b).phases)
         for p in pa:
             assert v[(a, p)] == pytest.approx(v[(b, p)], abs=2e-6)
+
+
+def test_meshed_iterates_meet_the_ties_at_case_six_load(fixture_model, fixture_meter_map):
+    # each loop-current correction moves the voltages in its own iteration,
+    # so a meshed solve converges in about as many iterations as a radial one
+    overrides = fixture_meter_map.overrides(fixture_model, case_vector(fixture_meter_map, 6))
+    normal = SwitchConfig.normal(fixture_model)
+    for ties, most in ((("S8",), 6), (("S7", "S8"), 5)):
+        config = normal
+        for tie in ties:
+            config = config.with_switch(tie, True)
+        solution = solve(fixture_model, _view(fixture_model, config), overrides)
+        assert solution.converged
+        assert solution.iterations <= most, (ties, solution.iterations)
+
+
+def test_solve_on_a_warm_model_is_bit_identical_to_a_cold_one(fixture_meter_map):
+    model = load_default_feeder()
+    overrides = fixture_meter_map.overrides(model, case_vector(fixture_meter_map, 6))
+    configs = [
+        SwitchConfig(tuple(zip(model.switch_names, closed)))
+        for closed in itertools.product((False, True), repeat=len(model.switch_names))
+    ]
+    cold = [solve(model, _view(model, config), overrides) for config in configs]
+    for config, first in zip(configs, cold):
+        view = _view(model, config)
+        tree = view.derived["tree"]
+        warm = solve(model, view, overrides)
+        assert view.derived["tree"] is tree
+        assert (warm.converged, warm.iterations, warm.max_mismatch_pu) == (
+            first.converged, first.iterations, first.max_mismatch_pu,
+        )
+        assert warm.voltages.tobytes() == first.voltages.tobytes()
+    meshed = next(_Tree.of(_view(model, c)) for c in configs if _view(model, c).loops)
+    for array in (meshed.fed, meshed.ends, meshed.tie_z, meshed.d, meshed.response,
+                  meshed.loop_matrix, *meshed.z, *meshed.mask):
+        assert not array.flags.writeable
 
 
 def test_non_convergence_flagged_not_raised():
@@ -396,6 +446,45 @@ def test_max_unbalance_equals_reference_on_solver_output(fixture_model, fixture_
         mags = solve(fixture_model, view, overrides).magnitudes()
         report = max_unbalance(mags)
         assert (report.per_bus, report.max_pct, report.max_bus) == max_unbalance_reference(mags)
+
+
+def test_infinite_phase_leaves_its_bus_out_in_either_key_order():
+    x = {("X", "A"): 1.0, ("X", "B"): float("inf"), ("X", "C"): 1.0}
+    y = {("Y", "A"): 1.0, ("Y", "B"): 1.1, ("Y", "C"): 1.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reading in ({**x, **y}, {**y, **x}):
+            report = max_unbalance(reading)
+            assert report.per_bus == {"Y": report.max_pct}
+            assert (report.max_bus, round(report.max_pct, 2)) == ("Y", 6.45)
+            assert (report.per_bus, report.max_pct, report.max_bus) == max_unbalance_reference(
+                reading
+            )
+
+
+def test_non_finite_float_words_off_the_wire(scripted_peer, four_bus_model):
+    # meters S A..C, M A..C, T A..C, U A..B; FLOAT32 words high word first
+    meter_map = MeterMap.for_model(four_bus_model, setpoint_nodes=())
+    one, low, nan, inf = (0x3F80, 0), (0x3F66, 0x6666), (0x7FC0, 0), (0x7F80, 0)
+    pairs = [one, one, low, one, nan, one, one, one, inf, one, one]
+    assert len(pairs) == len(meter_map.meters)
+    peer = scripted_peer(
+        [mbap_frame(1, frames.ReadHoldingResponse(tuple(w for pair in pairs for w in pair)))]
+    )
+    with ModbusClient(*peer.address) as client:
+        mags = client.read_all_voltages(meter_map, source="float")
+    assert np.isnan(mags[("M", "B")]) and mags[("T", "C")] == float("inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = count_violations(mags)
+        unbalance = max_unbalance(mags)
+    # a non-finite magnitude is a violation, never an outage
+    assert [(bus, phase) for bus, phase, _ in violations.points] == [
+        ("S", "C"), ("M", "B"), ("T", "C"),
+    ]
+    assert violations.outages == []
+    # a bus with a non-finite phase is left out of unbalance
+    assert set(unbalance.per_bus) == {"S"} and unbalance.max_bus == "S"
 
 
 def test_count_violations_band_logic():

@@ -36,3 +36,18 @@ def test_state_digest_prints_one_sha256():
     )
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
+
+
+def test_state_digest_diff_of_a_dump_against_itself_is_empty(tmp_path):
+    dump = tmp_path / "states.npz"
+    run = [sys.executable, str(ROOT / "tools" / "state_digest.py")]
+    proc = subprocess.run(
+        run + ["--dump", str(dump)], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
+    proc = subprocess.run(
+        run + ["--diff", str(dump), str(dump)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 of 1792 states differ; max |dV| 0\n"

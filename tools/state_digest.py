@@ -11,12 +11,23 @@ orders, the violation count, and the unbalance report (``max_pct``,
 unchanged leaves the digest unchanged:
 
     python3 tools/state_digest.py
+
+When the digest moves, ``--dump PATH`` also writes each state's
+``converged``, ``iterations`` and voltages to an ``.npz`` file, and ``--diff
+A B`` prints every state whose convergence, iterations or voltages differ
+between two dumps, with its max |dV| (pu):
+
+    python3 tools/state_digest.py --dump before.npz
+    python3 tools/state_digest.py --diff before.npz after.npz
 """
 
+import argparse
 import hashlib
 import itertools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -32,6 +43,11 @@ from gridbed.regmap import MeterMap, RegisterMapError, build_image
 from gridbed.scenario import CASE_PATTERNS, case_vector
 
 
+# Per state: switch states, load pattern index, whether a closed branch
+# closes a loop, and the solver's outputs.
+DUMP_FIELDS = ("closed", "pattern", "meshed", "converged", "iterations", "voltages")
+
+
 def load_patterns(model, meter_map):
     """(setpoints kW, solver overrides) for the base loads and each case."""
     base = {
@@ -44,11 +60,14 @@ def load_patterns(model, meter_map):
         yield setpoints, meter_map.overrides(model, setpoints)
 
 
-def state_digest() -> str:
+def state_digest(dump=None) -> str:
+    """The digest over every state; with ``dump``, also write the per-state
+    arrays there."""
     model = load_default_feeder()
     meter_map = MeterMap.for_model(model)
     patterns = list(load_patterns(model, meter_map))
     digest = hashlib.sha256()
+    rows = []
 
     def put(*items):
         digest.update(repr(items).encode())
@@ -57,8 +76,10 @@ def state_digest() -> str:
         config = SwitchConfig(tuple(zip(model.switch_names, closed)))
         view = apply_switch_config(model, config)
         put(sorted(view.energized), is_radial(view))
-        for setpoints, overrides in patterns:
+        for pattern, (setpoints, overrides) in enumerate(patterns):
             solution = solve(model, view, overrides)
+            rows.append((closed, pattern, bool(view.loops), solution.converged,
+                         solution.iterations, solution.voltages))
             put(solution.converged, solution.iterations, solution.max_mismatch_pu)
             digest.update(solution.voltages.tobytes())
             for high_word_first in (True, False):
@@ -79,8 +100,44 @@ def state_digest() -> str:
                     unbalance.max_bus,
                     list(unbalance.per_bus.items()),
                 )
+    if dump is not None:
+        columns = (np.array(column) for column in zip(*rows))
+        np.savez(dump, switch_names=model.switch_names, **dict(zip(DUMP_FIELDS, columns)))
     return digest.hexdigest()
 
 
+def diff_dumps(path_a, path_b) -> list[str]:
+    """One line per state that differs between two dumps, then a summary."""
+    a, b = np.load(path_a), np.load(path_b)
+    names = a["switch_names"]
+    same = np.array_equal(names, b["switch_names"]) and all(
+        np.array_equal(a[key], b[key]) for key in ("closed", "pattern")
+    )
+    if not same:
+        raise SystemExit("error: the dumps do not cover the same states")
+    dv = np.abs(a["voltages"] - b["voltages"]).max(axis=1)
+    moved = (a["converged"] != b["converged"]) | (a["iterations"] != b["iterations"]) | (dv != 0)
+    lines = []
+    for k in np.flatnonzero(moved):
+        closed = "+".join(names[a["closed"][k]]) or "all open"
+        lines.append(
+            f"{closed} pattern {a['pattern'][k]} "
+            f"({'meshed' if a['meshed'][k] else 'no loop'}): "
+            f"converged {a['converged'][k]} -> {b['converged'][k]}, "
+            f"iterations {a['iterations'][k]} -> {b['iterations'][k]}, "
+            f"max |dV| {dv[k]:.3g}"
+        )
+    lines.append(f"{moved.sum()} of {moved.size} states differ; max |dV| {dv.max():.3g}")
+    return lines
+
+
 if __name__ == "__main__":
-    print(state_digest())
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--dump", metavar="PATH", help="also write per-state arrays to PATH (.npz)")
+    group.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two dumps")
+    args = parser.parse_args()
+    if args.diff:
+        print("\n".join(diff_dumps(*args.diff)))
+    else:
+        print(state_digest(args.dump))
