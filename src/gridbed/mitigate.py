@@ -8,6 +8,9 @@ order effectively lexicographic.  The default search is a best-response
 sweep (each switch in turn picks its best state holding the others fixed,
 ties keep the current state to minimize switching); an exhaustive search
 over all configurations is available both as an oracle and as a CLI option.
+Both searches score each candidate once: the payoff of a configuration they
+revisit is read back, which is exact because every toggle cost in a search
+is counted against the same starting config.
 
 The defender searches on its own model mirror using setpoints read from the
 server, then applies only the toggled coils and verifies by read-back.
@@ -16,6 +19,7 @@ server, then applies only the toggled coils and verifies by read-back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import time
@@ -144,7 +148,10 @@ def best_response_sweep(
     Toggle costs are always counted against the starting config, so the
     scalar ordering reflects the total switching the plan would command.
     """
-    pre = payoff(model, current, current, overrides, weights, allow_meshed, band)
+    score = functools.cache(
+        lambda candidate: payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+    )
+    pre = score(current)
     working = current
     working_payoff = pre
     log_entries: list[dict] = []
@@ -154,7 +161,7 @@ def best_response_sweep(
         changed = False
         for name in model.switch_names:
             flipped = working.with_switch(name, not working.closed(name))
-            contender = payoff(model, current, flipped, overrides, weights, allow_meshed, band)
+            contender = score(flipped)
             evaluated += 1
             log_entries.append(_log_entry(name, flipped, contender))
             if contender.scalar > working_payoff.scalar:
@@ -193,7 +200,10 @@ def exhaustive_best(
         raise MitigationError(
             f"{len(names)} switches exceeds the exhaustive guard ({EXHAUSTIVE_GUARD})"
         )
-    pre = payoff(model, current, current, overrides, weights, allow_meshed, band)
+    score = functools.cache(
+        lambda candidate: payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+    )
+    pre = score(current)
     best_key = None
     best_config = current
     best_payoff = None
@@ -202,7 +212,7 @@ def exhaustive_best(
     for mask in range(2 ** len(names)):
         bits = tuple((mask >> i) & 1 for i in range(len(names)))
         candidate = SwitchConfig(tuple((n, bool(b)) for n, b in zip(names, bits)))
-        result = payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+        result = score(candidate)
         evaluated += 1
         log_entries.append(_log_entry("*", candidate, result))
         key = (result.scalar, -result.cost, tuple(-b for b in bits))

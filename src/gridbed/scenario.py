@@ -1,12 +1,14 @@
 """Scenario runner: the six bundled attack/mitigation cases, end to end.
 
-Each case starts a fresh in-process server on a loopback socket, drives the
-attack (replay mode writes the case's terminal setpoint pattern directly;
-live mode runs the adaptive loop), snapshots metrics through a client
-connection, runs one mitigation cycle through a second connection, snapshots
-again, and tears down.  All cross-activity traffic goes over real TCP; the
-server's internal state is touched only to cross-check that client-read
-metrics agree with the solver to within register quantization.
+Each case starts a fresh in-process server on a loopback socket, over the
+bundled feeder model that every case in the process shares (or a fresh model
+of the config's feeder file).  It drives the attack (replay mode writes the
+case's terminal setpoint pattern directly; live mode runs the adaptive loop),
+snapshots metrics through a client connection, runs one mitigation cycle
+through a second connection, snapshots again, and tears down.  All
+cross-activity traffic goes over real TCP; the server's internal state is
+touched only to cross-check that client-read metrics agree with the solver to
+within register quantization.
 
 Runs are deterministic for a given config: no randomness, fixed iteration
 orders, and CSV outputs carry no timestamps.

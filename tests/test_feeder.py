@@ -14,9 +14,11 @@ from gridbed.feeder import (
     SwitchConfig,
     TopologyView,
     apply_switch_config,
+    default_feeder_text,
     is_radial,
     load_default_feeder,
     load_feeder,
+    load_feeder_file,
     serialize_feeder,
 )
 
@@ -269,8 +271,19 @@ def _every_config(model):
     ]
 
 
+def test_bundled_model_is_shared_and_file_loads_are_fresh(tmp_path):
+    shared = load_default_feeder()
+    assert load_default_feeder() is shared
+    parsed = load_feeder(default_feeder_text())
+    assert parsed is not shared and parsed == shared
+    path = tmp_path / "feeder.json"
+    path.write_text(default_feeder_text(), encoding="utf-8")
+    assert load_feeder_file(path) is not load_feeder_file(path)
+    assert shared.meter_points() is shared.meter_points()
+
+
 def test_cached_views_equal_fresh_walks():
-    model = load_default_feeder()
+    model = load_feeder(default_feeder_text())
     configs = _every_config(model)
     assert len(configs) <= feeder.TOPOLOGY_CACHE_SIZE
     for config in configs:
@@ -288,7 +301,7 @@ def test_cached_views_equal_fresh_walks():
 
 
 def test_repeated_apply_returns_the_same_view_from_one_walk():
-    model = load_default_feeder()
+    model = load_feeder(default_feeder_text())
     config = SwitchConfig.normal(model)
     first = apply_switch_config(model, config)
     assert apply_switch_config(model, SwitchConfig(tuple(config.states))) is first
@@ -303,7 +316,7 @@ def test_repeated_apply_returns_the_same_view_from_one_walk():
 
 def test_cache_never_exceeds_its_bound(monkeypatch):
     monkeypatch.setattr(feeder, "TOPOLOGY_CACHE_SIZE", 4)
-    model = load_default_feeder()
+    model = load_feeder(default_feeder_text())
     configs = _every_config(model)
     views = []
     for config in configs:

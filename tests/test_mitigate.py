@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from gridbed.feeder import SwitchConfig, load_default_feeder, load_feeder
+from gridbed import mitigate
+from gridbed.feeder import SwitchConfig, default_feeder_text, load_feeder
 from gridbed.mitigate import (
     INFEASIBLE,
     MitigationError,
@@ -206,14 +207,38 @@ def test_oracle_dominates_sweep(case, fixture_model, fixture_meter_map):
     assert scalar(oracle) >= scalar(sweep)
 
 
+def test_each_search_solves_each_candidate_once(fixture_model, fixture_meter_map, monkeypatch):
+    # a candidate the sweep revisits, and the oracle's starting config, are
+    # scored from the search's own record; the logs still list every visit
+    solved = []  # the view of every solve, one object per topology
+    solve = mitigate.solve
+
+    def counting_solve(model, view, overrides):
+        solved.append(view)
+        return solve(model, view, overrides)
+
+    monkeypatch.setattr(mitigate, "solve", counting_solve)
+    base = _normal(fixture_model)
+    for case in sorted(CASE_PATTERNS):
+        overrides = _case_overrides(fixture_meter_map, case)
+        del solved[:]
+        sweep = best_response_sweep(fixture_model, base, overrides, allow_meshed=True)
+        assert len(solved) == len(set(map(id, solved))) == (7 if case == 6 else 6), case
+        assert (sweep.sweeps, sweep.candidates_evaluated, len(sweep.search_log)) == (2, 17, 16)
+        del solved[:]
+        oracle = exhaustive_best(fixture_model, base, overrides, allow_meshed=True)
+        assert len(solved) == len(set(map(id, solved))) == 13, case
+        assert (oracle.candidates_evaluated, len(oracle.search_log)) == (256, 256)
+
+
 def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map):
     # the server thread walks and solves new topologies on the model whose
     # topology cache the search fills at the same time
     overrides = _case_overrides(fixture_meter_map, 6)
-    alone = load_default_feeder()
+    alone = load_feeder(default_feeder_text())
     expected = exhaustive_best(alone, _normal(alone), overrides, allow_meshed=True)
 
-    model = load_default_feeder()
+    model = load_feeder(default_feeder_text())
     server = FeederServer(model, fixture_meter_map, bind=("127.0.0.1", 0))
     server.start()
     stop, writes = threading.Event(), []

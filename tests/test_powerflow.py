@@ -12,7 +12,7 @@ from gridbed.feeder import (
     PHASES,
     SwitchConfig,
     apply_switch_config,
-    load_default_feeder,
+    default_feeder_text,
     load_feeder,
 )
 from gridbed.modbus import frames
@@ -146,7 +146,7 @@ def test_meshed_iterates_meet_the_ties_at_case_six_load(fixture_model, fixture_m
 
 
 def test_solve_on_a_warm_model_is_bit_identical_to_a_cold_one(fixture_meter_map):
-    model = load_default_feeder()
+    model = load_feeder(default_feeder_text())
     overrides = fixture_meter_map.overrides(model, case_vector(fixture_meter_map, 6))
     configs = [
         SwitchConfig(tuple(zip(model.switch_names, closed)))

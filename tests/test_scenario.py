@@ -1,6 +1,7 @@
 """Scenario runner: end-to-end cases over real sockets, reports on disk."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -48,6 +49,18 @@ def test_live_case_three_end_to_end():
     assert result.attack_status == "target-reached"
     assert result.violations_pre > 0
     assert result.violations_post == 0
+
+
+def test_a_repeated_case_reuses_the_shared_model():
+    config = ScenarioConfig()
+    first = run_case(config, 6)
+    topologies = config.load_model()._topologies
+    before = topologies.cache_info()
+    second = run_case(config, 6)
+    after = topologies.cache_info()
+    # the second case walks nothing: every topology it meets is a hit
+    assert after.misses == before.misses and after.hits > before.hits
+    assert dataclasses.replace(second, wall_ms=first.wall_ms) == first
 
 
 def test_emit_report_files(tmp_path):
@@ -112,9 +125,9 @@ def test_config_json_rejects_unknown_keys():
         ScenarioConfig.from_json('{"weights": {"violations": 5}}')
 
 
-# SHA-256 of every CSV that `gridbed-scenario --all --replay` writes. The
-# reports are a cross-commit contract: a change that moves any CSV byte fails
-# here, not only one whose two runs disagree.
+# SHA-256 of every CSV that `gridbed-scenario --all --replay` and
+# `--all --live` write. The reports are a cross-commit contract: a change that
+# moves any CSV byte fails here, not only one whose two runs disagree.
 REPLAY_CSV_SHA256 = {
     "summary.csv": "5efa1c99868c50604d483fc10e3b498b28a3585f0b356ea0de3e24ef056abf64",
     "voltage_case1_post.csv": "708766192f51bbec33763bedb24e3d45679878a3af0b2efe32e3820bf5859ce1",
@@ -131,13 +144,36 @@ REPLAY_CSV_SHA256 = {
     "voltage_case6_pre.csv": "289428436159ebda1815b5743164dc794cf464dc3522bb5c17c75a9358f60f3c",
 }
 
+LIVE_CSV_SHA256 = {
+    "summary.csv": "c12543839aaedfdb1a95897f2e6a9e4f40c46011b6343c167627a5c6875b5f3d",
+    "voltage_case1_post.csv": "06b60c0978a51421e8d2ff622d649ac2c21bb9bac49ade7e135fc15fddef1264",
+    "voltage_case1_pre.csv": "0f09be0dcdc4b29f05a586a22ed26c8070b5fc8cd45f5bb1af4bd1ca6a459772",
+    "voltage_case2_post.csv": "23dc55fe280954bd10128ab7345c6034e5dad1ad25e77f2077a11b2c7299a7a5",
+    "voltage_case2_pre.csv": "d6d4a05dd063e5d16861a29f4c5ed8656ce36903e210bfd32cbbdd1f8c4531a7",
+    "voltage_case3_post.csv": "dc5948bddd8d4573faa4c8bc9025314296069556c9dbd7a62aa8f4f3502495f9",
+    "voltage_case3_pre.csv": "289428436159ebda1815b5743164dc794cf464dc3522bb5c17c75a9358f60f3c",
+    "voltage_case4_post.csv": "06b60c0978a51421e8d2ff622d649ac2c21bb9bac49ade7e135fc15fddef1264",
+    "voltage_case4_pre.csv": "0f09be0dcdc4b29f05a586a22ed26c8070b5fc8cd45f5bb1af4bd1ca6a459772",
+    "voltage_case5_post.csv": "23dc55fe280954bd10128ab7345c6034e5dad1ad25e77f2077a11b2c7299a7a5",
+    "voltage_case5_pre.csv": "d6d4a05dd063e5d16861a29f4c5ed8656ce36903e210bfd32cbbdd1f8c4531a7",
+    "voltage_case6_post.csv": "dc5948bddd8d4573faa4c8bc9025314296069556c9dbd7a62aa8f4f3502495f9",
+    "voltage_case6_pre.csv": "289428436159ebda1815b5743164dc794cf464dc3522bb5c17c75a9358f60f3c",
+}
 
-def test_replay_all_csvs_match_frozen_digests(tmp_path):
+
+def _csv_digests(tmp_path, live):
     config = ScenarioConfig()
-    report = run_scenario(config, sorted(CASE_PATTERNS))
+    report = run_scenario(config, sorted(CASE_PATTERNS), live=live)
     emit_report(report, tmp_path, MeterMap.for_model(config.load_model()))
-    digests = {
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*.csv"))
     }
-    assert digests == REPLAY_CSV_SHA256
+
+
+def test_replay_all_csvs_match_frozen_digests(tmp_path):
+    assert _csv_digests(tmp_path, live=False) == REPLAY_CSV_SHA256
+
+
+def test_live_all_csvs_match_frozen_digests(tmp_path):
+    assert _csv_digests(tmp_path, live=True) == LIVE_CSV_SHA256
