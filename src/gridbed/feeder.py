@@ -12,10 +12,13 @@ solver sweeps, and :func:`is_radial` reads it without walking again.  Each
 branch's conducting phases and phase-masked impedance are computed once per
 :class:`FeederModel`, as are its per-(bus, phase) arrays (see there).
 
-Each model keeps the views it has walked in one cache keyed by
-``config.states``, filled on first use and bounded by
+A switch config is one bit mask over the model's switches (see
+:class:`SwitchConfig`), and each model keeps the views it has walked in one
+cache keyed by that mask, filled on first use and bounded by
 :data:`TOPOLOGY_CACHE_SIZE` (256, every config of the bundled feeder's eight
-switches), evicting the least recently used view beyond that.  A view keeps
+switches), evicting the least recently used view beyond that.  The walk reads
+each branch's state from the model's ``switch_bits``: per branch, its switch's
+bit in the mask, or -1 for a line, which is always closed.  A view keeps
 what the solver gathers from it on its first solve (``derived``), so server
 writes and both defense searches walk and gather each topology once per
 model.  On the bundled feeder a view takes about 1.3 KB and a solved radial
@@ -48,7 +51,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -186,7 +189,7 @@ class FeederModel:
 
     @cached_property
     def _topologies(self):
-        """``config.states`` -> :class:`TopologyView`, walked on first use and
+        """``config.mask`` -> :class:`TopologyView`, walked on first use and
         kept in an LRU cache of :data:`TOPOLOGY_CACHE_SIZE` entries."""
         return functools.lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)(
             functools.partial(_walk, self)
@@ -195,6 +198,13 @@ class FeederModel:
     @cached_property
     def switch_names(self) -> tuple[str, ...]:
         return tuple(b.switch for b in self.branches if b.is_switch)
+
+    @cached_property
+    def switch_bits(self) -> tuple[int, ...]:
+        """Per branch, the bit of its switch in a config mask, or -1 for a
+        line."""
+        bit = {name: i for i, name in enumerate(self.switch_names)}
+        return tuple(bit.get(b.switch, -1) for b in self.branches)
 
     @cached_property
     def load_buses(self) -> frozenset[str]:
@@ -218,52 +228,52 @@ class FeederModel:
 
 @dataclass(frozen=True)
 class SwitchConfig:
-    """Ordered open/closed assignment over a model's named switches."""
+    """Open/closed state of a model's named switches as one bit mask.
 
-    states: tuple[tuple[str, bool], ...]
+    Bit ``i`` of ``mask`` is set when switch ``names[i]`` is closed.  A config
+    a model accepts lists its ``switch_names`` in order, and sets no bit at or
+    past ``len(names)``.
+    """
 
-    @cached_property
-    def _map(self) -> Mapping[str, bool]:
-        return dict(self.states)
+    names: tuple[str, ...]
+    mask: int
 
     @classmethod
     def from_mapping(cls, model: FeederModel, states: Mapping[str, bool]) -> "SwitchConfig":
-        missing, extra = _coverage(model, states)
+        names = model.switch_names
+        missing = [n for n in names if n not in states]
         if missing:
             raise FeederError(f"switch config missing switches: {missing}")
+        extra = [n for n in states if n not in names]
         if extra:
             raise FeederError(f"switch config names unknown switches: {extra}")
-        return cls(tuple((n, bool(states[n])) for n in model.switch_names))
+        return cls(names, sum(1 << i for i, n in enumerate(names) if states[n]))
 
     @classmethod
     def normal(cls, model: FeederModel) -> "SwitchConfig":
-        return cls(
-            tuple(
-                (b.switch, b.normal_closed)
-                for b in model.branches
-                if b.is_switch
-            )
+        return cls.from_mapping(
+            model, {b.switch: b.normal_closed for b in model.branches if b.is_switch}
         )
 
-    def closed(self, name: str) -> bool:
+    def _bit(self, name: str) -> int:
         try:
-            return self._map[name]
-        except KeyError:
+            return 1 << self.names.index(name)
+        except ValueError:
             raise FeederError(f"unknown switch {name!r}") from None
 
+    def closed(self, name: str) -> bool:
+        return bool(self.mask & self._bit(name))
+
     def as_dict(self) -> dict[str, bool]:
-        return dict(self.states)
+        return {n: bool(self.mask >> i & 1) for i, n in enumerate(self.names)}
 
     def with_switch(self, name: str, closed: bool) -> "SwitchConfig":
-        if name not in self._map:
-            raise FeederError(f"unknown switch {name!r}")
-        return SwitchConfig(
-            tuple((n, closed if n == name else s) for n, s in self.states)
-        )
+        bit = self._bit(name)
+        return SwitchConfig(self.names, self.mask | bit if closed else self.mask & ~bit)
 
     def toggled_from(self, other: "SwitchConfig") -> tuple[str, ...]:
         """Names whose state differs from ``other``, in this config's order."""
-        return tuple(n for n, s in self.states if other.closed(n) != s)
+        return tuple(n for n in self.names if other.closed(n) != self.closed(n))
 
 
 @dataclass(frozen=True)
@@ -291,38 +301,31 @@ class TopologyView:
         return frozenset(self.order)
 
 
-def _coverage(model: FeederModel, names: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Model switches missing from ``names``, and names that are not model
-    switches; both empty when ``names`` covers the switch set exactly."""
-    names = dict.fromkeys(names)
-    if names.keys() == set(model.switch_names):
-        return [], []
-    return (
-        [n for n in model.switch_names if n not in names],
-        [n for n in names if n not in model.switch_names],
-    )
-
-
 def apply_switch_config(model: FeederModel, config: SwitchConfig) -> TopologyView:
     """The topology ``config`` energizes: the model's cached view of it, or
-    one new walk.  Equal ``states`` give the same view object."""
-    return model._topologies(config.states)
-
-
-def _walk(model: FeederModel, states: tuple[tuple[str, bool], ...]) -> TopologyView:
-    """Walk the energized subgraph once, breadth first from the source.
-
-    Closed branches are all lines plus closed switches; each bus takes its
-    branches in branch-index order.
-    """
-    state = dict(states)
-    missing, extra = _coverage(model, state)
-    if missing or extra:
+    one new walk.  Equal masks give the same view object."""
+    names = model.switch_names
+    if config.names != names:
+        missing = [n for n in names if n not in config.names]
+        extra = [n for n in config.names if n not in names]
         raise FeederError(
-            f"switch config does not cover model switch set "
+            f"switch config does not list the model's switches in order "
             f"(missing={missing}, extra={extra})"
         )
-    closed = [not b.is_switch or state[b.switch] for b in model.branches]
+    if config.mask >> len(names):  # negative, or a bit past the last switch
+        raise FeederError(
+            f"switch mask {config.mask} is not a set of the model's {len(names)} switches"
+        )
+    return model._topologies(config.mask)
+
+
+def _walk(model: FeederModel, mask: int) -> TopologyView:
+    """Walk the energized subgraph once, breadth first from the source.
+
+    Closed branches are all lines plus the switches set in ``mask``; each bus
+    takes its branches in branch-index order.
+    """
+    closed = [bit < 0 or mask >> bit & 1 for bit in model.switch_bits]
     order = [model.source_bus]
     index = {model.source_bus: 0}
     parent = [0]
@@ -349,7 +352,7 @@ def is_radial(view: TopologyView) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Document ingestion / serialization
+# Document ingestion
 # ---------------------------------------------------------------------------
 
 
@@ -499,41 +502,6 @@ def load_feeder(text: str) -> FeederModel:
         br = model.branches[orphans[0]]
         raise FeederError(f"branch {br.from_bus!r}-{br.to_bus!r}: endpoints share no phase")
     return model
-
-
-def serialize_feeder(model: FeederModel) -> str:
-    """Inverse of :func:`load_feeder`: loading the output reproduces the model."""
-    doc = {
-        "base_kv_ln": model.base_volts_ln / 1000.0,
-        "base_kva": model.base_va / 1000.0,
-        "source": model.source_bus,
-        "buses": [
-            {
-                "id": b.id,
-                "phases": "".join(b.phases),
-                "load_kw": list(b.load_kw),
-                "load_kvar": list(b.load_kvar),
-            }
-            for b in model.buses
-        ],
-        "branches": [
-            _branch_doc(b) for b in model.branches
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def _branch_doc(b: Branch) -> dict:
-    doc: dict = {
-        "from": b.from_bus,
-        "to": b.to_bus,
-        "r_ohm": [[b.z_ohm[i][j].real for j in range(3)] for i in range(3)],
-        "x_ohm": [[b.z_ohm[i][j].imag for j in range(3)] for i in range(3)],
-    }
-    if b.is_switch:
-        doc["switch"] = b.switch
-        doc["normal"] = "closed" if b.normal_closed else "open"
-    return doc
 
 
 def load_feeder_file(path) -> FeederModel:

@@ -94,9 +94,9 @@ class MitigationPlan:
 
 def switching_cost(current: SwitchConfig, candidate: SwitchConfig) -> int:
     """Number of switches whose state differs between the two configs."""
-    if set(current.as_dict()) != set(candidate.as_dict()):
+    if current.names != candidate.names:
         raise MitigationError("switch sets differ between configs")
-    return len(candidate.toggled_from(current))
+    return (current.mask ^ candidate.mask).bit_count()
 
 
 def payoff(
@@ -210,12 +210,11 @@ def exhaustive_best(
     log_entries: list[dict] = []
     evaluated = 0
     for mask in range(2 ** len(names)):
-        bits = tuple((mask >> i) & 1 for i in range(len(names)))
-        candidate = SwitchConfig(tuple((n, bool(b)) for n, b in zip(names, bits)))
+        candidate = SwitchConfig(names, mask)
         result = score(candidate)
         evaluated += 1
         log_entries.append(_log_entry("*", candidate, result))
-        key = (result.scalar, -result.cost, tuple(-b for b in bits))
+        key = (result.scalar, -result.cost, tuple(-(mask >> i & 1) for i in range(len(names))))
         if best_key is None or key > best_key:
             best_key = key
             best_config = candidate

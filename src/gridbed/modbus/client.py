@@ -27,7 +27,6 @@ from .frames import (
     ReadCoilsRequest,
     ReadHoldingRequest,
     WriteCoilRequest,
-    WriteRegisterRequest,
     WriteRegistersRequest,
 )
 
@@ -90,9 +89,6 @@ class ModbusClient:
     def read_coils(self, first_coil: int, count: int) -> list[bool]:
         resp = self.request(ReadCoilsRequest(first_coil - 1, count))
         return list(resp.bits)
-
-    def write_register(self, register: int, value: int):
-        self.request(WriteRegisterRequest(register - 1, value))
 
     def write_registers(self, first_register: int, values: list[int]):
         self.request(WriteRegistersRequest(first_register - 1, tuple(values)))

@@ -191,10 +191,8 @@ def build_image(
         holding[SETPOINT_BLOCK_START + k] = kw
     holding[STATUS_REGISTER] = 1 if stale else 0
 
-    coils = [False] * (len(config.states) + 1)
-    for k, (_, closed) in enumerate(config.states):
-        coils[1 + k] = closed
-    return RegisterImage(holding=tuple(holding), coils=tuple(coils))
+    coils = (False, *(bool(config.mask >> k & 1) for k in range(len(config.names))))
+    return RegisterImage(holding=tuple(holding), coils=coils)
 
 
 def render_register_map(meter_map: MeterMap) -> str:

@@ -19,8 +19,8 @@ from gridbed.feeder import (
     load_default_feeder,
     load_feeder,
     load_feeder_file,
-    serialize_feeder,
 )
+from gridbed.mitigate import switching_cost
 
 from conftest import three_bus_switch_doc, two_bus_doc
 from oracles import edges_form_cycle, reachable_from
@@ -119,10 +119,6 @@ def test_switch_with_impedance_rejected():
         load_feeder(json.dumps(doc))
 
 
-def test_serialize_round_trip(fixture_model):
-    assert load_feeder(serialize_feeder(fixture_model)) == fixture_model
-
-
 # ---------------------------------------------------------------------------
 # apply_switch_config
 # ---------------------------------------------------------------------------
@@ -161,18 +157,49 @@ def test_opening_sectionalizer_isolates_subtree(fixture_model):
 
 
 def test_empty_switch_set_model(two_bus_model):
-    view = apply_switch_config(two_bus_model, SwitchConfig(()))
+    view = apply_switch_config(two_bus_model, SwitchConfig((), 0))
     assert view.energized == {"B0", "B1"}
 
 
 def test_config_coverage_errors(fixture_model):
     with pytest.raises(FeederError, match="missing"):
-        apply_switch_config(fixture_model, SwitchConfig((("S1", True),)))
-    bogus = SwitchConfig(
-        tuple((n, True) for n in fixture_model.switch_names) + (("S99", True),)
-    )
+        apply_switch_config(fixture_model, SwitchConfig(("S1",), 1))
+    bogus = SwitchConfig(fixture_model.switch_names + ("S99",), 2 ** 9 - 1)
     with pytest.raises(FeederError, match="S99"):
         apply_switch_config(fixture_model, bogus)
+    names = fixture_model.switch_names
+    config = SwitchConfig.normal(fixture_model)
+    with pytest.raises(FeederError, match="unknown switch 'S99'"):
+        config.closed("S99")
+    with pytest.raises(FeederError, match="unknown switch 'S99'"):
+        config.with_switch("S99", True)
+    # the same switch set in another order: a set comparison would accept it
+    with pytest.raises(FeederError, match=r"switches in order \(missing=\[\], extra=\[\]\)"):
+        apply_switch_config(fixture_model, SwitchConfig(names[::-1], config.mask))
+    # each would be cached as a key of its own for a topology it shares
+    for mask in (-1, 2 ** len(names), 2 ** len(names) + config.mask):
+        with pytest.raises(FeederError, match="not a set of the model's 8 switches"):
+            apply_switch_config(fixture_model, SwitchConfig(names, mask))
+
+
+def test_config_mask_agrees_with_its_bits_for_every_config(fixture_model):
+    # the reference is a name -> bool dict built from the enumerated bits
+    names = fixture_model.switch_names
+    normal = {b.switch: b.normal_closed for b in fixture_model.branches if b.is_switch}
+    base = SwitchConfig.normal(fixture_model)
+    assert base.as_dict() == normal
+    for bits in itertools.product((False, True), repeat=len(names)):
+        reference = dict(zip(names, bits))
+        config = SwitchConfig(names, sum(2 ** i for i, b in enumerate(bits) if b))
+        assert list(config.as_dict().items()) == list(reference.items())
+        assert [config.closed(n) for n in names] == list(bits)
+        for name in names:
+            for state in (False, True):
+                moved = config.with_switch(name, state)
+                assert moved.as_dict() == {**reference, name: state}
+        toggled = config.toggled_from(base)
+        assert toggled == tuple(n for n in names if reference[n] != normal[n])
+        assert switching_cost(base, config) == len(toggled)
 
 
 def test_energized_set_is_monotone_in_closures(fixture_model):
@@ -214,7 +241,7 @@ def test_single_bus_no_edges_is_radial():
         "branches": [],
     }
     model = load_feeder(json.dumps(doc))
-    assert is_radial(apply_switch_config(model, SwitchConfig(())))
+    assert is_radial(apply_switch_config(model, SwitchConfig((), 0)))
 
 
 def test_radial_views_contain_no_cycle(fixture_model):
@@ -222,7 +249,7 @@ def test_radial_views_contain_no_cycle(fixture_model):
     # from the config alone
     names = fixture_model.switch_names
     for bits in itertools.product((False, True), repeat=len(names)):
-        config = SwitchConfig(tuple(zip(names, bits)))
+        config = SwitchConfig(names, sum(b << i for i, b in enumerate(bits)))
         view = apply_switch_config(fixture_model, config)
         energized = _oracle_energized(fixture_model, config)
         assert view.energized == frozenset(energized)
@@ -266,7 +293,7 @@ def test_de_energized_load_bus_is_not_radial():
 
 def _every_config(model):
     return [
-        SwitchConfig(tuple(zip(model.switch_names, closed)))
+        SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
         for closed in itertools.product((False, True), repeat=len(model.switch_names))
     ]
 
@@ -290,7 +317,7 @@ def test_cached_views_equal_fresh_walks():
         apply_switch_config(model, config)
     for config in configs:
         cached = apply_switch_config(model, config)
-        fresh = feeder._walk(model, config.states)
+        fresh = feeder._walk(model, config.mask)
         assert cached is not fresh
         for f in dataclasses.fields(TopologyView):
             if f.name != "derived":
@@ -304,13 +331,13 @@ def test_repeated_apply_returns_the_same_view_from_one_walk():
     model = load_feeder(default_feeder_text())
     config = SwitchConfig.normal(model)
     first = apply_switch_config(model, config)
-    assert apply_switch_config(model, SwitchConfig(tuple(config.states))) is first
+    assert apply_switch_config(model, SwitchConfig(config.names, config.mask)) is first
     info = model._topologies.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     # a config that fails the coverage check is checked again, never kept
     for _ in range(2):
         with pytest.raises(FeederError, match="missing"):
-            apply_switch_config(model, SwitchConfig((("S1", True),)))
+            apply_switch_config(model, SwitchConfig(("S1",), 1))
     assert model._topologies.cache_info().currsize == 1
 
 

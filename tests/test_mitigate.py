@@ -62,7 +62,7 @@ def test_cost_single_and_double_toggle(fixture_model):
 def test_cost_mismatched_sets_rejected(fixture_model):
     base = _normal(fixture_model)
     with pytest.raises(MitigationError):
-        switching_cost(base, SwitchConfig((("S1", True),)))
+        switching_cost(base, SwitchConfig(("S1",), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +179,26 @@ def test_exhaustive_enumerates_all_configs(fixture_model):
     assert plan.toggles == ()  # no attack: any toggle only adds cost
 
 
+def test_exhaustive_ties_prefer_open_before_closed_in_switch_order(monkeypatch):
+    # closing SW1 alone and closing SW2 alone score the same; enumeration by
+    # mask meets SW1 first, but SW1 open comes first in switch order
+    model = load_feeder(json.dumps(three_bus_switch_doc()))
+    both_open = SwitchConfig.from_mapping(model, {"SW1": False, "SW2": False})
+
+    def one_closed_wins(model, current, candidate, *args):
+        cost = switching_cost(current, candidate)
+        return mitigate.Payoff(True, 0, cost, 0.0 if cost == 1 else -10.0)
+
+    monkeypatch.setattr(mitigate, "payoff", one_closed_wins)
+    plan = exhaustive_best(model, both_open)
+    assert plan.chosen == {"SW1": False, "SW2": True}
+    assert plan.toggles == ("SW2",)
+
+
 def test_exhaustive_guard():
     doc = three_bus_switch_doc()
     model = load_feeder(json.dumps(doc))
-    big = SwitchConfig(tuple((f"X{i}", True) for i in range(17)))
+    big = SwitchConfig(tuple(f"X{i}" for i in range(17)), 2 ** 17 - 1)
 
     class FakeModel:
         switch_names = tuple(f"X{i}" for i in range(17))
@@ -245,7 +261,7 @@ def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map
 
     def toggle_coils():
         with ModbusClient(*server.address) as client:
-            closed = dict(_normal(model).states)
+            closed = _normal(model).as_dict()
             for name in itertools.cycle(model.switch_names):
                 if stop.is_set():
                     return

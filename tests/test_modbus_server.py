@@ -31,6 +31,11 @@ def _client(server):
     return ModbusClient(*server.address)
 
 
+def _write_register(client, register, value):
+    """FC06: write one holding register, by its 1-based number."""
+    client.request(frames.WriteRegisterRequest(register - 1, value))
+
+
 # ---------------------------------------------------------------------------
 # read/write semantics
 # ---------------------------------------------------------------------------
@@ -102,13 +107,13 @@ def test_rewrite_same_coil_value_changes_nothing(live_server, fixture_model, fix
 def test_setpoint_write_refreshes_voltages(live_server, fixture_meter_map):
     with _client(live_server) as client:
         before = client.read_all_voltages(fixture_meter_map)
-        client.write_register(SETPOINT_BLOCK_START, 160)  # N102 -> 160 kW
+        _write_register(client, SETPOINT_BLOCK_START, 160)  # N102 -> 160 kW
         reread = client.read_setpoints(fixture_meter_map)
         assert reread["N102"] == 160
         after = client.read_all_voltages(fixture_meter_map)
         assert after[("N102", "C")] < before[("N102", "C")]
         # restore
-        client.write_register(SETPOINT_BLOCK_START, 40)
+        _write_register(client, SETPOINT_BLOCK_START, 40)
     assert client is not None
 
 
@@ -132,13 +137,13 @@ def test_setpoint_write_loopback_matches_direct_solve(
     from gridbed.powerflow import solve
 
     with _client(live_server) as client:
-        client.write_register(SETPOINT_BLOCK_START, 80)  # N102 -> 80 kW
+        _write_register(client, SETPOINT_BLOCK_START, 80)  # N102 -> 80 kW
         calls = []
         original = client.request
         client.request = lambda req: calls.append(req) or original(req)
         mags = client.read_all_voltages(fixture_meter_map)
         client.request = original
-        client.write_register(SETPOINT_BLOCK_START, 40)
+        _write_register(client, SETPOINT_BLOCK_START, 40)
     assert len(calls) == 2  # 206 registers in two chunks
 
     overrides = {"N102": {"C": (80.0, 0.0)}}
@@ -214,7 +219,7 @@ def test_read_overrunning_block_is_illegal_value(live_server):
 def test_write_to_voltage_register_is_illegal_address(live_server):
     with _client(live_server) as client:
         with pytest.raises(ModbusExceptionError) as exc:
-            client.write_register(5, 1234)
+            _write_register(client, 5, 1234)
     assert exc.value.code == frames.EXC_ILLEGAL_ADDRESS
 
 
@@ -433,13 +438,13 @@ def test_non_converging_write_sets_stale_flag():
         with _client(server) as client:
             good = client.read_holding(1, 2)
             assert client.read_holding(STATUS_REGISTER, 1) == [0]
-            client.write_register(SETPOINT_BLOCK_START, 60000)  # undeliverable
+            _write_register(client, SETPOINT_BLOCK_START, 60000)  # undeliverable
             assert client.read_holding(STATUS_REGISTER, 1) == [1]
             # voltage registers hold the last converged values
             assert client.read_holding(1, 2) == good
             # the commanded setpoint is still visible
             assert client.read_holding(SETPOINT_BLOCK_START, 1) == [60000]
-            client.write_register(SETPOINT_BLOCK_START, 100)
+            _write_register(client, SETPOINT_BLOCK_START, 100)
             assert client.read_holding(STATUS_REGISTER, 1) == [0]
     finally:
         server.close()
@@ -454,7 +459,7 @@ def test_setpoint_on_dead_bus_is_stored_not_applied():
         with _client(server) as client:
             client.write_switch(model.switch_names, "SW1", False)  # B2 goes dark
             assert client.read_all_voltages(meter_map)[("B2", "A")] == 0.0
-            client.write_register(SETPOINT_BLOCK_START, 500)  # stored, dead bus
+            _write_register(client, SETPOINT_BLOCK_START, 500)  # stored, dead bus
             assert client.read_setpoints(meter_map) == {"B2": 500}
             client.write_switch(model.switch_names, "SW1", True)
             mags = client.read_all_voltages(meter_map)
@@ -477,7 +482,7 @@ def test_internal_failure_answers_0x04_and_keeps_state(
         status = client.read_holding(STATUS_REGISTER, 1)
         monkeypatch.setattr(server_module, "build_image", broken_build_image)
         with pytest.raises(ModbusExceptionError) as exc:
-            client.write_register(SETPOINT_BLOCK_START, 160)
+            _write_register(client, SETPOINT_BLOCK_START, 160)
         monkeypatch.undo()
         assert exc.value.code == frames.EXC_SERVER_FAILURE
         # the same connection still serves, and nothing of the write landed
@@ -698,7 +703,7 @@ def test_interleaved_writes_from_two_connections_keep_image_consistent(
                     last_closed[name] = closed
                 else:
                     k, kw = rng.choice(registers), rng.randrange(200)
-                    client.write_register(SETPOINT_BLOCK_START + k, kw)
+                    _write_register(client, SETPOINT_BLOCK_START + k, kw)
                     last_kw[nodes[k]] = kw
 
     # each connection owns every other switch and setpoint, so the last write

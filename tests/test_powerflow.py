@@ -149,7 +149,7 @@ def test_solve_on_a_warm_model_is_bit_identical_to_a_cold_one(fixture_meter_map)
     model = load_feeder(default_feeder_text())
     overrides = fixture_meter_map.overrides(model, case_vector(fixture_meter_map, 6))
     configs = [
-        SwitchConfig(tuple(zip(model.switch_names, closed)))
+        SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
         for closed in itertools.product((False, True), repeat=len(model.switch_names))
     ]
     cold = [solve(model, _view(model, config), overrides) for config in configs]

@@ -73,7 +73,7 @@ def state_digest(dump=None) -> str:
         digest.update(repr(items).encode())
 
     for closed in itertools.product((False, True), repeat=len(model.switch_names)):
-        config = SwitchConfig(tuple(zip(model.switch_names, closed)))
+        config = SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
         view = apply_switch_config(model, config)
         put(sorted(view.energized), is_radial(view))
         for pattern, (setpoints, overrides) in enumerate(patterns):
