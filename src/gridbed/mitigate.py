@@ -12,8 +12,22 @@ Both searches score each candidate once: the payoff of a configuration they
 revisit is read back, which is exact because every toggle cost in a search
 is counted against the same starting config.
 
+Neither search solves a candidate that cannot beat the incumbent (the best
+candidate found so far), in the manner of branch and bound.  With both
+weights non-negative a candidate's payoff is at most ``-w_c * cost``, its
+payoff with zero violations.  The sweep skips a flip whose bound is no
+better than the working payoff; the exhaustive search visits masks in order
+of toggle count, then mask, and skips one whose best possible key is below
+the best key so far.  Plans are the same as with every candidate solved.  A
+skipped candidate's ``search_log`` entry still gives its cost and the walk's
+feasibility (every load bus energized and, unless meshing is allowed, a
+radial network), with ``"violations": null`` and ``"scalar": null``; one
+that the walk rules out reads ``"violations": 0`` as a scored infeasible
+candidate does.  Convergence is known only for solved candidates.
+
 The defender searches on its own model mirror using setpoints read from the
-server, then applies only the toggled coils and verifies by read-back.
+server, then writes the toggled coils in one request and verifies by
+read-back.
 """
 
 from __future__ import annotations
@@ -22,12 +36,14 @@ import argparse
 import functools
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 from .feeder import (
     FeederModel,
     SwitchConfig,
+    TopologyView,
     apply_switch_config,
     is_radial,
     load_feeder_file,
@@ -49,8 +65,17 @@ class MitigationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Weights:
+    """Payoff weights; both finite and non-negative, which the lexicographic
+    order and the searches' bound rely on."""
+
     violation: float = 1000.0
     cost: float = 1.0
+
+    def __post_init__(self):
+        for name in ("violation", "cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"weights.{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +88,12 @@ class Payoff:
 
 @dataclass
 class MitigationPlan:
+    """A search's outcome.  ``search_log`` holds one entry per flip in the
+    order the sweep tried them, or one per configuration in mask order for
+    the exhaustive search.  A candidate the search skipped because it could
+    not win has ``feasible`` from the walk alone and, when that is true,
+    ``violations`` and ``scalar`` of None (module docstring)."""
+
     initial: dict[str, bool]
     chosen: dict[str, bool]
     toggles: tuple[str, ...]
@@ -111,10 +142,7 @@ def payoff(
     """Score one candidate; infeasibility is a value, never an error."""
     cost = switching_cost(current, candidate)
     view = apply_switch_config(model, candidate)
-    feasible = model.load_buses <= view.energized
-    if not allow_meshed:
-        feasible = feasible and is_radial(view)
-    if not feasible:
+    if not _walk_feasible(view, allow_meshed):
         return Payoff(False, 0, cost, INFEASIBLE)
     solution = solve(model, view, overrides)
     if not solution.converged:
@@ -122,6 +150,17 @@ def payoff(
     violations = count_violations(solution.magnitudes(), band).count
     scalar = -(weights.violation * violations + weights.cost * cost)
     return Payoff(True, violations, cost, scalar)
+
+
+def _walk_feasible(view: TopologyView, allow_meshed: bool) -> bool:
+    """Every load bus energized and, unless meshing is allowed, radial."""
+    return view.model.load_buses <= view.energized if allow_meshed else is_radial(view)
+
+
+def _bound(weights: Weights, cost: int) -> float:
+    """The best payoff a candidate at ``cost`` toggles can score: its payoff
+    with zero violations."""
+    return -(weights.cost * cost)
 
 
 def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
@@ -133,6 +172,16 @@ def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
         "cost": result.cost,
         "scalar": None if result.scalar == INFEASIBLE else result.scalar,
     }
+
+
+def _skipped_entry(
+    name: str, model: FeederModel, candidate: SwitchConfig, cost: int, allow_meshed: bool
+) -> dict:
+    """Log entry of a candidate left unsolved because it cannot win."""
+    entry = _log_entry(name, candidate, Payoff(False, 0, cost, INFEASIBLE))
+    if _walk_feasible(apply_switch_config(model, candidate), allow_meshed):
+        entry.update(feasible=True, violations=None)
+    return entry
 
 
 def best_response_sweep(
@@ -161,8 +210,12 @@ def best_response_sweep(
         changed = False
         for name in model.switch_names:
             flipped = working.with_switch(name, not working.closed(name))
-            contender = score(flipped)
             evaluated += 1
+            cost = switching_cost(current, flipped)
+            if _bound(weights, cost) <= working_payoff.scalar:
+                log_entries.append(_skipped_entry(name, model, flipped, cost, allow_meshed))
+                continue
+            contender = score(flipped)
             log_entries.append(_log_entry(name, flipped, contender))
             if contender.scalar > working_payoff.scalar:
                 working = flipped
@@ -194,7 +247,10 @@ def exhaustive_best(
     band=DEFAULT_BAND,
 ) -> MitigationPlan:
     """Evaluate every switch configuration; ties prefer fewer toggles, then
-    the lexicographically first config (open before closed, switch order)."""
+    the lexicographically first config (open before closed, switch order).
+
+    Configurations are visited by toggle count, so the incumbent's key soon
+    bounds out every costlier one (module docstring)."""
     names = model.switch_names
     if len(names) > EXHAUSTIVE_GUARD:
         raise MitigationError(
@@ -207,14 +263,18 @@ def exhaustive_best(
     best_key = None
     best_config = current
     best_payoff = None
-    log_entries: list[dict] = []
-    evaluated = 0
-    for mask in range(2 ** len(names)):
+    masks = range(2 ** len(names))
+    log_entries: list[dict | None] = [None] * len(masks)
+    for mask in sorted(masks, key=lambda mask: ((mask ^ current.mask).bit_count(), mask)):
         candidate = SwitchConfig(names, mask)
+        cost = switching_cost(current, candidate)
+        bits = tuple(-(mask >> i & 1) for i in range(len(names)))
+        if best_key is not None and (_bound(weights, cost), -cost, bits) < best_key:
+            log_entries[mask] = _skipped_entry("*", model, candidate, cost, allow_meshed)
+            continue
         result = score(candidate)
-        evaluated += 1
-        log_entries.append(_log_entry("*", candidate, result))
-        key = (result.scalar, -result.cost, tuple(-(mask >> i & 1) for i in range(len(names))))
+        log_entries[mask] = _log_entry("*", candidate, result)
+        key = (result.scalar, -cost, bits)
         if best_key is None or key > best_key:
             best_key = key
             best_config = candidate
@@ -227,7 +287,7 @@ def exhaustive_best(
         post_violations=best_payoff.violations if best_payoff.feasible else -1,
         method="exhaustive",
         feasible=best_payoff.feasible,
-        candidates_evaluated=evaluated,
+        candidates_evaluated=len(masks),
         search_log=log_entries,
     )
 
@@ -257,8 +317,10 @@ def mitigate_once(
     if not plan.feasible:
         log.warning("no feasible configuration found; leaving switches untouched")
         return plan
-    for name in plan.toggles:
-        client.write_switch(model.switch_names, name, plan.chosen[name])
+    if plan.toggles:
+        coils = [model.switch_names.index(name) for name in plan.toggles]
+        span = model.switch_names[min(coils) : max(coils) + 1]
+        client.write_switches(model.switch_names, {name: plan.chosen[name] for name in span})
     post = client.read_all_voltages(meter_map)
     plan.observed_post_violations = count_violations(post, band).count
     return plan

@@ -27,6 +27,7 @@ from .frames import (
     ReadCoilsRequest,
     ReadHoldingRequest,
     WriteCoilRequest,
+    WriteCoilsRequest,
     WriteRegistersRequest,
 )
 
@@ -160,3 +161,26 @@ class ModbusClient:
         state = self.read_coils(coil, 1)[0]
         if state != closed:
             raise RuntimeError(f"switch {name!r} read-back mismatch after write")
+
+    def write_switches(self, switch_names: tuple[str, ...], states: dict[str, bool]):
+        """Operate several switches in one write-multiple-coils request and
+        confirm them with one read-back.
+
+        The request covers the coils from the first to the last switch that
+        ``states`` names, so it must name every switch between them; an empty
+        map is a no-op.
+        """
+        unmapped = [name for name in states if name not in switch_names]
+        if unmapped:
+            raise ValueError(f"unmapped switch(es) {', '.join(map(repr, unmapped))}")
+        if not states:
+            return
+        coils = sorted(switch_names.index(name) for name in states)
+        span = switch_names[coils[0] : coils[-1] + 1]
+        if len(span) != len(coils):
+            missing = [name for name in span if name not in states]
+            raise ValueError(f"switch states do not name {', '.join(map(repr, missing))}")
+        wanted = [bool(states[name]) for name in span]
+        self.request(WriteCoilsRequest(coils[0], tuple(wanted)))
+        if self.read_coils(1 + coils[0], len(span)) != wanted:
+            raise RuntimeError(f"switches {', '.join(span)} read-back mismatch after write")

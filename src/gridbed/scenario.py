@@ -1,14 +1,14 @@
 """Scenario runner: the six bundled attack/mitigation cases, end to end.
 
 Each case starts a fresh in-process server on a loopback socket, over the
-bundled feeder model that every case in the process shares (or a fresh model
-of the config's feeder file).  It drives the attack (replay mode writes the
-case's terminal setpoint pattern directly; live mode runs the adaptive loop),
-snapshots metrics through a client connection, runs one mitigation cycle
-through a second connection, snapshots again, and tears down.  All
-cross-activity traffic goes over real TCP; the server's internal state is
-touched only to cross-check that client-read metrics agree with the solver to
-within register quantization.
+bundled feeder model that every case in the process shares (or a model of
+the config's feeder file, read once per run).  It drives the attack (replay
+mode writes the case's terminal setpoint pattern directly; live mode runs
+the adaptive loop), snapshots metrics through a client connection, runs one
+mitigation cycle through a second connection, snapshots again, and tears
+down.  All cross-activity traffic goes over real TCP; the server's internal
+state is touched only to cross-check that client-read metrics agree with the
+solver to within register quantization.
 
 Runs are deterministic for a given config: no randomness, fixed iteration
 orders, and CSV outputs carry no timestamps.
@@ -95,10 +95,12 @@ class ScenarioConfig:
         cfg.use_oracle = _typed(doc, "oracle", False, (bool,), "true or false")
         if "band" in doc:
             cfg.band = check_band(doc["band"])
-        cfg.weights = Weights(
-            violation=float(_typed(weights, "violation", 1000.0, (int, float), "a number")),
-            cost=float(_typed(weights, "cost", 1.0, (int, float), "a number")),
-        )
+        violation = float(_typed(weights, "violation", 1000.0, (int, float), "a number"))
+        cost = float(_typed(weights, "cost", 1.0, (int, float), "a number"))
+        try:
+            cfg.weights = Weights(violation, cost)
+        except ValueError as exc:
+            raise ValueError(f"scenario config {exc}") from exc
         if "attack_params" in doc:
             try:
                 cfg.attack_params = AttackParams.from_json(json.dumps(doc["attack_params"]))
@@ -173,13 +175,17 @@ def _check_read_consistency(
     return max((abs(direct[point] - read) for point, read in magnitudes.items()), default=0.0)
 
 
-def run_case(config: ScenarioConfig, case: int, live: bool = False) -> CaseResult:
+def run_case(
+    config: ScenarioConfig, case: int, live: bool = False, model: FeederModel | None = None
+) -> CaseResult:
+    """One case end to end, on ``model`` or, when it is None, the config's."""
     group, level = CASE_PATTERNS[case]
     result = CaseResult(case=case, status="ok", group=group, level_mw=level)
     started = time.monotonic()
     stage = "load-feeder"
     try:
-        model = config.load_model()
+        if model is None:
+            model = config.load_model()
         meter_map = MeterMap.for_model(model)
         stage = "server-start"
         with FeederServer(model, meter_map, bind=("127.0.0.1", 0)).start() as server:
@@ -242,9 +248,19 @@ def run_case(config: ScenarioConfig, case: int, live: bool = False) -> CaseResul
 
 
 def run_scenario(
-    config: ScenarioConfig, cases: list[int], live: bool = False
+    config: ScenarioConfig,
+    cases: list[int],
+    live: bool = False,
+    model: FeederModel | None = None,
 ) -> ScenarioReport:
-    results = [run_case(config, case, live) for case in cases]
+    """Run ``cases`` on one model: ``model``, or the config's, loaded once
+    here.  If that load fails, each case reports ``failed:load-feeder``."""
+    if model is None:
+        try:
+            model = config.load_model()
+        except (OSError, ValueError):  # each case loads again and reports the failure
+            pass
+    results = [run_case(config, case, live, model) for case in cases]
     return ScenarioReport(results=results, environment=_environment_stamp(config))
 
 
@@ -343,9 +359,13 @@ def main(argv=None) -> int:
             return 1
     cases = [args.case] if args.case else sorted(CASE_PATTERNS)
 
-    report = run_scenario(config, cases, live=args.live)
-    meter_map = MeterMap.for_model(config.load_model())
-    emit_report(report, args.out_dir, meter_map)
+    try:
+        model = config.load_model()
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load feeder {config.feeder}: {exc}")
+        return 1
+    report = run_scenario(config, cases, live=args.live, model=model)
+    emit_report(report, args.out_dir, MeterMap.for_model(model))
 
     for r in report.results:
         print(

@@ -6,12 +6,15 @@ fixed-point iterates on injected currents; the graph oracles are plain
 union-find / breadth-first implementations; the Modbus address oracle checks
 every register of a span against sets written out from the documented
 register layout; the unbalance reference groups a reading by bus in a dict
-and applies the scalar formula one bus at a time.
+and applies the scalar formula one bus at a time.  The two defender search
+references score every candidate with the package's ``payoff``, as the
+searches did before they learned to skip candidates that cannot win.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -210,3 +213,80 @@ def modbus_address_verdict(mapped: dict, function: int, first: int, count: int):
     if any(r not in registers for r in range(first, first + count)):
         return 0x03
     return None
+
+
+def best_response_sweep_reference(model, current, overrides, weights, allow_meshed, band):
+    """The best-response sweep with every flip scored (``mitigate.payoff``)."""
+    from gridbed import mitigate
+
+    score = functools.cache(
+        lambda candidate: mitigate.payoff(
+            model, current, candidate, overrides, weights, allow_meshed, band
+        )
+    )
+    pre = score(current)
+    working, working_payoff = current, pre
+    log_entries = []
+    evaluated, sweeps = 1, 0
+    for sweeps in range(1, mitigate.DEFAULT_SWEEP_CAP + 1):
+        changed = False
+        for name in model.switch_names:
+            flipped = working.with_switch(name, not working.closed(name))
+            contender = score(flipped)
+            evaluated += 1
+            log_entries.append(mitigate._log_entry(name, flipped, contender))
+            if contender.scalar > working_payoff.scalar:
+                working, working_payoff = flipped, contender
+                changed = True
+        if not changed:
+            break
+    return mitigate.MitigationPlan(
+        initial=current.as_dict(),
+        chosen=working.as_dict(),
+        toggles=working.toggled_from(current),
+        pre_violations=pre.violations if pre.feasible else -1,
+        post_violations=working_payoff.violations if working_payoff.feasible else -1,
+        method="sweep",
+        feasible=working_payoff.feasible,
+        sweeps=sweeps,
+        candidates_evaluated=evaluated,
+        search_log=log_entries,
+    )
+
+
+def exhaustive_key(entry):
+    """The exhaustive search's key of a scored log entry: (scalar, -cost,
+    open before closed in switch order)."""
+    scalar = entry["scalar"] if entry["scalar"] is not None else float("-inf")
+    return (scalar, -entry["cost"], tuple(-int(closed) for closed in entry["config"].values()))
+
+
+def exhaustive_best_reference(model, current, overrides, weights, allow_meshed, band):
+    """The exhaustive search with all ``2**n`` configurations scored, in mask
+    order."""
+    from gridbed import mitigate
+    from gridbed.feeder import SwitchConfig
+
+    names = model.switch_names
+    pre = mitigate.payoff(model, current, current, overrides, weights, allow_meshed, band)
+    best_key = best_config = best_payoff = None
+    log_entries = []
+    for mask in range(2 ** len(names)):
+        candidate = SwitchConfig(names, mask)
+        result = mitigate.payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+        entry = mitigate._log_entry("*", candidate, result)
+        log_entries.append(entry)
+        key = exhaustive_key(entry)
+        if best_key is None or key > best_key:
+            best_key, best_config, best_payoff = key, candidate, result
+    return mitigate.MitigationPlan(
+        initial=current.as_dict(),
+        chosen=best_config.as_dict(),
+        toggles=best_config.toggled_from(current),
+        pre_violations=pre.violations if pre.feasible else -1,
+        post_violations=best_payoff.violations if best_payoff.feasible else -1,
+        method="exhaustive",
+        feasible=best_payoff.feasible,
+        candidates_evaluated=2 ** len(names),
+        search_log=log_entries,
+    )

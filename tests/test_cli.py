@@ -109,6 +109,27 @@ def test_scenario_cli_bad_config_file_exits_1(tmp_path, capsys, content):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"weights": {"violation": -5, "cost": NaN}}', b'{"weights": {"cost": -1}}']
+)
+def test_scenario_cli_bad_weights_exit_1(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    rc = scenario.main(["--config", str(config), "--case", "1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert re.match(r"error: .*weights\.(violation|cost) must be finite", capsys.readouterr().out)
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_scenario_cli_unreadable_feeder_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"feeder": str(tmp_path / "missing.json")}))
+    rc = scenario.main(["--config", str(config), "--case", "1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("error: cannot load feeder")
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_mitigate_cli_once(tmp_path, live_server, feeder_file, fixture_meter_map, fixture_model):
     with ModbusClient(*live_server.address) as client:
         client.write_setpoints(

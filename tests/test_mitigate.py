@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import math
+import random
 import sys
 import threading
 
@@ -24,9 +26,11 @@ from gridbed.mitigate import (
 from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
 from gridbed.modbus.server import FeederServer
-from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW
+from gridbed.powerflow import DEFAULT_BAND
+from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW, case_vector
 
 from conftest import mbap_frame, three_bus_switch_doc
+from oracles import best_response_sweep_reference, exhaustive_best_reference, exhaustive_key
 
 
 def _case_overrides(meter_map, case):
@@ -187,7 +191,7 @@ def test_exhaustive_ties_prefer_open_before_closed_in_switch_order(monkeypatch):
 
     def one_closed_wins(model, current, candidate, *args):
         cost = switching_cost(current, candidate)
-        return mitigate.Payoff(True, 0, cost, 0.0 if cost == 1 else -10.0)
+        return mitigate.Payoff(True, 0, cost, -1.0 if cost == 1 else -10.0)
 
     monkeypatch.setattr(mitigate, "payoff", one_closed_wins)
     plan = exhaustive_best(model, both_open)
@@ -239,11 +243,11 @@ def test_each_search_solves_each_candidate_once(fixture_model, fixture_meter_map
         overrides = _case_overrides(fixture_meter_map, case)
         del solved[:]
         sweep = best_response_sweep(fixture_model, base, overrides, allow_meshed=True)
-        assert len(solved) == len(set(map(id, solved))) == (7 if case == 6 else 6), case
+        assert len(solved) == len(set(map(id, solved))) == (4 if case == 6 else 2), case
         assert (sweep.sweeps, sweep.candidates_evaluated, len(sweep.search_log)) == (2, 17, 16)
         del solved[:]
         oracle = exhaustive_best(fixture_model, base, overrides, allow_meshed=True)
-        assert len(solved) == len(set(map(id, solved))) == 13, case
+        assert len(solved) == len(set(map(id, solved))) == (8 if case == 6 else 3), case
         assert (oracle.candidates_evaluated, len(oracle.search_log)) == (256, 256)
 
 
@@ -293,15 +297,15 @@ def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map
 # gridbed-mitigate default), per case: (exhaustive_best, best_response_sweep).
 # Through search_log these pin feasibility of all 256 candidates per case.
 RADIAL_PLAN_DIGESTS = {
-    1: ("330f0001e423c12e735977430f323829b645d8a71b6c3a6db685290f5c656fa1",
+    1: ("d4ed967c6a9a66b0c9acd03251077ae3f27cde177da17c2fdf469175794cbf92",
         "daf152a963d85c5938074576a9468c0c0c6a8b26d82d187a9b4e49bba2a659f9"),
-    2: ("330f0001e423c12e735977430f323829b645d8a71b6c3a6db685290f5c656fa1",
+    2: ("d4ed967c6a9a66b0c9acd03251077ae3f27cde177da17c2fdf469175794cbf92",
         "daf152a963d85c5938074576a9468c0c0c6a8b26d82d187a9b4e49bba2a659f9"),
-    3: ("952c30bd2df681faa41c8bb6b40dcf13cfa98dfdeb5f516a3e799c08ede6bbc0",
+    3: ("69a5937130fcb8c967e21b9211517848483cbd3bd7f639f79cd21a527562c809",
         "c4f7bdfd489f246f391ed52111847fd234c1e9b3d2770a565422e260f53b54cf"),
-    4: ("c993240618021440cf489e2d242334e64c28eeb4d4425a5a64fa56a10f2649aa",
+    4: ("dc18014a643f39d0ba3a86ef4868cad4c47101808991f9e56ac40bd4a5e413b4",
         "5ea720e7fb5a84ce02025d60054dac03267e041938e9202bd99fb6ec5c3ed41e"),
-    5: ("efde67725f3ff3bda726773bf3f2c949fd584dc4c353776e4b17e2de06ee6fd9",
+    5: ("3a9e28121a376a54b72db53214f5ecb3c5985b6aabbe8c9fa28d140d4e563c74",
         "1c0ae69832d42d5af7675b639a7910fd4eef672a6554d159dfa292bd5d591245"),
     6: ("8ef5500e2f1d0e88c25acddd17494d537fd62d9465593eb55764a03e0d80303e",
         "1c0ae69832d42d5af7675b639a7910fd4eef672a6554d159dfa292bd5d591245"),
@@ -318,6 +322,66 @@ def test_radial_only_plans_are_pinned(fixture_model, fixture_meter_map):
         ]
         digests = tuple(hashlib.sha256(p.to_json().encode()).hexdigest() for p in plans)
         assert digests == expected, f"case {case}"
+
+
+def _parity_draws():
+    """(case, weights, band): each case with the defaults, then seeded draws
+    of bands and of non-negative weights over five decades, some of them
+    zero, so that a violation can also weigh less than a toggle."""
+    for case in sorted(CASE_PATTERNS):
+        yield case, Weights(), DEFAULT_BAND
+    rng = random.Random(20)
+    for _ in range(12):
+        weights = Weights(*(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 3.0)]) for _ in "vc"))
+        band = (rng.uniform(0.93, 0.97), rng.uniform(1.03, 1.07))
+        yield rng.choice(sorted(CASE_PATTERNS)), weights, band
+
+
+def _without_log(plan):
+    doc = json.loads(plan.to_json())
+    del doc["search_log"]
+    return doc
+
+
+@pytest.mark.parametrize("allow_meshed", [True, False])
+@pytest.mark.parametrize(
+    "search, reference",
+    [(exhaustive_best, exhaustive_best_reference),
+     (best_response_sweep, best_response_sweep_reference)],
+    ids=["exhaustive", "sweep"],
+)
+def test_skipping_searches_plan_as_the_unpruned_references(
+    search, reference, allow_meshed, fixture_model, fixture_meter_map
+):
+    base = _normal(fixture_model)
+    skipped_total = 0
+    for case, weights, band in _parity_draws():
+        overrides = _case_overrides(fixture_meter_map, case)
+        args = (fixture_model, base, overrides, weights, allow_meshed, band)
+        plan, expected = search(*args), reference(*args)
+        where = (case, weights, band)
+        assert _without_log(plan) == _without_log(expected), where
+        assert len(plan.search_log) == len(expected.search_log), where
+        chosen = SwitchConfig.from_mapping(fixture_model, expected.chosen).mask
+        chosen_key = exhaustive_key(expected.search_log[chosen]) if search is exhaustive_best else None
+        working = payoff(*args[:2], base, *args[2:]).scalar
+        for got, want in zip(plan.search_log, expected.search_log):
+            want_scalar = INFEASIBLE if want["scalar"] is None else want["scalar"]
+            if got["violations"] is not None:  # scored, or ruled out by the walk
+                assert got == want, where
+            else:  # skipped: the walk's feasibility, and it provably loses
+                skipped_total += 1
+                assert got["scalar"] is None, where
+                assert [got[k] for k in ("switch", "feasible", "cost", "config")] == [
+                    want[k] for k in ("switch", "feasible", "cost", "config")
+                ], where
+                if chosen_key is not None:
+                    assert exhaustive_key(want) < chosen_key, where
+                else:
+                    assert want_scalar <= working, where
+            working = max(working, want_scalar)
+    if allow_meshed or search is exhaustive_best:
+        assert skipped_total > 0
 
 
 def test_minimal_toggle_tie_break(fixture_model):
@@ -384,6 +448,82 @@ def test_mitigate_once_case_one_single_coil_write(
         with ModbusClient(*live_server.address) as cleanup:
             cleanup.write_switch(fixture_model.switch_names, "S7", False)
             cleanup.write_setpoints(fixture_meter_map, {n: 40 for n in pattern})
+
+
+def test_mitigate_once_two_toggles_make_one_server_commit(
+    live_server, fixture_model, fixture_meter_map
+):
+    # case 6 closes S7 and S8: one write-multiple-coils request, one solve,
+    # and no reader ever meets the S7-only topology
+    commits = []
+    commit = live_server._commit
+
+    def counting_commit(config, setpoints):
+        commits.append(config)
+        commit(config, setpoints)
+
+    names = fixture_model.switch_names
+    with ModbusClient(*live_server.address) as attacker:
+        attacker.write_setpoints(fixture_meter_map, case_vector(fixture_meter_map, 6))
+    live_server._commit = counting_commit
+    try:
+        with ModbusClient(*live_server.address) as defender:
+            plan = mitigate_once(
+                defender, fixture_model, fixture_meter_map, use_oracle=True, allow_meshed=True
+            )
+            assert plan.toggles == ("S7", "S8")
+            assert plan.observed_post_violations == 0
+            assert len(commits) == 1
+            assert commits[0].as_dict() == plan.chosen
+            assert defender.read_switches(names) == plan.chosen
+    finally:
+        del live_server._commit
+        with ModbusClient(*live_server.address) as cleanup:
+            cleanup.write_switches(names, {"S7": False, "S8": False})
+            cleanup.write_setpoints(
+                fixture_meter_map, {n: 40 for n, _ in fixture_meter_map.setpoints}
+            )
+            assert cleanup.read_switches(names) == _normal(fixture_model).as_dict()
+
+
+def test_write_switches_read_back_mismatch_raises(scripted_peer, fixture_model):
+    # the write is acknowledged but the read-back shows S8 still open
+    peer = scripted_peer([
+        mbap_frame(1, frames.WriteCoilsResponse(6, 2)),
+        mbap_frame(2, frames.ReadCoilsResponse((True, False))),
+    ])
+    with ModbusClient(*peer.address) as client:
+        with pytest.raises(RuntimeError, match="read-back mismatch"):
+            client.write_switches(fixture_model.switch_names, {"S7": True, "S8": True})
+    peer.join()
+    assert [frames.decode_request(pdu) for _, pdu in peer.requests] == [
+        frames.WriteCoilsRequest(6, (True, True)),
+        frames.ReadCoilsRequest(6, 2),
+    ]
+
+
+def test_write_switches_rejects_unmapped_names_and_gaps(scripted_peer, fixture_model):
+    peer = scripted_peer([])
+    names = fixture_model.switch_names
+    with ModbusClient(*peer.address) as client:
+        with pytest.raises(ValueError, match="S99"):
+            client.write_switches(names, {"S99": True})
+        with pytest.raises(ValueError, match="'S7'"):  # S6 and S8 named, S7 between them not
+            client.write_switches(names, {"S6": True, "S8": True})
+        client.write_switches(names, {})
+    peer.join()
+    assert peer.requests == []
+
+
+@pytest.mark.parametrize("field", ["violation", "cost"])
+@pytest.mark.parametrize("value", [-5.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_weights_reject_negative_and_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"weights.{field}"):
+        Weights(**{field: value})
+
+
+def test_weights_accept_zero():
+    assert Weights(0.0, 0.0) == Weights(violation=0, cost=0)
 
 
 def test_run_mitigation_unreachable_server_retries_then_fails(fixture_model, fixture_meter_map):

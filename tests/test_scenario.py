@@ -7,6 +7,9 @@ import json
 
 import pytest
 
+from gridbed import scenario
+from gridbed.feeder import default_feeder_text
+from gridbed.mitigate import Weights
 from gridbed.regmap import MeterMap
 from gridbed.scenario import (
     CASE_PATTERNS,
@@ -61,6 +64,59 @@ def test_a_repeated_case_reuses_the_shared_model():
     # the second case walks nothing: every topology it meets is a hit
     assert after.misses == before.misses and after.hits > before.hits
     assert dataclasses.replace(second, wall_ms=first.wall_ms) == first
+
+
+@pytest.fixture()
+def counted_feeder_loads(tmp_path, monkeypatch):
+    """A feeder file, and the list of paths ``scenario`` parses from then on."""
+    path = tmp_path / "feeder.json"
+    path.write_text(default_feeder_text())
+    parsed = []
+    load = scenario.load_feeder_file
+
+    def counting_load(path):
+        parsed.append(path)
+        return load(path)
+
+    monkeypatch.setattr(scenario, "load_feeder_file", counting_load)
+    return path, parsed
+
+
+def test_a_feeder_file_is_parsed_once_per_run(counted_feeder_loads):
+    path, parsed = counted_feeder_loads
+    report = run_scenario(ScenarioConfig(feeder=str(path)), sorted(CASE_PATTERNS))
+    assert report.ok
+    assert parsed == [str(path)]
+
+
+def test_the_scenario_cli_parses_a_feeder_file_once(counted_feeder_loads, tmp_path):
+    path, parsed = counted_feeder_loads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"feeder": str(path)}))
+    rc = scenario.main(["--config", str(config), "--case", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert parsed == [str(path)]
+
+
+def test_run_case_still_loads_the_configs_model(counted_feeder_loads):
+    path, parsed = counted_feeder_loads
+    assert run_case(ScenarioConfig(feeder=str(path)), 1).status == "ok"
+    assert parsed == [str(path)]
+
+
+@pytest.mark.parametrize(
+    "weights, field",
+    [({"violation": -5}, "weights.violation"), ({"cost": float("nan")}, "weights.cost"),
+     ({"violation": float("inf")}, "weights.violation"), ({"cost": -1e-9}, "weights.cost")],
+)
+def test_config_rejects_negative_or_non_finite_weights(weights, field):
+    with pytest.raises(ValueError, match=f"scenario config {field}"):
+        ScenarioConfig.from_json(json.dumps({"weights": weights}))
+
+
+def test_config_keeps_zero_weights():
+    config = ScenarioConfig.from_json('{"weights": {"violation": 0, "cost": 0}}')
+    assert config.weights == Weights(0.0, 0.0)
 
 
 def test_emit_report_files(tmp_path):

@@ -51,3 +51,20 @@ def test_state_digest_diff_of_a_dump_against_itself_is_empty(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 of 1792 states differ; max |dV| 0\n"
+
+
+# The first line of tools/plan_digest.py: every plan's fields but its search
+# log, over both searches, meshing allowed and not, and cases 1-6.
+PLAN_HEADS_SHA256 = "61ad440cdf3be6584fbe7b432c8eae7f81999d1d22b5c6c1f66028100be01c3b"
+
+
+def test_plan_digest_prints_two_sha256_lines():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "plan_digest.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"([0-9a-f]{64}\n){2}", proc.stdout)
+    assert proc.stdout.split()[0] == PLAN_HEADS_SHA256
