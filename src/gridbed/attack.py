@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -62,6 +63,11 @@ class NMaxRule:
     value: float = 4.0
     slope: float = 0.0
     cap: float = 4.0
+
+    def __post_init__(self):
+        for name in ("value", "slope", "cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise AttackError(f"n_max {name} must be finite, got {getattr(self, name)!r}")
 
     def evaluate(self, violation_gain: int) -> float:
         if self.kind == "constant":
@@ -111,6 +117,10 @@ class AttackParams:
     band: tuple[float, float] = DEFAULT_BAND
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise AttackError(f"{f.name} must be finite, got {value!r}")
         if self.alpha_mw <= 0 or self.k_mw <= 0 or self.delta_mw <= 0:
             raise AttackError("alpha, k and delta must be positive")
         if self.floor_step_mw <= 0:
@@ -266,11 +276,8 @@ def _vector_to_kw(vector_mw: Mapping[str, float]) -> dict[str, int]:
 
 
 def _observe(client: ModbusClient, meter_map: MeterMap, band):
-    mags = client.read_all_voltages(meter_map)
-    return (
-        count_violations(mags, band).count,
-        max_unbalance(mags).max_pct,
-    )
+    reading = client.read_all_voltages(meter_map)
+    return count_violations(reading, band), max_unbalance(reading, meter_map.layout)
 
 
 def run_attack(

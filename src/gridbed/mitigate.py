@@ -147,7 +147,7 @@ def payoff(
     solution = solve(model, view, overrides)
     if not solution.converged:
         return Payoff(False, 0, cost, INFEASIBLE)
-    violations = count_violations(solution.magnitudes(), band).count
+    violations = count_violations(solution.magnitudes(), band)
     scalar = -(weights.violation * violations + weights.cost * cost)
     return Payoff(True, violations, cost, scalar)
 
@@ -302,8 +302,7 @@ def mitigate_once(
     band=DEFAULT_BAND,
 ) -> MitigationPlan | None:
     """One observe/decide/act cycle; returns None when already quiescent."""
-    magnitudes = client.read_all_voltages(meter_map)
-    observed_pre = count_violations(magnitudes, band).count
+    observed_pre = count_violations(client.read_all_voltages(meter_map), band)
     if observed_pre == 0:
         return None
     current = SwitchConfig.from_mapping(
@@ -321,8 +320,7 @@ def mitigate_once(
         coils = [model.switch_names.index(name) for name in plan.toggles]
         span = model.switch_names[min(coils) : max(coils) + 1]
         client.write_switches(model.switch_names, {name: plan.chosen[name] for name in span})
-    post = client.read_all_voltages(meter_map)
-    plan.observed_post_violations = count_violations(post, band).count
+    plan.observed_post_violations = count_violations(client.read_all_voltages(meter_map), band)
     return plan
 
 

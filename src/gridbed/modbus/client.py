@@ -106,10 +106,13 @@ class ModbusClient:
         meter_map: MeterMap,
         source: str = "scaled",
         high_word_first: bool = True,
-    ) -> dict[tuple[str, str], float]:
-        """All meter magnitudes (pu) in meter order, read in chunked spans and
-        decoded as :func:`regmap.decode_voltage_word` or
-        :func:`regmap.decode_float_pair` would, bit for bit."""
+    ) -> tuple[float, ...]:
+        """All meter magnitudes (pu) as one reading: a tuple in
+        ``meter_map.meters`` order, the shape
+        :meth:`~gridbed.powerflow.VoltageSolution.magnitudes` returns.  The
+        words are read in chunked spans and decoded as
+        :func:`regmap.decode_voltage_word` or :func:`regmap.decode_float_pair`
+        would, bit for bit."""
         if source not in ("scaled", "float"):
             raise ValueError(f"unknown voltage source {source!r}")
         width = 1 if source == "scaled" else 2
@@ -122,7 +125,7 @@ class ModbusClient:
         else:
             pairs = np.array(words, dtype=">u2").reshape(-1, 2)
             mags = np.ascontiguousarray(pairs if high_word_first else pairs[:, ::-1]).view(">f4")
-        return dict(zip(meter_map.meters, mags.ravel().tolist()))
+        return tuple(mags.ravel().tolist())
 
     def read_setpoints(self, meter_map: MeterMap) -> dict[str, int]:
         k = len(meter_map.setpoints)

@@ -32,20 +32,20 @@ base, read at ``model.carried`` into one complex array in meter order; power
 mismatch is per-unit on the model's VA base.  De-energized buses report
 exactly zero on all phases.
 
-:meth:`VoltageSolution.magnitudes` returns the ``{(bus, phase): pu}`` mapping
-that a client reads off the wire, so :func:`count_violations` and
+A reading is a tuple of magnitudes (pu) in meter order, one per
+``model.meter_points()`` entry.  :meth:`VoltageSolution.magnitudes` returns
+one, as a client's read off the wire does, so :func:`count_violations` and
 :func:`max_unbalance` take that one shape and serve solver output and meter
-readings alike.
+readings alike; :attr:`~gridbed.regmap.MeterMap.layout` groups a reading's
+positions by bus for the unbalance.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
-import itertools
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -84,31 +84,12 @@ class VoltageSolution:
     iterations: int
     max_mismatch_pu: float
 
-    def magnitudes(self) -> dict[tuple[str, str], float]:
-        """``{(bus, phase): pu}`` in meter order, the shape of a wire read."""
+    def magnitudes(self) -> tuple[float, ...]:
+        """Magnitudes (pu) in meter order, the shape of a wire read."""
         if not self.converged:
             raise PowerFlowError("refusing to read magnitudes of a non-converged solution")
         v = self.voltages
-        return dict(zip(self.meters, np.hypot(v.real, v.imag).tolist()))
-
-
-@dataclass
-class ViolationReport:
-    """Measurement points outside the service-voltage band."""
-
-    count: int
-    points: list[tuple[str, str, float]]
-    band: tuple[float, float]
-    outages: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
-class UnbalanceReport:
-    """Per-bus voltage unbalance percent over energized three-phase buses."""
-
-    per_bus: dict[str, float]
-    max_pct: float
-    max_bus: str | None
+        return tuple(np.hypot(v.real, v.imag).tolist())
 
 
 def solve(
@@ -309,52 +290,29 @@ def check_band(band) -> tuple[float, float]:
     return tuple(band)
 
 
-def count_violations(
-    magnitudes: Mapping[tuple[str, str], float], band: tuple[float, float] = DEFAULT_BAND
-) -> ViolationReport:
-    """Count ``{(bus, phase): pu}`` points outside the band.
+def count_violations(reading: Sequence[float], band: tuple[float, float] = DEFAULT_BAND) -> int:
+    """Count the magnitudes of a meter-order reading that fall outside the band.
 
     A magnitude of exactly 0 is an outage (de-energized), not a violation; a
     non-finite one is a violation.
     """
     low, high = check_band(band)
-    points = [
-        (bus, phase, mag)
-        for (bus, phase), mag in magnitudes.items()
-        if mag != 0.0 and not low <= mag <= high
-    ]
-    outages = [point for point, mag in magnitudes.items() if mag == 0.0]
-    return ViolationReport(count=len(points), points=points, band=band, outages=outages)
+    return sum(mag != 0.0 and not low <= mag <= high for mag in reading)
 
 
-@functools.lru_cache(maxsize=8)
-def _bus_positions(points: tuple[tuple[str, str], ...]) -> tuple[tuple[str, ...], np.ndarray]:
-    """A reading's buses in first-seen order, and a ``(bus, 3)`` array of
-    each bus's A, B, C positions in the reading; ``len(points)`` stands for a
-    phase the reading lacks.  Cached, since every read of one meter map has
-    the same points."""
-    cells: dict[str, list[int]] = {}
-    for k, (bus, phase) in enumerate(points):
-        cells.setdefault(bus, [len(points)] * 3)[PHASE_INDEX[phase]] = k
-    return tuple(cells), np.array(list(cells.values()), dtype=int).reshape(-1, 3)
+def max_unbalance(reading: Sequence[float], layout: np.ndarray) -> float:
+    """Worst unbalance (percent) over the buses of a meter-order reading with
+    three nonzero, finite magnitudes; 0.0 when no bus qualifies.
 
-
-def max_unbalance(magnitudes: Mapping[tuple[str, str], float]) -> UnbalanceReport:
-    """Worst unbalance over buses with three nonzero, finite ``{(bus, phase):
-    pu}`` magnitudes; ``max_pct`` 0.0 and ``max_bus`` None when no bus
-    qualifies.
-
-    A bus's unbalance is the deviation of its worst phase magnitude from the
-    mean of its three, in percent of that mean.  Ties on the percentage go to
-    the greatest bus id.
+    ``layout`` is the reading's ``(bus, 3)`` grid of A, B, C positions, with
+    ``len(reading)`` standing for a phase the bus lacks (see
+    :attr:`~gridbed.regmap.MeterMap.layout`).  A bus's unbalance is the
+    deviation of its worst phase magnitude from the mean of its three, in
+    percent of that mean.
     """
-    buses, positions = _bus_positions(tuple(magnitudes))
-    mags = np.array([*magnitudes.values(), 0.0])[positions]
-    live = ((mags > 0) & np.isfinite(mags)).all(axis=1)
-    mags = mags[live]
+    mags = np.array([*reading, 0.0])[layout]
+    mags = mags[((mags > 0) & np.isfinite(mags)).all(axis=1)]
+    if not len(mags):
+        return 0.0
     mean = (mags[:, 0] + mags[:, 1] + mags[:, 2]) / 3.0
-    pct = np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0
-    per_bus = dict(zip(itertools.compress(buses, live), pct.tolist()))
-    max_bus = max(per_bus, key=lambda b: (per_bus[b], b), default=None)
-    max_pct = 0.0 if max_bus is None else per_bus[max_bus]
-    return UnbalanceReport(per_bus=per_bus, max_pct=max_pct, max_bus=max_bus)
+    return float((np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0).max())

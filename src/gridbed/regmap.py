@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,10 +103,25 @@ def plan_chunked_read(start: int, count: int, limit: int = READ_LIMIT) -> list[t
 @dataclass(frozen=True)
 class MeterMap:
     """Register assignment: meters to voltage registers, controllable nodes
-    to setpoint registers."""
+    to setpoint registers.
+
+    ``layout`` groups the meters by bus, in first-seen order: a ``(bus, 3)``
+    grid of each bus's A, B, C positions in meter order, with
+    ``len(meters)`` standing for a phase the bus lacks.  It is the grid
+    :func:`~gridbed.powerflow.max_unbalance` reads a reading through.
+    """
 
     meters: tuple[tuple[str, str], ...]
     setpoints: tuple[tuple[str, str], ...]
+    layout: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cells: dict[str, list[int]] = {}
+        for k, (bus, phase) in enumerate(self.meters):
+            cells.setdefault(bus, [len(self.meters)] * 3)[PHASE_INDEX[phase]] = k
+        layout = np.array(list(cells.values()), dtype=int).reshape(-1, 3)
+        layout.flags.writeable = False
+        object.__setattr__(self, "layout", layout)
 
     @classmethod
     def for_model(

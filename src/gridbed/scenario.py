@@ -140,8 +140,8 @@ class CaseResult:
     budget_spent_mw: float = 0.0
     max_read_error_pu: float = 0.0
     wall_ms: float = 0.0
-    profile_pre: dict[tuple[str, str], float] = field(default_factory=dict)
-    profile_post: dict[tuple[str, str], float] = field(default_factory=dict)
+    profile_pre: tuple[float, ...] = ()  # meter-order readings
+    profile_post: tuple[float, ...] = ()
     plan: MitigationPlan | None = None
 
 
@@ -167,12 +167,10 @@ def _environment_stamp(config: ScenarioConfig) -> dict:
     }
 
 
-def _check_read_consistency(
-    server: FeederServer, magnitudes: dict[tuple[str, str], float]
-) -> float:
+def _check_read_consistency(server: FeederServer, reading: tuple[float, ...]) -> float:
     """Max |client-read - solver| over meters; must be within quantization."""
     direct = server.snapshot().solution.magnitudes()
-    return max((abs(direct[point] - read) for point, read in magnitudes.items()), default=0.0)
+    return max((abs(d - read) for d, read in zip(direct, reading)), default=0.0)
 
 
 def run_case(
@@ -192,8 +190,9 @@ def run_case(
             host, port = server.address
             stage = "baseline"
             with ModbusClient(host, port) as attacker:
-                mags = attacker.read_all_voltages(meter_map)
-                result.violations_baseline = count_violations(mags, config.band).count
+                result.violations_baseline = count_violations(
+                    attacker.read_all_voltages(meter_map), config.band
+                )
 
                 stage = "attack"
                 if live:
@@ -206,12 +205,11 @@ def run_case(
                     result.attack_status = "replayed"
 
                 stage = "pre-snapshot"
-                mags = attacker.read_all_voltages(meter_map)
-                result.profile_pre = dict(mags)
-                result.violations_pre = count_violations(mags, config.band).count
-                result.unbalance_pre_pct = max_unbalance(mags).max_pct
+                result.profile_pre = pre = attacker.read_all_voltages(meter_map)
+                result.violations_pre = count_violations(pre, config.band)
+                result.unbalance_pre_pct = max_unbalance(pre, meter_map.layout)
                 result.max_read_error_pu = max(
-                    result.max_read_error_pu, _check_read_consistency(server, mags)
+                    result.max_read_error_pu, _check_read_consistency(server, pre)
                 )
 
             stage = "mitigation"
@@ -230,12 +228,11 @@ def run_case(
                     result.toggles = plan.toggles
 
                 stage = "post-snapshot"
-                mags = defender.read_all_voltages(meter_map)
-                result.profile_post = dict(mags)
-                result.violations_post = count_violations(mags, config.band).count
-                result.unbalance_post_pct = max_unbalance(mags).max_pct
+                result.profile_post = post = defender.read_all_voltages(meter_map)
+                result.violations_post = count_violations(post, config.band)
+                result.unbalance_post_pct = max_unbalance(post, meter_map.layout)
                 result.max_read_error_pu = max(
-                    result.max_read_error_pu, _check_read_consistency(server, mags)
+                    result.max_read_error_pu, _check_read_consistency(server, post)
                 )
     except Exception as exc:  # stage-tagged diagnostic, partial result kept
         log.error("case %d failed during %s: %s", case, stage, exc)
@@ -326,9 +323,7 @@ def emit_report(report: ScenarioReport, out_dir, meter_map: MeterMap) -> list[Pa
                 writer = csv.writer(fh)
                 writer.writerow(["register", "bus", "phase", "magnitude_pu"])
                 for k, (bus, phase) in enumerate(meter_map.meters):
-                    writer.writerow(
-                        [VOLTAGE_BLOCK_START + k, bus, phase, f"{profile[(bus, phase)]:.4f}"]
-                    )
+                    writer.writerow([VOLTAGE_BLOCK_START + k, bus, phase, f"{profile[k]:.4f}"])
             written.append(path)
     return written
 

@@ -5,8 +5,10 @@ assembles the full nodal admittance system over (bus, phase) coordinates and
 fixed-point iterates on injected currents; the graph oracles are plain
 union-find / breadth-first implementations; the Modbus address oracle checks
 every register of a span against sets written out from the documented
-register layout; the unbalance reference groups a reading by bus in a dict
-and applies the scalar formula one bus at a time.  The two defender search
+register layout; the metric references take a meter-order reading with its
+meters, list the points outside the band and the outages one point at a
+time, and group the reading by bus in a dict to apply the scalar unbalance
+formula one bus at a time.  The two defender search
 references score every candidate with the package's ``payoff``, as the
 searches did before they learned to skip candidates that cannot win.
 """
@@ -135,11 +137,25 @@ def unbalance_at(v_a: float, v_b: float, v_c: float) -> float:
     return dev / v_avg * 100.0
 
 
-def max_unbalance_reference(magnitudes):
-    """(per_bus, max_pct, max_bus) over buses with three nonzero, finite
-    phase magnitudes; ties go to the greatest bus id."""
+def violations_reference(meters, reading, band=(0.95, 1.05)):
+    """(points, outages) of a meter-order reading: ``(bus, phase, pu)`` for
+    each nonzero magnitude outside the band, non-finite ones included, and
+    ``(bus, phase)`` for each magnitude of exactly 0."""
+    low, high = band
+    points = [
+        (bus, phase, mag)
+        for (bus, phase), mag in zip(meters, reading, strict=True)
+        if mag != 0.0 and not (mag >= low and mag <= high)
+    ]
+    outages = [point for point, mag in zip(meters, reading) if mag == 0.0]
+    return points, outages
+
+
+def max_unbalance_reference(meters, reading):
+    """(per_bus, max_pct, max_bus) of a meter-order reading over buses with
+    three nonzero, finite phase magnitudes; ties go to the greatest bus id."""
     by_bus = {}
-    for (bus, phase), mag in magnitudes.items():
+    for (bus, phase), mag in zip(meters, reading, strict=True):
         by_bus.setdefault(bus, {})[phase] = mag
     per_bus = {
         bus: unbalance_at(*(phases[p] for p in PHASES))

@@ -1,5 +1,7 @@
 """Attack engine: step sizing, clamping, the adaptive loop over live TCP."""
 
+import json
+import math
 import random
 
 import pytest
@@ -302,7 +304,7 @@ def test_monotone_pressure_on_radial_fixture(fixture_model, fixture_meter_map):
         overrides = {node: {"C": (float(kw), 0.0)} for node in groups["C"]}
         solution = solve(fixture_model, view, overrides)
         assert solution.converged
-        count = count_violations(solution.magnitudes()).count
+        count = count_violations(solution.magnitudes())
         assert count >= last
         last = count
     assert last > 0
@@ -316,6 +318,29 @@ def test_params_json_rejects_unknown_key():
 def test_n_max_rule_rejects_unknown_kind():
     with pytest.raises(AttackError, match="quadratic"):
         NMaxRule.from_doc({"kind": "quadratic"})
+
+
+FLOAT_PARAMS = (
+    "alpha_mw", "k_mw", "delta_mw", "floor_step_mw", "gamma_a_mw", "gamma_b_mw",
+    "gamma_c_mw", "av_max_mw", "n_min", "stealth_limit_pct",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_PARAMS + ("value", "slope", "cap"))
+def test_params_reject_non_finite_numbers(key, value):
+    # value, slope and cap are the linear n_max rule's; its JSON calls value "base"
+    if key in FLOAT_PARAMS:
+        build, doc = (lambda: AttackParams(**{key: value})), {key: value}
+    else:
+        rule = {"value": 4.0, "slope": 0.0, "cap": 4.0, key: value}
+        build = lambda: AttackParams(n_max=NMaxRule("linear", **rule))
+        doc = {"n_max": {"kind": "linear", "base": rule["value"], "slope": rule["slope"],
+                         "cap": rule["cap"]}}
+    text = json.dumps(doc)  # NaN, Infinity or -Infinity, as json.loads accepts
+    for make in (build, lambda: AttackParams.from_json(text)):
+        with pytest.raises(AttackError, match=f"{key} must be finite"):
+            make()
 
 
 def test_params_json_round_trip():

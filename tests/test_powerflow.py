@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import warnings
 
@@ -34,6 +35,7 @@ from oracles import (
     reachable_from,
     two_bus_receiving_magnitude,
     unbalance_at,
+    violations_reference,
 )
 
 
@@ -46,6 +48,15 @@ def _complex(solution):
     return dict(zip(solution.meters, solution.voltages))
 
 
+def _mags(solution):
+    """{(bus, phase): pu} from the solution's meter-order reading."""
+    return dict(zip(solution.meters, solution.magnitudes()))
+
+
+def _layout(meters):
+    return MeterMap(meters, ()).layout
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -56,7 +67,7 @@ def test_zero_load_is_flat_in_one_iteration():
     solution = solve(model, _view(model))
     assert solution.converged
     assert solution.iterations == 1
-    assert solution.magnitudes()[("B1", "A")] == pytest.approx(1.0, abs=1e-12)
+    assert _mags(solution)[("B1", "A")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_bus_matches_closed_form():
@@ -67,15 +78,15 @@ def test_two_bus_matches_closed_form():
     assert solution.converged
     expected = two_bus_receiving_magnitude(1000.0, 0.01, 0.01, 100e3, 0.0) / 1000.0
     assert expected == pytest.approx(0.998998496489339, abs=1e-12)
-    assert solution.magnitudes()[("B1", "A")] == pytest.approx(expected, abs=1e-6)
+    assert _mags(solution)[("B1", "A")] == pytest.approx(expected, abs=1e-6)
 
 
 def test_fixture_baseline_converges_clean(fixture_model):
     solution = solve(fixture_model, _view(fixture_model))
     assert solution.converged
-    report = count_violations(solution.magnitudes())
-    assert report.count == 0
-    assert not report.outages
+    reading = solution.magnitudes()
+    assert count_violations(reading) == 0
+    assert violations_reference(solution.meters, reading) == ([], [])
 
 
 def test_source_voltage_exact(fixture_model):
@@ -189,7 +200,7 @@ def test_meters_connected_on_their_phase_are_fed_with_s8_closed(fixture_model):
     solution = solve(fixture_model, _view(fixture_model, config))
     assert solution.converged
     closed = config.as_dict()
-    mags = solution.magnitudes()
+    mags = _mags(solution)
     starved = []
     for p in PHASES:
         # branches that carry phase p: in service, and p at both endpoints
@@ -328,8 +339,8 @@ def test_power_conservation(four_bus_model):
 
 def test_increasing_load_weakly_decreases_feed_path_voltage(fixture_model):
     view = _view(fixture_model)
-    base = solve(fixture_model, view).magnitudes()
-    bumped = solve(fixture_model, view, {"N104": {"C": (120.0, 0.0)}}).magnitudes()
+    base = _mags(solve(fixture_model, view))
+    bumped = _mags(solve(fixture_model, view, {"N104": {"C": (120.0, 0.0)}}))
     # every bus on the feed path to N104 sags (weakly) on the loaded phase
     for bus in ("N101", "N102", "N103", "N104", "N97", "N67"):
         assert bumped[(bus, "C")] <= base[(bus, "C")] + 1e-12
@@ -343,7 +354,7 @@ def test_load_scaling_to_zero_gives_flat_profile(fixture_model):
     }
     solution = solve(fixture_model, _view(fixture_model), overrides)
     assert solution.converged
-    for mag in solution.magnitudes().values():
+    for mag in solution.magnitudes():
         assert mag == pytest.approx(1.0, abs=1e-9)
 
 
@@ -373,7 +384,7 @@ def test_unbalance_rejects_nonpositive():
         unbalance_at(1.0, 0.0, 1.0)
 
 
-def test_max_unbalance_balanced_loading(fixture_model):
+def test_max_unbalance_balanced_loading(fixture_model, fixture_meter_map):
     overrides = {
         b.id: {p: (10.0, 3.0) for p in b.phases}
         for b in fixture_model.buses
@@ -384,32 +395,37 @@ def test_max_unbalance_balanced_loading(fixture_model):
         if len(b.phases) == 1 and b.id in fixture_model.load_buses:
             overrides[b.id] = {b.phases[0]: (0.0, 0.0)}
     solution = solve(fixture_model, _view(fixture_model), overrides)
-    report = max_unbalance(solution.magnitudes())
-    assert report.max_pct == pytest.approx(0.0, abs=1e-6)
+    assert max_unbalance(solution.magnitudes(), fixture_meter_map.layout) == pytest.approx(
+        0.0, abs=1e-6
+    )
 
 
 def test_max_unbalance_single_bus_case(four_bus_model):
     solution = solve(four_bus_model, _view(four_bus_model))
-    report = max_unbalance(solution.magnitudes())
-    assert set(report.per_bus) == {"S", "M", "T"}  # U carries two phases only
-    assert report.max_pct == report.per_bus[report.max_bus]
-    assert all(v >= 0 for v in report.per_bus.values())
+    reading = solution.magnitudes()
+    per_bus, max_pct, max_bus = max_unbalance_reference(solution.meters, reading)
+    assert set(per_bus) == {"S", "M", "T"}  # U carries two phases only
+    assert max_unbalance(reading, _layout(solution.meters)) == max_pct == per_bus[max_bus]
+    assert all(v >= 0 for v in per_bus.values())
 
     # no bus with three live phases, from the solver and as read off the wire
     # (D has a dead phase): nothing to measure
     two_bus = load_feeder(json.dumps(two_bus_doc()))
-    wire = {("B1", "A"): 0.97, ("U", "A"): 1.0, ("U", "B"): 0.99,
-            ("D", "A"): 1.0, ("D", "B"): 0.0, ("D", "C"): 1.0}
-    for mags in (solve(two_bus, _view(two_bus)).magnitudes(), wire):
-        report = max_unbalance(mags)
-        assert (report.max_pct, report.max_bus, report.per_bus) == (0.0, None, {})
+    solved = solve(two_bus, _view(two_bus))
+    wire = (("B1", "A"), ("U", "A"), ("U", "B"), ("D", "A"), ("D", "B"), ("D", "C"))
+    for meters, reading in (
+        (solved.meters, solved.magnitudes()),
+        (wire, (0.97, 1.0, 0.99, 1.0, 0.0, 1.0)),
+    ):
+        assert max_unbalance(reading, _layout(meters)) == 0.0
+        assert max_unbalance_reference(meters, reading) == ({}, 0.0, None)
 
 
 def _random_reading(rng):
-    """A wire-shaped reading over random buses carrying one, two or three
-    phases, with outages, repeated magnitude triples (equal-percent ties)
-    and shuffled key order."""
-    reading = {}
+    """A wire-shaped ``(meters, reading)`` pair over random buses carrying one,
+    two or three phases, with outages, NaN and infinite magnitudes, repeated
+    magnitude triples and shuffled meter order."""
+    points = []
     triples = [tuple(rng.choice((0.85, 0.95, 1.0, 1.1)) for _ in range(3)) for _ in range(3)]
     for n in range(rng.randrange(0, 60)):
         phases = rng.choice(("A", "B", "C", "AB", "BC", "AC", "ABC", "ABC", "ABC"))
@@ -419,23 +435,31 @@ def _random_reading(rng):
             mags = [rng.uniform(0.98, 1.02) for _ in phases]
         bus = f"N{rng.randrange(1000)}x{n}"
         for phase, mag in zip(phases, mags):
-            reading[(bus, phase)] = 0.0 if rng.random() < 0.05 else mag
-    items = list(reading.items())
-    rng.shuffle(items)
-    return dict(items)
+            draw = rng.random()
+            if draw < 0.05:
+                mag = 0.0
+            elif draw < 0.08:
+                mag = rng.choice((math.nan, math.inf, -math.inf))
+            points.append(((bus, phase), mag))
+    rng.shuffle(points)
+    meters = tuple(point for point, _ in points)
+    return meters, tuple(mag for _, mag in points)
 
 
-def test_max_unbalance_equals_scalar_reference():
+def test_metrics_equal_scalar_references():
     rng = random.Random(15)
-    ties = 0
-    for _ in range(300):
-        reading = _random_reading(rng)
-        report = max_unbalance(reading)
-        per_bus, max_pct, max_bus = max_unbalance_reference(reading)
-        assert list(report.per_bus.items()) == list(per_bus.items())
-        assert (report.max_pct, report.max_bus) == (max_pct, max_bus)
-        ties += list(per_bus.values()).count(max_pct) > 1
-    assert ties > 0
+    counts, non_finite = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            meters, reading = _random_reading(rng)
+            points, _ = violations_reference(meters, reading)
+            _, max_pct, _ = max_unbalance_reference(meters, reading)
+            counts.append(count_violations(reading))
+            assert counts[-1] == len(points)
+            assert max_unbalance(reading, _layout(meters)) == max_pct
+            non_finite += not all(map(math.isfinite, reading))
+    assert non_finite and max(counts) > 0
 
 
 def test_max_unbalance_equals_reference_on_solver_output(fixture_model, fixture_meter_map):
@@ -443,23 +467,22 @@ def test_max_unbalance_equals_reference_on_solver_output(fixture_model, fixture_
     for case in sorted(CASE_PATTERNS):
         setpoints = case_vector(fixture_meter_map, case)
         overrides = fixture_meter_map.overrides(fixture_model, setpoints)
-        mags = solve(fixture_model, view, overrides).magnitudes()
-        report = max_unbalance(mags)
-        assert (report.per_bus, report.max_pct, report.max_bus) == max_unbalance_reference(mags)
+        reading = solve(fixture_model, view, overrides).magnitudes()
+        _, max_pct, _ = max_unbalance_reference(fixture_meter_map.meters, reading)
+        assert max_unbalance(reading, fixture_meter_map.layout) == max_pct
 
 
 def test_infinite_phase_leaves_its_bus_out_in_either_key_order():
-    x = {("X", "A"): 1.0, ("X", "B"): float("inf"), ("X", "C"): 1.0}
-    y = {("Y", "A"): 1.0, ("Y", "B"): 1.1, ("Y", "C"): 1.0}
+    x = ((("X", "A"), 1.0), (("X", "B"), float("inf")), (("X", "C"), 1.0))
+    y = ((("Y", "A"), 1.0), (("Y", "B"), 1.1), (("Y", "C"), 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for reading in ({**x, **y}, {**y, **x}):
-            report = max_unbalance(reading)
-            assert report.per_bus == {"Y": report.max_pct}
-            assert (report.max_bus, round(report.max_pct, 2)) == ("Y", 6.45)
-            assert (report.per_bus, report.max_pct, report.max_bus) == max_unbalance_reference(
-                reading
-            )
+        for points in (x + y, y + x):
+            meters, reading = zip(*points)
+            per_bus, max_pct, max_bus = max_unbalance_reference(meters, reading)
+            assert per_bus == {"Y": max_pct}
+            assert (max_bus, round(max_pct, 2)) == ("Y", 6.45)
+            assert max_unbalance(reading, _layout(meters)) == max_pct
 
 
 def test_non_finite_float_words_off_the_wire(scripted_peer, four_bus_model):
@@ -472,37 +495,38 @@ def test_non_finite_float_words_off_the_wire(scripted_peer, four_bus_model):
         [mbap_frame(1, frames.ReadHoldingResponse(tuple(w for pair in pairs for w in pair)))]
     )
     with ModbusClient(*peer.address) as client:
-        mags = client.read_all_voltages(meter_map, source="float")
-    assert np.isnan(mags[("M", "B")]) and mags[("T", "C")] == float("inf")
+        reading = client.read_all_voltages(meter_map, source="float")
+    assert np.isnan(reading[4]) and reading[8] == float("inf")  # M B, T C
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        violations = count_violations(mags)
-        unbalance = max_unbalance(mags)
+        count = count_violations(reading)
+        unbalance = max_unbalance(reading, meter_map.layout)
     # a non-finite magnitude is a violation, never an outage
-    assert [(bus, phase) for bus, phase, _ in violations.points] == [
-        ("S", "C"), ("M", "B"), ("T", "C"),
-    ]
-    assert violations.outages == []
+    points, outages = violations_reference(meter_map.meters, reading)
+    assert [(bus, phase) for bus, phase, _ in points] == [("S", "C"), ("M", "B"), ("T", "C")]
+    assert (count, outages) == (3, [])
     # a bus with a non-finite phase is left out of unbalance
-    assert set(unbalance.per_bus) == {"S"} and unbalance.max_bus == "S"
+    per_bus, max_pct, max_bus = max_unbalance_reference(meter_map.meters, reading)
+    assert set(per_bus) == {"S"} and max_bus == "S" and unbalance == max_pct
 
 
 def test_count_violations_band_logic():
-    mags = {("B1", "A"): 1.0, ("B2", "A"): 0.94, ("B3", "A"): 0.0}
-    report = count_violations(mags)
-    assert (report.count, report.points, report.outages) == (1, [("B2", "A", 0.94)], [("B3", "A")])
+    meters, reading = (("B1", "A"), ("B2", "A"), ("B3", "A")), (1.0, 0.94, 0.0)
+    assert count_violations(reading) == 1
+    assert violations_reference(meters, reading) == ([("B2", "A", 0.94)], [("B3", "A")])
     with pytest.raises(PowerFlowError, match="inverted"):
-        count_violations(mags, band=(1.05, 0.95))
+        count_violations(reading, band=(1.05, 0.95))
 
 
 def test_count_violations_reports_points_and_outages(fixture_model):
     config = SwitchConfig.normal(fixture_model).with_switch("S6", False)
     view = apply_switch_config(fixture_model, config)
     solution = solve(fixture_model, view)
-    report = count_violations(solution.magnitudes())
-    assert report.count == len(report.points)
-    assert ("N135", "A") in report.outages  # zone behind S6 went dark
-    for _, _, mag in report.points:
+    reading = solution.magnitudes()
+    points, outages = violations_reference(solution.meters, reading)
+    assert count_violations(reading) == len(points)
+    assert ("N135", "A") in outages  # zone behind S6 went dark
+    for _, _, mag in points:
         assert mag < 0.95 or mag > 1.05
 
 
@@ -510,6 +534,7 @@ def test_violation_count_invariant_under_bus_order(fixture_model):
     solution = solve(
         fixture_model, _view(fixture_model), {"N102": {"C": (160.0, 0.0)}}
     )
-    mags = solution.magnitudes()
-    shuffled = dict(sorted(mags.items(), key=lambda kv: hash(kv[0])))
-    assert count_violations(shuffled).count == count_violations(mags).count
+    reading = solution.magnitudes()
+    points = sorted(zip(solution.meters, reading), key=lambda kv: hash(kv[0]))
+    shuffled = [mag for _, mag in points]
+    assert count_violations(shuffled) == count_violations(reading)

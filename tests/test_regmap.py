@@ -220,7 +220,7 @@ def test_build_image_matches_per_meter_codec(fixture_model, fixture_meter_map):
     edges = [(rng.randrange(65535) + 0.5) / VOLTAGE_SCALE for _ in range(204)]
     boundary = replace(solved, voltages=np.array([0.0, MAX_SCALED_PU] + edges, dtype=complex))
     for solution in (solved, boundary):
-        mags = list(solution.magnitudes().values())
+        mags = solution.magnitudes()
         for high_word_first in (True, False):
             image = build_image(
                 solution, {}, config, fixture_meter_map, high_word_first=high_word_first

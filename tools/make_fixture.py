@@ -266,6 +266,7 @@ def check(doc: dict):
     from gridbed.powerflow import count_violations, max_unbalance, solve
     from gridbed.regmap import MeterMap
     from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW
+    from state_digest import unbalance_by_bus, worst_bus
 
     model = load_feeder(json.dumps(doc))
     meter_map = MeterMap.for_model(model)
@@ -279,13 +280,12 @@ def check(doc: dict):
     view = apply_switch_config(model, base)
     print(f"base radial={is_radial(view)} energized={len(view.energized)}")
     sol = solve(model, view)
-    points = sol.magnitudes()
-    report = count_violations(points)
-    mags = sorted(points.values())
-    unb = max_unbalance(points)
+    reading = sol.magnitudes()
+    mags = sorted(reading)
     print(f"baseline: converged={sol.converged} iters={sol.iterations} "
-          f"min={mags[0]:.4f} max={mags[-1]:.4f} violations={report.count} "
-          f"maxU={unb.max_pct:.3f}% at {unb.max_bus}")
+          f"min={mags[0]:.4f} max={mags[-1]:.4f} violations={count_violations(reading)} "
+          f"maxU={max_unbalance(reading, meter_map.layout):.3f}% "
+          f"at {worst_bus(unbalance_by_bus(reading, meter_map))}")
 
     def overrides_for(case):
         group, level = CASE_PATTERNS[case]
@@ -299,17 +299,17 @@ def check(doc: dict):
     for case in sorted(CASE_PATTERNS):
         ov = overrides_for(case)
         s = solve(model, view, ov)
-        points = s.magnitudes()
-        rep = count_violations(points)
-        u = max_unbalance(points)
-        unbalances[case] = u.max_pct
-        margin = min(abs(m - 0.95) for m in points.values() if m > 0)
+        reading = s.magnitudes()
+        unbalances[case] = max_unbalance(reading, meter_map.layout)
+        max_bus = worst_bus(unbalance_by_bus(reading, meter_map))
+        margin = min(abs(m - 0.95) for m in reading if m > 0)
         plan = best_response_sweep(model, base, ov, Weights(), allow_meshed=True)
         oracle = exhaustive_best(model, base, ov, Weights(), allow_meshed=True)
         agree = (plan.post_violations, sorted(plan.toggles)) == (
             oracle.post_violations, sorted(oracle.toggles))
         print(
-            f"case {case}: pre={rep.count:3d} maxU={u.max_pct:.3f}% at {u.max_bus:6s} "
+            f"case {case}: pre={count_violations(reading):3d} "
+            f"maxU={unbalances[case]:.3f}% at {max_bus:6s} "
             f"margin={margin:.4f} | sweep toggles={sorted(plan.toggles)} "
             f"post={plan.post_violations} | oracle toggles={sorted(oracle.toggles)} "
             f"post={oracle.post_violations} agree={agree}"

@@ -6,9 +6,9 @@ switches) under seven load patterns: the base loads, then the terminal
 setpoint pattern of each of the six scenario cases.  Per state the digest
 covers the energized set, ``is_radial``, ``converged``, ``iterations``,
 ``max_mismatch_pu``, the raw voltage bytes, the register image in both word
-orders, the violation count, and the unbalance report (``max_pct``,
-``max_bus`` and ``per_bus``).  A refactor that leaves every output bit for bit
-unchanged leaves the digest unchanged:
+orders, the violation count, and the unbalance: its maximum, the bus where
+it sits and every bus's percentage (:func:`unbalance_by_bus`).  A refactor
+that leaves every output bit for bit unchanged leaves the digest unchanged:
 
     python3 tools/state_digest.py
 
@@ -46,6 +46,24 @@ from gridbed.scenario import CASE_PATTERNS, case_vector
 # Per state: switch states, load pattern index, whether a closed branch
 # closes a loop, and the solver's outputs.
 DUMP_FIELDS = ("closed", "pattern", "meshed", "converged", "iterations", "voltages")
+
+
+def unbalance_by_bus(reading, meter_map) -> dict[str, float]:
+    """``{bus: unbalance %}`` of a meter-order reading over the buses with
+    three nonzero, finite magnitudes, in ``meter_map.layout`` order, by
+    :func:`~gridbed.powerflow.max_unbalance`'s arithmetic."""
+    layout = meter_map.layout
+    mags = np.array([*reading, 0.0])[layout]
+    live = ((mags > 0) & np.isfinite(mags)).all(axis=1)
+    mags = mags[live]
+    mean = (mags[:, 0] + mags[:, 1] + mags[:, 2]) / 3.0
+    pct = np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0
+    return {meter_map.meters[row[0]][0]: p for row, p in zip(layout[live], pct.tolist())}
+
+
+def worst_bus(per_bus: dict[str, float]) -> str | None:
+    """The bus with the greatest unbalance; a tie goes to the greatest id."""
+    return max(per_bus, key=lambda b: (per_bus[b], b), default=None)
 
 
 def load_patterns(model, meter_map):
@@ -92,13 +110,13 @@ def state_digest(dump=None) -> str:
                 except (PowerFlowError, RegisterMapError) as exc:
                     put(type(exc).__name__, str(exc))
             if solution.converged:
-                mags = solution.magnitudes()
-                unbalance = max_unbalance(mags)
+                reading = solution.magnitudes()
+                per_bus = unbalance_by_bus(reading, meter_map)
                 put(
-                    count_violations(mags).count,
-                    unbalance.max_pct,
-                    unbalance.max_bus,
-                    list(unbalance.per_bus.items()),
+                    count_violations(reading),
+                    max_unbalance(reading, meter_map.layout),
+                    worst_bus(per_bus),
+                    list(per_bus.items()),
                 )
     if dump is not None:
         columns = (np.array(column) for column in zip(*rows))
