@@ -1,5 +1,6 @@
 """Frame codec: byte-exact examples and randomized round-trip properties."""
 
+import hashlib
 import io
 import random
 
@@ -97,7 +98,7 @@ def _random_request(rng):
     if kind == 1:
         return ReadHoldingRequest(start, rng.randrange(0, 128))
     if kind == 2:
-        return WriteCoilRequest(start, rng.randrange(0, 0x10000))
+        return WriteCoilRequest(start, rng.choice((frames.COIL_ON, frames.COIL_OFF)))
     if kind == 3:
         return WriteRegisterRequest(start, rng.randrange(0, 0x10000))
     if kind == 4:
@@ -125,9 +126,11 @@ def test_randomized_request_round_trip():
     rng = random.Random(99)
     seen = set()
     framed = oversized = 0
+    wire = hashlib.sha256()
     for _ in range(2000):
         request = _random_request(rng)
         pdu = encode_pdu(request)
+        wire.update(pdu)
         assert decode_request(pdu) == request
         header = MbapHeader(rng.randrange(0, 0x10000), rng.randrange(0, 0x100))
         if len(pdu) > 253:  # too long for the 2..254 MBAP length field
@@ -135,19 +138,27 @@ def test_randomized_request_round_trip():
                 encode_frame(header, pdu)
             oversized += 1
         else:
-            assert _receive(encode_frame(header, pdu)) == (header, pdu)
+            frame = encode_frame(header, pdu)
+            wire.update(frame)
+            assert _receive(frame) == (header, pdu)
             framed += 1
         seen.add(request.function)
     assert seen == frames.SUPPORTED_FUNCTIONS
     assert framed and oversized
+    assert wire.hexdigest() == "7d58632e9eaf9e2bcf18d442bdd7714e1c85efd2454edf62558645e7ac4097cb"
 
 
 def test_randomized_response_round_trip():
     rng = random.Random(100)
-    for _ in range(2000):
+    wire = hashlib.sha256()
+    for i in range(2000):
         request = _random_request(rng)
         response = _matching_response(rng, request)
         assert decode_response(encode_pdu(response), request) == response
+        wire.update(encode_pdu(request))
+        wire.update(encode_pdu(response))
+        wire.update(encode_pdu(ExceptionResponse(request.function, 1 + i % 4)))
+    assert wire.hexdigest() == "41383bc7559a2cd8fb38fdd19367e6a7d54db6286c0d23d30fbb218b49f14704"
 
 
 @pytest.mark.parametrize(

@@ -225,10 +225,12 @@ def test_write_to_voltage_register_is_illegal_address(live_server):
 
 
 def test_write_coil_bad_value_is_illegal_value(live_server):
-    with _client(live_server) as client:
-        with pytest.raises(ModbusExceptionError) as exc:
-            client.request(frames.WriteCoilRequest(0, 0x1234))
-    assert exc.value.code == frames.EXC_ILLEGAL_VALUE
+    raw = frames.encode_frame(frames.MbapHeader(9, 1), bytes.fromhex("0500001234"))
+    with socket.create_connection(live_server.address, timeout=5.0) as sock:
+        sock.sendall(raw)
+        _, _, length, _ = struct.unpack(">HHHB", _recv_exact(sock, 7))
+        pdu = _recv_exact(sock, length - 1)
+    assert pdu == bytes([0x05 | 0x80, frames.EXC_ILLEGAL_VALUE])
 
 
 def test_unknown_function_code_is_illegal_function(live_server):
