@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
+from .modbus import parse_address
 from .modbus.client import ModbusClient
 from .powerflow import DEFAULT_BAND, check_band, count_violations, max_unbalance
 from .regmap import MeterMap
@@ -65,16 +66,19 @@ class NMaxRule:
     cap: float = 4.0
 
     def __post_init__(self):
+        if self.kind not in ("constant", "linear"):
+            raise AttackError(f"unknown n_max rule {self.kind!r}")
         for name in ("value", "slope", "cap"):
             if not math.isfinite(getattr(self, name)):
                 raise AttackError(f"n_max {name} must be finite, got {getattr(self, name)!r}")
+        for name in ("value", "cap"):
+            if getattr(self, name) <= 0:
+                raise AttackError(f"n_max {name} must be positive, got {getattr(self, name)!r}")
 
     def evaluate(self, violation_gain: int) -> float:
         if self.kind == "constant":
             return self.value
-        if self.kind == "linear":
-            return min(self.value + self.slope * violation_gain, self.cap)
-        raise AttackError(f"unknown n_max rule {self.kind!r}")
+        return min(self.value + self.slope * violation_gain, self.cap)
 
     def to_doc(self) -> dict:
         if self.kind == "constant":
@@ -123,6 +127,13 @@ class AttackParams:
                 raise AttackError(f"{f.name} must be finite, got {value!r}")
         if self.alpha_mw <= 0 or self.k_mw <= 0 or self.delta_mw <= 0:
             raise AttackError("alpha, k and delta must be positive")
+        for group in "abc":
+            gamma = getattr(self, f"gamma_{group}_mw")
+            if gamma is not None and gamma <= 0:
+                raise AttackError(f"gamma_{group}_mw must be positive, got {gamma!r}")
+        for name in ("av_max_mw", "n_tar", "max_steps"):
+            if getattr(self, name) < 0:
+                raise AttackError(f"{name} must not be negative, got {getattr(self, name)!r}")
         if self.floor_step_mw <= 0:
             raise AttackError("floor step must be positive")
         if self.n_min <= 0:
@@ -360,7 +371,12 @@ def main(argv=None) -> int:
 
     from .feeder import load_default_feeder, load_feeder_file
 
-    model = load_feeder_file(args.feeder) if args.feeder else load_default_feeder()
+    try:
+        address = parse_address(args.server)
+        model = load_feeder_file(args.feeder) if args.feeder else load_default_feeder()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}")
+        return 1
     meter_map = MeterMap.for_model(model)
     params = AttackParams()
     if args.params:
@@ -371,9 +387,8 @@ def main(argv=None) -> int:
             print(f"error: bad attack parameters {args.params}: {exc}")
             return 1
 
-    host, _, port = args.server.rpartition(":")
     try:
-        client = ModbusClient(host or "127.0.0.1", int(port))
+        client = ModbusClient(*address)
     except OSError as exc:
         print(f"error: cannot connect to {args.server}: {exc}")
         return 1

@@ -48,6 +48,7 @@ from .feeder import (
     is_radial,
     load_feeder_file,
 )
+from .modbus import parse_address
 from .modbus.client import ModbusClient
 from .powerflow import DEFAULT_BAND, count_violations, solve
 from .regmap import MeterMap
@@ -399,12 +400,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
-    model = load_feeder_file(args.feeder)
+    try:
+        address = parse_address(args.server)
+        model = load_feeder_file(args.feeder)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}")
+        return 1
     meter_map = MeterMap.for_model(model)
-    host, _, port = args.server.rpartition(":")
 
     def connect():
-        return ModbusClient(host or "127.0.0.1", int(port))
+        return ModbusClient(*address)
 
     try:
         plans = run_mitigation(

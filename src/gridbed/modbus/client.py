@@ -2,7 +2,8 @@
 
 Thin request/response wrapper plus the testbed-level operations the attack
 and mitigation engines use: chunked voltage reads, setpoint writes, and
-switch operations.  Exception responses surface as
+switch operations.  Each primitive sends one :class:`frames.Pdu` and reads
+the ``values`` of the one that answers it.  Exception responses surface as
 :class:`ModbusExceptionError` with the code.  Replies are read with the
 server's own :func:`frames.receive_frame`; a transport failure, a timeout, a
 malformed reply or one that does not answer the request closes the
@@ -20,16 +21,7 @@ import numpy as np
 from .. import regmap
 from ..regmap import MeterMap, plan_chunked_read
 from . import frames
-from .frames import (
-    ExceptionResponse,
-    FrameError,
-    MbapHeader,
-    ReadCoilsRequest,
-    ReadHoldingRequest,
-    WriteCoilRequest,
-    WriteCoilsRequest,
-    WriteRegistersRequest,
-)
+from .frames import ExceptionResponse, FrameError, MbapHeader, Pdu
 
 
 class ModbusExceptionError(RuntimeError):
@@ -84,20 +76,17 @@ class ModbusClient:
 
     def read_holding(self, first_register: int, count: int) -> list[int]:
         """Read ``count`` holding registers starting at a 1-based number."""
-        resp = self.request(ReadHoldingRequest(first_register - 1, count))
-        return list(resp.words)
+        return list(self.request(Pdu(frames.FC_READ_HOLDING, first_register - 1, count)).values)
 
     def read_coils(self, first_coil: int, count: int) -> list[bool]:
-        resp = self.request(ReadCoilsRequest(first_coil - 1, count))
-        return list(resp.bits)
+        return list(self.request(Pdu(frames.FC_READ_COILS, first_coil - 1, count)).values)
 
     def write_registers(self, first_register: int, values: list[int]):
-        self.request(WriteRegistersRequest(first_register - 1, tuple(values)))
+        values = tuple(values)
+        self.request(Pdu(frames.FC_WRITE_REGISTERS, first_register - 1, len(values), values))
 
     def write_coil(self, coil: int, closed: bool):
-        self.request(
-            WriteCoilRequest(coil - 1, frames.COIL_ON if closed else frames.COIL_OFF)
-        )
+        self.request(Pdu(frames.FC_WRITE_COIL, coil - 1, 1, (closed,)))
 
     # -- testbed operations ----------------------------------------------------
 
@@ -184,6 +173,6 @@ class ModbusClient:
             missing = [name for name in span if name not in states]
             raise ValueError(f"switch states do not name {', '.join(map(repr, missing))}")
         wanted = [bool(states[name]) for name in span]
-        self.request(WriteCoilsRequest(coils[0], tuple(wanted)))
+        self.request(Pdu(frames.FC_WRITE_COILS, coils[0], len(wanted), tuple(wanted)))
         if self.read_coils(1 + coils[0], len(span)) != wanted:
             raise RuntimeError(f"switches {', '.join(span)} read-back mismatch after write")

@@ -11,15 +11,19 @@ with, refuses to read one.
 
 Supported function codes: 0x01 read coils, 0x03 read holding registers,
 0x05 write single coil, 0x06 write single register, 0x0F write multiple
-coils, 0x10 write multiple registers.  Exception responses set the high bit
-of the function code and carry a single exception byte.
+coils, 0x10 write multiple registers.  Every request and normal response of
+each of them is one :class:`Pdu` (function, start address, count, values),
+and the codec branches on the three body layouts the specification defines,
+not on the function code.  The FC05 rule, that a coil value is 0xFF00 or
+0x0000, lives in :func:`decode_request`.  Exception responses set the high
+bit of the function code and carry a single exception byte.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence
 
 FC_READ_COILS = 0x01
 FC_READ_HOLDING = 0x03
@@ -61,72 +65,20 @@ class MbapHeader:
     unit_id: int
 
 
-@dataclass(frozen=True)
-class ReadCoilsRequest:
+class Pdu(NamedTuple):
+    """A request or a normal response of any supported function code.
+
+    ``start`` is the 0-based wire address.  ``values`` holds bits for
+    FC01/05/0F and words for FC03/06/10, one of them for FC05/06 and their
+    echo; it is ``None`` when the PDU has no value field, as in a read
+    request or a write-multiple response, so a zero-quantity read request
+    and its empty response stay apart.
+    """
+
+    function: int
     start: int
     count: int
-    function = FC_READ_COILS
-
-
-@dataclass(frozen=True)
-class ReadCoilsResponse:
-    bits: tuple[bool, ...]
-    function = FC_READ_COILS
-
-
-@dataclass(frozen=True)
-class ReadHoldingRequest:
-    start: int
-    count: int
-    function = FC_READ_HOLDING
-
-
-@dataclass(frozen=True)
-class ReadHoldingResponse:
-    words: tuple[int, ...]
-    function = FC_READ_HOLDING
-
-
-@dataclass(frozen=True)
-class WriteCoilRequest:
-    address: int
-    value: int  # 0xFF00 or 0x0000 on the wire
-    function = FC_WRITE_COIL
-
-
-@dataclass(frozen=True)
-class WriteRegisterRequest:
-    address: int
-    value: int
-    function = FC_WRITE_REGISTER
-
-
-@dataclass(frozen=True)
-class WriteCoilsRequest:
-    start: int
-    bits: tuple[bool, ...]
-    function = FC_WRITE_COILS
-
-
-@dataclass(frozen=True)
-class WriteCoilsResponse:
-    start: int
-    count: int
-    function = FC_WRITE_COILS
-
-
-@dataclass(frozen=True)
-class WriteRegistersRequest:
-    start: int
-    words: tuple[int, ...]
-    function = FC_WRITE_REGISTERS
-
-
-@dataclass(frozen=True)
-class WriteRegistersResponse:
-    start: int
-    count: int
-    function = FC_WRITE_REGISTERS
+    values: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -135,147 +87,114 @@ class ExceptionResponse:
     code: int
 
 
-Request = Union[
-    ReadCoilsRequest,
-    ReadHoldingRequest,
-    WriteCoilRequest,
-    WriteRegisterRequest,
-    WriteCoilsRequest,
-    WriteRegistersRequest,
-]
-Response = Union[
-    ReadCoilsResponse,
-    ReadHoldingResponse,
-    WriteCoilRequest,  # echo responses reuse the request shape
-    WriteRegisterRequest,
-    WriteCoilsResponse,
-    WriteRegistersResponse,
-    ExceptionResponse,
-]
+_READS = (FC_READ_COILS, FC_READ_HOLDING)
+_SINGLE_WRITES = (FC_WRITE_COIL, FC_WRITE_REGISTER)
+_BIT_FUNCTIONS = (FC_READ_COILS, FC_WRITE_COIL, FC_WRITE_COILS)
 
 
-def _pack_bits(bits: Sequence[bool]) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for i, b in enumerate(bits):
+def _pack(function: int, values: Sequence) -> bytes:
+    """Values as their payload: words big-endian, bits LSB first."""
+    if function not in _BIT_FUNCTIONS:
+        return struct.pack(f">{len(values)}H", *values)
+    out = bytearray((len(values) + 7) // 8)
+    for i, b in enumerate(values):
         if b:
             out[i // 8] |= 1 << (i % 8)
     return bytes(out)
 
 
-def _unpack_bits(data: bytes, count: int) -> tuple[bool, ...]:
-    return tuple(bool(data[i // 8] >> (i % 8) & 1) for i in range(count))
+def _unpack(function: int, payload: bytes, count: int) -> tuple:
+    """The ``count`` values a payload carries, if it is exactly that long."""
+    if function not in _BIT_FUNCTIONS:
+        if len(payload) == 2 * count:
+            return struct.unpack(f">{count}H", payload)
+    elif len(payload) == (count + 7) // 8:
+        return tuple(bool(payload[i // 8] >> (i % 8) & 1) for i in range(count))
+    raise FrameError(f"function 0x{function:02X} payload length mismatch")
 
 
-def encode_pdu(pdu) -> bytes:
-    """Encode a request or response object into PDU bytes."""
-    if isinstance(pdu, (ReadCoilsRequest, ReadHoldingRequest)):
-        return struct.pack(">BHH", pdu.function, pdu.start, pdu.count)
-    if isinstance(pdu, ReadCoilsResponse):
-        payload = _pack_bits(pdu.bits)
-        return struct.pack(">BB", pdu.function, len(payload)) + payload
-    if isinstance(pdu, ReadHoldingResponse):
-        return (
-            struct.pack(">BB", pdu.function, 2 * len(pdu.words))
-            + struct.pack(f">{len(pdu.words)}H", *pdu.words)
-        )
-    if isinstance(pdu, (WriteCoilRequest, WriteRegisterRequest)):
-        return struct.pack(">BHH", pdu.function, pdu.address, pdu.value)
-    if isinstance(pdu, WriteCoilsRequest):
-        payload = _pack_bits(pdu.bits)
-        return (
-            struct.pack(">BHHB", pdu.function, pdu.start, len(pdu.bits), len(payload))
-            + payload
-        )
-    if isinstance(pdu, WriteRegistersRequest):
-        return (
-            struct.pack(">BHHB", pdu.function, pdu.start, len(pdu.words), 2 * len(pdu.words))
-            + struct.pack(f">{len(pdu.words)}H", *pdu.words)
-        )
-    if isinstance(pdu, (WriteCoilsResponse, WriteRegistersResponse)):
-        return struct.pack(">BHH", pdu.function, pdu.start, pdu.count)
+def _second(pdu: Pdu) -> int:
+    """The field after the address in a 4-byte body: the quantity, or the
+    value of a single write (FC05 sends a coil as 0xFF00 or 0x0000)."""
+    if pdu.function == FC_WRITE_COIL:
+        return COIL_ON if pdu.values[0] else COIL_OFF
+    if pdu.function == FC_WRITE_REGISTER:
+        return pdu.values[0]
+    return pdu.count
+
+
+def encode_pdu(pdu: Pdu | ExceptionResponse) -> bytes:
+    """Encode a request or response into PDU bytes.
+
+    The body is one of three layouts: address + quantity or value, byte
+    count + values (a read response), or address + quantity + byte count +
+    values (a write-multiple request).
+    """
+    fc = pdu.function
     if isinstance(pdu, ExceptionResponse):
-        return struct.pack(">BB", pdu.function | 0x80, pdu.code)
-    raise FrameError(f"cannot encode PDU of type {type(pdu).__name__}")
+        return struct.pack(">BB", fc | 0x80, pdu.code)
+    if pdu.values is None or fc in _SINGLE_WRITES:
+        return struct.pack(">BHH", fc, pdu.start, _second(pdu))
+    payload = _pack(fc, pdu.values)
+    if fc in _READS:
+        return struct.pack(">BB", fc, len(payload)) + payload
+    return struct.pack(">BHHB", fc, pdu.start, pdu.count, len(payload)) + payload
 
 
-def decode_request(data: bytes) -> Request:
-    """Decode a client-to-server PDU."""
+def decode_request(data: bytes) -> Pdu:
+    """Decode a client-to-server PDU; an FC05 value other than 0xFF00 or
+    0x0000 is a :class:`FrameError`."""
     if not data:
         raise FrameError("empty PDU")
     function = data[0]
     if function not in SUPPORTED_FUNCTIONS:
         raise FrameError(f"unknown function code 0x{function:02X}")
-    body = data[1:]
-    if function in (FC_READ_COILS, FC_READ_HOLDING):
-        if len(body) != 4:
-            raise FrameError("read request body must be 4 bytes")
-        start, count = struct.unpack(">HH", body)
-        cls = ReadCoilsRequest if function == FC_READ_COILS else ReadHoldingRequest
-        return cls(start, count)
-    if function in (FC_WRITE_COIL, FC_WRITE_REGISTER):
-        if len(body) != 4:
-            raise FrameError("single-write request body must be 4 bytes")
-        address, value = struct.unpack(">HH", body)
-        cls = WriteCoilRequest if function == FC_WRITE_COIL else WriteRegisterRequest
-        return cls(address, value)
-    if function == FC_WRITE_COILS:
-        if len(body) < 5:
-            raise FrameError("write-multiple-coils body too short")
-        start, count, nbytes = struct.unpack(">HHB", body[:5])
-        payload = body[5:]
-        if nbytes != len(payload) or nbytes != (count + 7) // 8 or count < 1:
-            raise FrameError("write-multiple-coils length mismatch")
-        return WriteCoilsRequest(start, _unpack_bits(payload, count))
-    # FC_WRITE_REGISTERS
-    if len(body) < 5:
-        raise FrameError("write-multiple-registers body too short")
-    start, count, nbytes = struct.unpack(">HHB", body[:5])
-    payload = body[5:]
-    if nbytes != len(payload) or nbytes != 2 * count or count < 1:
-        raise FrameError("write-multiple-registers length mismatch")
-    words = struct.unpack(f">{count}H", payload)
-    return WriteRegistersRequest(start, words)
+    if function in _READS or function in _SINGLE_WRITES:
+        if len(data) != 5:
+            raise FrameError("request body must be 4 bytes")
+        start, second = struct.unpack_from(">HH", data, 1)
+        if function in _READS:
+            return Pdu(function, start, second)
+        if function == FC_WRITE_COIL:
+            if second not in (COIL_ON, COIL_OFF):
+                raise FrameError(f"coil value 0x{second:04X} is neither ON nor OFF")
+            return Pdu(function, start, 1, (second == COIL_ON,))
+        return Pdu(function, start, 1, (second,))
+    if len(data) < 6:
+        raise FrameError("write-multiple body too short")
+    start, count, nbytes = struct.unpack_from(">HHB", data, 1)
+    if count < 1 or nbytes != len(data) - 6:
+        raise FrameError("write-multiple length mismatch")
+    return Pdu(function, start, count, _unpack(function, data[6:], count))
 
 
-def decode_response(data: bytes, request: Request) -> Response:
+def decode_response(data: bytes, request: Pdu) -> Pdu | ExceptionResponse:
     """Decode a server-to-client PDU against the request that elicited it."""
     if not data:
         raise FrameError("empty PDU")
     function = data[0]
-    body = data[1:]
     if function & 0x80:
         if (function & 0x7F) != request.function:
             raise FrameError("exception response for a different function")
-        if len(body) != 1:
+        if len(data) != 2:
             raise FrameError("exception response body must be 1 byte")
-        return ExceptionResponse(function & 0x7F, body[0])
+        return ExceptionResponse(function & 0x7F, data[1])
     if function != request.function:
         raise FrameError(
             f"response function 0x{function:02X} does not match request"
         )
-    if function in (FC_READ_COILS, FC_READ_HOLDING):
-        if len(body) < 1 or body[0] != len(body) - 1:
+    if function in _READS:
+        if len(data) < 2 or data[1] != len(data) - 2:
             raise FrameError("read response byte count mismatch")
-        payload = body[1:]
-        if function == FC_READ_COILS:
-            if len(payload) != (request.count + 7) // 8:
-                raise FrameError("read-coils response length mismatch")
-            return ReadCoilsResponse(_unpack_bits(payload, request.count))
-        if len(payload) != 2 * request.count:
-            raise FrameError("read-holding response length mismatch")
-        return ReadHoldingResponse(struct.unpack(f">{request.count}H", payload))
-    if len(body) != 4:
+        values = _unpack(function, data[2:], request.count)
+        return Pdu(function, request.start, request.count, values)
+    if len(data) != 5:
         raise FrameError("write response body must be 4 bytes")
-    first, second = struct.unpack(">HH", body)
-    if function in (FC_WRITE_COIL, FC_WRITE_REGISTER):
-        if (first, second) != (request.address, request.value):
-            raise FrameError("write echo does not match request")
-        return request
-    count = len(request.bits if function == FC_WRITE_COILS else request.words)
-    if (first, second) != (request.start, count):
+    if struct.unpack_from(">HH", data, 1) != (request.start, _second(request)):
         raise FrameError("write response does not match request")
-    cls = WriteCoilsResponse if function == FC_WRITE_COILS else WriteRegistersResponse
-    return cls(first, second)
+    if function in _SINGLE_WRITES:
+        return request
+    return Pdu(function, request.start, request.count)
 
 
 def encode_frame(header: MbapHeader, pdu_bytes: bytes) -> bytes:

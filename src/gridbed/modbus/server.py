@@ -17,8 +17,11 @@ is answered 0x02; one with a count below 1, a holding read of more than
 ``READ_LIMIT`` registers, or a span that runs past the end of the first
 register's run is answered 0x03.  Blocks that touch form one run, so on the
 bundled feeder a read of registers 200..215 crosses from the voltage block
-into the setpoint block, while 200..216 gets 0x03.  An FC05 value other
-than 0xFF00 or 0x0000 is answered 0x03 before the address is looked up.
+into the setpoint block, while 200..216 gets 0x03.  A request the codec
+cannot decode, such as an FC05 value other than 0xFF00 or 0x0000, is
+answered 0x03 before the address is looked up.  Every decoded request is
+one :class:`frames.Pdu`, so the rule reads its start, count and values the
+same way for all six function codes.
 
 If a write produces a non-converging state the write is still accepted; the
 voltage registers keep the last converged values and the status register is
@@ -58,10 +61,8 @@ from ..feeder import (
 )
 from ..powerflow import VoltageSolution, solve
 from ..regmap import MeterMap, RegisterImage, build_image
-from . import frames
+from . import frames, parse_address
 from .frames import (
-    COIL_OFF,
-    COIL_ON,
     EXC_ILLEGAL_ADDRESS,
     EXC_ILLEGAL_FUNCTION,
     EXC_ILLEGAL_VALUE,
@@ -73,10 +74,7 @@ from .frames import (
     FC_WRITE_REGISTER,
     FC_WRITE_REGISTERS,
     ExceptionResponse,
-    ReadCoilsResponse,
-    ReadHoldingResponse,
-    WriteCoilsResponse,
-    WriteRegistersResponse,
+    Pdu,
 )
 
 log = logging.getLogger("gridbed.server")
@@ -278,20 +276,9 @@ class FeederServer:
             log.exception("server failure on function 0x%02X", function)
             return ExceptionResponse(function, EXC_SERVER_FAILURE)
 
-    def _execute(self, request):
+    def _execute(self, request: Pdu):
         """Answer a decoded request under the address rule (module docstring)."""
-        fc = request.function
-        if fc == FC_WRITE_COIL and request.value not in (COIL_ON, COIL_OFF):
-            return ExceptionResponse(fc, EXC_ILLEGAL_VALUE)
-        if fc in (FC_READ_COILS, FC_READ_HOLDING):
-            start, count, values = request.start, request.count, ()
-        elif fc in (FC_WRITE_COIL, FC_WRITE_REGISTER):
-            value = request.value == COIL_ON if fc == FC_WRITE_COIL else request.value
-            start, count, values = request.address, 1, (value,)
-        else:
-            values = request.bits if fc == FC_WRITE_COILS else request.words
-            start, count = request.start, len(values)
-
+        fc, start, count = request.function, request.start, request.count
         first = start + 1
         end = self._run_end[fc].get(first)
         if end is None:
@@ -303,25 +290,24 @@ class FeederServer:
         ):
             return ExceptionResponse(fc, EXC_ILLEGAL_VALUE)
 
+        image = self.state.image
         if fc == FC_READ_HOLDING:
-            return ReadHoldingResponse(self.state.image.holding[first : first + count])
+            return Pdu(fc, start, count, image.holding[first : first + count])
         if fc == FC_READ_COILS:
-            return ReadCoilsResponse(self.state.image.coils[first : first + count])
+            return Pdu(fc, start, count, image.coils[first : first + count])
         config, setpoints = self.state.config, self.state.setpoints_kw
         if fc in (FC_WRITE_COIL, FC_WRITE_COILS):
-            for name, closed in zip(self.model.switch_names[start:], values):
+            for name, closed in zip(self.model.switch_names[start:], request.values):
                 config = config.with_switch(name, closed)
         else:
             setpoints = dict(setpoints)
             offset = first - regmap.SETPOINT_BLOCK_START
-            for (node, _), kw in zip(self.meter_map.setpoints[offset:], values):
+            for (node, _), kw in zip(self.meter_map.setpoints[offset:], request.values):
                 setpoints[node] = kw
         self._commit(config, setpoints)
-        if fc == FC_WRITE_COILS:
-            return WriteCoilsResponse(start, count)
-        if fc == FC_WRITE_REGISTERS:
-            return WriteRegistersResponse(start, count)
-        return request  # FC05/FC06 answer with the echo
+        if fc in (FC_WRITE_COIL, FC_WRITE_REGISTER):
+            return request  # single writes answer with the echo
+        return Pdu(fc, start, count)
 
 
 def main(argv=None) -> int:
@@ -340,13 +326,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
-    host, _, port = args.bind.rpartition(":")
-    model = load_feeder_file(args.feeder)
-    server = FeederServer(
-        model,
-        bind=(host or "127.0.0.1", int(port)),
-        high_word_first=args.float_order == "hi-lo",
-    ).start()
+    try:
+        bind = parse_address(args.bind)
+        model = load_feeder_file(args.feeder)
+        server = FeederServer(model, bind=bind, high_word_first=args.float_order == "hi-lo")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}")
+        return 1
+    server.start()
     print(f"serving {args.feeder} on {server.address[0]}:{server.address[1]}", flush=True)
     try:
         threading.Event().wait()

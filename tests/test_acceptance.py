@@ -269,6 +269,14 @@ def test_criterion_7_protocol_conformance(fixture_model, fixture_meter_map):
         response = _matching_response(rng, request)
         assert frames.decode_response(frames.encode_pdu(response), request) == response
 
+    accepted = []  # FC05 values other than OFF (0x0000) and ON (0xFF00) raise
+    for value in range(0x10000):
+        try:
+            accepted.append(frames.decode_request(struct.pack(">BHH", 0x05, 6, value)))
+        except frames.FrameError:
+            pass
+    assert accepted == [frames.Pdu(0x05, 6, 1, (False,)), frames.Pdu(0x05, 6, 1, (True,))]
+
     for _ in range(100_000):
         bits = rng.getrandbits(32)
         if (bits >> 23) & 0xFF == 0xFF:
@@ -300,7 +308,8 @@ def test_criterion_7_protocol_conformance(fixture_model, fixture_meter_map):
             assert len(mirror) == 206
     _report(
         7,
-        "1e5 PDU and 1e5 FLOAT32 round-trips bit-exact; qty-126 read -> 0x03; "
+        "1e5 PDU and 1e5 FLOAT32 round-trips bit-exact; FC05 takes only ON/OFF; "
+        "qty-126 read -> 0x03; "
         "float mirror read = 4 transactions",
     )
 

@@ -160,12 +160,16 @@ def test_malformed_reply_mid_run_ends_with_error_status(scripted_peer, fixture_m
     # baseline setpoints and a flat 1.0 pu profile, then the first setpoint
     # write is answered as if it were a read
     n = len(fixture_meter_map.meters)
+
+    def words(*values):  # a read response; its start is not on the wire
+        return frames.Pdu(frames.FC_READ_HOLDING, 0, len(values), values)
+
     peer = scripted_peer(
         [
-            mbap_frame(1, frames.ReadHoldingResponse((40,) * len(fixture_meter_map.setpoints))),
-            mbap_frame(2, frames.ReadHoldingResponse((10_000,) * READ_LIMIT)),
-            mbap_frame(3, frames.ReadHoldingResponse((10_000,) * (n - READ_LIMIT))),
-            mbap_frame(4, frames.ReadHoldingResponse((0,))),
+            mbap_frame(1, words(*(40,) * len(fixture_meter_map.setpoints))),
+            mbap_frame(2, words(*(10_000,) * READ_LIMIT)),
+            mbap_frame(3, words(*(10_000,) * (n - READ_LIMIT))),
+            mbap_frame(4, words(0)),
         ]
     )
     with ModbusClient(*peer.address) as client:
@@ -178,7 +182,7 @@ def test_malformed_reply_mid_run_ends_with_error_status(scripted_peer, fixture_m
 
 def test_bad_first_reply_ends_with_error_status(scripted_peer, fixture_meter_map):
     # the baseline setpoint read is answered as if it were a coil read
-    peer = scripted_peer([mbap_frame(1, frames.ReadCoilsResponse((True,)))])
+    peer = scripted_peer([mbap_frame(1, frames.Pdu(frames.FC_READ_COILS, 0, 1, (True,)))])
     with ModbusClient(*peer.address) as client:
         trace = run_attack(client, fixture_meter_map, _params(), "C")
     assert trace.status == STATUS_ERROR

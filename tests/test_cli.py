@@ -13,6 +13,7 @@ import pytest
 
 from gridbed import attack, mitigate, scenario
 from gridbed.feeder import default_feeder_text
+from gridbed.modbus import server
 from gridbed.modbus.client import ModbusClient
 
 
@@ -55,6 +56,39 @@ def test_attack_cli_closed_port_exits_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "main, args",
+    [
+        (server.main, ["--bind", "{address}", "--feeder", "{feeder}"]),
+        (attack.main, ["--server", "{address}", "--mode", "C", "--feeder", "{feeder}"]),
+        (mitigate.main, ["--server", "{address}", "--feeder", "{feeder}", "--once"]),
+    ],
+    ids=["server", "attack", "mitigate"],
+)
+@pytest.mark.parametrize(
+    "address, content",
+    [
+        ("nohost", None),
+        ("127.0.0.1:notaport", None),
+        ("foo", None),
+        ("127.0.0.1:0", b"missing"),
+        ("127.0.0.1:0", b"{not json"),
+        ("127.0.0.1:0", b"{}"),
+    ],
+    ids=["no-port", "bad-port", "bare-word", "missing-feeder", "bad-json", "bad-feeder"],
+)
+def test_cli_bad_address_or_feeder_exits_1(
+    tmp_path, capsys, feeder_file, main, args, address, content
+):
+    feeder = feeder_file
+    if content is not None:
+        feeder = tmp_path / "bad.json"
+        if content != b"missing":
+            feeder.write_bytes(content)
+    assert main([arg.format(address=address, feeder=feeder) for arg in args]) == 1
+    assert capsys.readouterr().out.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "parse, text, key",
     [
         (attack.AttackParams.from_json, '{"n_max": "x"}', "n_max"),
@@ -68,6 +102,14 @@ def test_attack_cli_closed_port_exits_1(capsys):
         (attack.AttackParams.from_json, '{"alpha_mw": "0.5"}', "alpha_mw"),
         (attack.AttackParams.from_json, '{"max_steps": 2.5}', "max_steps"),
         (attack.AttackParams.from_json, "[1]", "attack parameters"),
+        (attack.AttackParams.from_json, '{"gamma_a_mw": -0.5}', "gamma_a_mw"),
+        (attack.AttackParams.from_json, '{"gamma_c_mw": 0}', "gamma_c_mw"),
+        (attack.AttackParams.from_json, '{"av_max_mw": -1.0}', "av_max_mw"),
+        (attack.AttackParams.from_json, '{"n_tar": -3}', "n_tar"),
+        (attack.AttackParams.from_json, '{"max_steps": -1}', "max_steps"),
+        (attack.AttackParams.from_json, '{"n_max": -1.0}', "n_max value"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "cap": -1}}', "n_max cap"),
+        (attack.NMaxRule, "bogus", "n_max rule"),
         (scenario.ScenarioConfig.from_json, '{"weights": 5}', "weights"),
         (scenario.ScenarioConfig.from_json, '{"weights": {"cost": "1"}}', "cost"),
         (scenario.ScenarioConfig.from_json, "[1]", "document"),

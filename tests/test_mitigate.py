@@ -489,16 +489,16 @@ def test_mitigate_once_two_toggles_make_one_server_commit(
 def test_write_switches_read_back_mismatch_raises(scripted_peer, fixture_model):
     # the write is acknowledged but the read-back shows S8 still open
     peer = scripted_peer([
-        mbap_frame(1, frames.WriteCoilsResponse(6, 2)),
-        mbap_frame(2, frames.ReadCoilsResponse((True, False))),
+        mbap_frame(1, frames.Pdu(frames.FC_WRITE_COILS, 6, 2)),
+        mbap_frame(2, frames.Pdu(frames.FC_READ_COILS, 6, 2, (True, False))),
     ])
     with ModbusClient(*peer.address) as client:
         with pytest.raises(RuntimeError, match="read-back mismatch"):
             client.write_switches(fixture_model.switch_names, {"S7": True, "S8": True})
     peer.join()
     assert [frames.decode_request(pdu) for _, pdu in peer.requests] == [
-        frames.WriteCoilsRequest(6, (True, True)),
-        frames.ReadCoilsRequest(6, 2),
+        frames.Pdu(frames.FC_WRITE_COILS, 6, 2, (True, True)),
+        frames.Pdu(frames.FC_READ_COILS, 6, 2),
     ]
 
 
@@ -540,7 +540,7 @@ def test_run_mitigation_reconnects_after_malformed_reply(
     scripted_peer, live_server, fixture_model, fixture_meter_map
 ):
     # the first connection's voltage read is answered as if it read coils
-    peer = scripted_peer([mbap_frame(1, frames.ReadCoilsResponse((False,)))])
+    peer = scripted_peer([mbap_frame(1, frames.Pdu(frames.FC_READ_COILS, 0, 1, (False,)))])
     addresses = iter([peer.address, live_server.address])
     pattern = {"N102": 80, "N103": 80, "N104": 80,
                "N106": 1, "N107": 1, "N99": 1, "N109": 1, "N111": 1, "N114": 1}

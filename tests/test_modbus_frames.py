@@ -8,19 +8,16 @@ import pytest
 
 from gridbed.modbus import frames
 from gridbed.modbus.frames import (
+    FC_READ_COILS,
+    FC_READ_HOLDING,
+    FC_WRITE_COIL,
+    FC_WRITE_COILS,
+    FC_WRITE_REGISTER,
+    FC_WRITE_REGISTERS,
     ExceptionResponse,
     FrameError,
     MbapHeader,
-    ReadCoilsRequest,
-    ReadCoilsResponse,
-    ReadHoldingRequest,
-    ReadHoldingResponse,
-    WriteCoilRequest,
-    WriteCoilsRequest,
-    WriteCoilsResponse,
-    WriteRegisterRequest,
-    WriteRegistersRequest,
-    WriteRegistersResponse,
+    Pdu,
     decode_request,
     decode_response,
     encode_frame,
@@ -41,32 +38,32 @@ def _receive(data: bytes):
 
 
 def test_read_holding_frame_bytes():
-    pdu = encode_pdu(ReadHoldingRequest(start=0, count=2))
+    pdu = encode_pdu(Pdu(FC_READ_HOLDING, start=0, count=2))
     frame = encode_frame(MbapHeader(transaction_id=1, unit_id=1), pdu)
     assert frame == bytes.fromhex("000100000006010300000002")
 
 
 def test_write_coil_pdu_bytes():
     # coil wire address 6 (coil number 7), ON
-    assert encode_pdu(WriteCoilRequest(6, 0xFF00)) == bytes.fromhex("050006FF00")
+    assert encode_pdu(Pdu(FC_WRITE_COIL, 6, 1, (True,))) == bytes.fromhex("050006FF00")
 
 
 def test_truncated_frame_is_eof_error():
-    frame = encode_frame(MbapHeader(1, 1), encode_pdu(ReadHoldingRequest(0, 1)))
+    frame = encode_frame(MbapHeader(1, 1), encode_pdu(Pdu(FC_READ_HOLDING, 0, 1)))
     for cut in (0, 5, len(frame) - 1):
         with pytest.raises(EOFError):
             _receive(frame[:cut])
 
 
 def test_bad_protocol_id_rejected():
-    frame = bytearray(encode_frame(MbapHeader(1, 1), encode_pdu(ReadHoldingRequest(0, 1))))
+    frame = bytearray(encode_frame(MbapHeader(1, 1), encode_pdu(Pdu(FC_READ_HOLDING, 0, 1))))
     frame[2] = 0x12
     with pytest.raises(FrameError, match="proto=4608"):
         _receive(bytes(frame))
 
 
 def test_out_of_range_length_rejected():
-    frame = bytearray(encode_frame(MbapHeader(1, 1), encode_pdu(ReadHoldingRequest(0, 1))))
+    frame = bytearray(encode_frame(MbapHeader(1, 1), encode_pdu(Pdu(FC_READ_HOLDING, 0, 1))))
     for length in (0, 1, 255, 0xFFFF):
         frame[4:6] = length.to_bytes(2, "big")
         with pytest.raises(FrameError, match=f"len={length}"):
@@ -80,7 +77,7 @@ def test_unknown_function_rejected():
 
 def test_frame_decode_round_trip():
     header = MbapHeader(transaction_id=77, unit_id=3)
-    pdu = encode_pdu(ReadCoilsRequest(4, 8))
+    pdu = encode_pdu(Pdu(FC_READ_COILS, 4, 8))
     back_header, back_pdu = _receive(encode_frame(header, pdu))
     assert back_header == header
     assert back_pdu == pdu
@@ -94,32 +91,29 @@ def _random_request(rng):
     kind = rng.randrange(6)
     start = rng.randrange(0, 0x10000)
     if kind == 0:
-        return ReadCoilsRequest(start, rng.randrange(0, 2041))
+        return Pdu(FC_READ_COILS, start, rng.randrange(0, 2041))
     if kind == 1:
-        return ReadHoldingRequest(start, rng.randrange(0, 128))
+        return Pdu(FC_READ_HOLDING, start, rng.randrange(0, 128))
     if kind == 2:
-        return WriteCoilRequest(start, rng.choice((frames.COIL_ON, frames.COIL_OFF)))
+        return Pdu(FC_WRITE_COIL, start, 1, (rng.choice((True, False)),))  # ON, OFF
     if kind == 3:
-        return WriteRegisterRequest(start, rng.randrange(0, 0x10000))
+        return Pdu(FC_WRITE_REGISTER, start, 1, (rng.randrange(0, 0x10000),))
     if kind == 4:
         bits = tuple(rng.random() < 0.5 for _ in range(rng.randrange(1, 2041)))
-        return WriteCoilsRequest(start, bits)
+        return Pdu(FC_WRITE_COILS, start, len(bits), bits)
     words = tuple(rng.randrange(0, 0x10000) for _ in range(rng.randrange(1, 128)))
-    return WriteRegistersRequest(start, words)
+    return Pdu(FC_WRITE_REGISTERS, start, len(words), words)
 
 
 def _matching_response(rng, request):
-    if isinstance(request, ReadCoilsRequest):
-        return ReadCoilsResponse(tuple(rng.random() < 0.5 for _ in range(request.count)))
-    if isinstance(request, ReadHoldingRequest):
-        return ReadHoldingResponse(
-            tuple(rng.randrange(0, 0x10000) for _ in range(request.count))
-        )
-    if isinstance(request, (WriteCoilRequest, WriteRegisterRequest)):
+    fc, start, count = request.function, request.start, request.count
+    if fc == FC_READ_COILS:
+        return Pdu(fc, start, count, tuple(rng.random() < 0.5 for _ in range(count)))
+    if fc == FC_READ_HOLDING:
+        return Pdu(fc, start, count, tuple(rng.randrange(0, 0x10000) for _ in range(count)))
+    if fc in (FC_WRITE_COIL, FC_WRITE_REGISTER):
         return request
-    if isinstance(request, WriteCoilsRequest):
-        return WriteCoilsResponse(request.start, len(request.bits))
-    return WriteRegistersResponse(request.start, len(request.words))
+    return Pdu(fc, start, count)
 
 
 def test_randomized_request_round_trip():
@@ -164,14 +158,14 @@ def test_randomized_response_round_trip():
 @pytest.mark.parametrize(
     "request_, response",
     [
-        (WriteCoilRequest(6, 0xFF00), WriteCoilRequest(6, 0x0000)),
-        (WriteCoilRequest(6, 0xFF00), WriteCoilRequest(7, 0xFF00)),
-        (WriteRegisterRequest(206, 80), WriteRegisterRequest(206, 81)),
-        (WriteRegisterRequest(206, 80), WriteRegisterRequest(205, 80)),
-        (WriteCoilsRequest(0, (True, False, True)), WriteCoilsResponse(0, 2)),
-        (WriteCoilsRequest(0, (True, False, True)), WriteCoilsResponse(1, 3)),
-        (WriteRegistersRequest(206, (1, 2, 3)), WriteRegistersResponse(206, 4)),
-        (WriteRegistersRequest(206, (1, 2, 3)), WriteRegistersResponse(207, 3)),
+        (Pdu(FC_WRITE_COIL, 6, 1, (True,)), Pdu(FC_WRITE_COIL, 6, 1, (False,))),
+        (Pdu(FC_WRITE_COIL, 6, 1, (True,)), Pdu(FC_WRITE_COIL, 7, 1, (True,))),
+        (Pdu(FC_WRITE_REGISTER, 206, 1, (80,)), Pdu(FC_WRITE_REGISTER, 206, 1, (81,))),
+        (Pdu(FC_WRITE_REGISTER, 206, 1, (80,)), Pdu(FC_WRITE_REGISTER, 205, 1, (80,))),
+        (Pdu(FC_WRITE_COILS, 0, 3, (True, False, True)), Pdu(FC_WRITE_COILS, 0, 2)),
+        (Pdu(FC_WRITE_COILS, 0, 3, (True, False, True)), Pdu(FC_WRITE_COILS, 1, 3)),
+        (Pdu(FC_WRITE_REGISTERS, 206, 3, (1, 2, 3)), Pdu(FC_WRITE_REGISTERS, 206, 4)),
+        (Pdu(FC_WRITE_REGISTERS, 206, 3, (1, 2, 3)), Pdu(FC_WRITE_REGISTERS, 207, 3)),
     ],
     ids=["fc05-value", "fc05-address", "fc06-value", "fc06-address",
          "fc0f-count", "fc0f-start", "fc10-count", "fc10-start"],
@@ -191,13 +185,13 @@ def test_exception_response_round_trip():
 
 
 def test_response_function_mismatch_rejected():
-    pdu = encode_pdu(ReadHoldingResponse((1, 2)))
+    pdu = encode_pdu(Pdu(FC_READ_HOLDING, 0, 2, (1, 2)))
     with pytest.raises(FrameError, match="does not match"):
-        decode_response(pdu, ReadCoilsRequest(0, 2))
+        decode_response(pdu, Pdu(FC_READ_COILS, 0, 2))
 
 
 def test_multi_write_length_mismatch_rejected():
-    raw = bytearray(encode_pdu(WriteRegistersRequest(0, (1, 2, 3))))
+    raw = bytearray(encode_pdu(Pdu(FC_WRITE_REGISTERS, 0, 3, (1, 2, 3))))
     raw[5] = 9  # byte count lies
     with pytest.raises(FrameError, match="length mismatch"):
         decode_request(bytes(raw))

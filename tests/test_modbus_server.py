@@ -33,7 +33,12 @@ def _client(server):
 
 def _write_register(client, register, value):
     """FC06: write one holding register, by its 1-based number."""
-    client.request(frames.WriteRegisterRequest(register - 1, value))
+    client.request(frames.Pdu(frames.FC_WRITE_REGISTER, register - 1, 1, (value,)))
+
+
+def _setpoint_write(kw):
+    """An FC06 request for the first setpoint register."""
+    return frames.Pdu(frames.FC_WRITE_REGISTER, SETPOINT_BLOCK_START - 1, 1, (kw,))
 
 
 # ---------------------------------------------------------------------------
@@ -277,29 +282,26 @@ def _probe_request(function, first, count):
     writes, or None when its PDU cannot carry that count."""
     start = first - 1
     if function == 0x01:
-        return frames.ReadCoilsRequest(start, count), None
+        return frames.Pdu(frames.FC_READ_COILS, start, count), None
     if function == 0x03:
-        return frames.ReadHoldingRequest(start, count), None
+        return frames.Pdu(frames.FC_READ_HOLDING, start, count), None
     if function == 0x05:
-        closed = first % 2 == 1
-        value = frames.COIL_ON if closed else frames.COIL_OFF
-        return frames.WriteCoilRequest(start, value), (closed,)
-    if function == 0x06:
-        return frames.WriteRegisterRequest(start, 40 + first % 7), (40 + first % 7,)
-    if function == 0x0F and 1 <= count <= 1968:
-        bits = tuple(k % 3 != 0 for k in range(count))
-        return frames.WriteCoilsRequest(start, bits), bits
-    if function == 0x10 and 1 <= count <= 123:
-        words = tuple(40 + k for k in range(count))
-        return frames.WriteRegistersRequest(start, words), words
-    return None
+        values = (first % 2 == 1,)
+    elif function == 0x06:
+        values = (40 + first % 7,)
+    elif function == 0x0F and 1 <= count <= 1968:
+        values = tuple(k % 3 != 0 for k in range(count))
+    elif function == 0x10 and 1 <= count <= 123:
+        values = tuple(40 + k for k in range(count))
+    else:
+        return None
+    return frames.Pdu(function, start, len(values), values), values
 
 
 def _read_back(server, function, first, count):
     """What a read of the span a write of ``function`` touched returns."""
-    if function in (0x05, 0x0F):
-        return server._dispatch(frames.encode_pdu(frames.ReadCoilsRequest(first - 1, count))).bits
-    return server._dispatch(frames.encode_pdu(frames.ReadHoldingRequest(first - 1, count))).words
+    read = frames.FC_READ_COILS if function in (0x05, 0x0F) else frames.FC_READ_HOLDING
+    return server._dispatch(frames.encode_pdu(frames.Pdu(read, first - 1, count))).values
 
 
 @pytest.mark.parametrize("model_name", ["bundled", "three_bus_switch"])
@@ -372,7 +374,7 @@ def test_transaction_ids_echoed(live_server):
         rng = random.Random(3)
         for _ in range(50):
             txn = rng.randrange(0, 0x10000)
-            pdu = frames.encode_pdu(frames.ReadHoldingRequest(0, 1))
+            pdu = frames.encode_pdu(frames.Pdu(frames.FC_READ_HOLDING, 0, 1))
             sock.sendall(frames.encode_frame(frames.MbapHeader(txn, 17), pdu))
             head = _recv_exact(sock, 7)
             rtxn, _, length, unit = struct.unpack(">HHHB", head)
@@ -571,7 +573,7 @@ def _connect(server):
 
 
 def test_request_sent_a_byte_at_a_time_is_answered(live_server):
-    request = frames.ReadHoldingRequest(SETPOINT_BLOCK_START - 1, 3)
+    request = frames.Pdu(frames.FC_READ_HOLDING, SETPOINT_BLOCK_START - 1, 3)
     raw = mbap_frame(7, request)
     with _connect(live_server) as sock:
         for k in range(len(raw)):
@@ -579,14 +581,14 @@ def test_request_sent_a_byte_at_a_time_is_answered(live_server):
             time.sleep(0.002)
         txn, pdu = _read_reply(sock)
     assert txn == 7
-    assert frames.decode_response(pdu, request).words == (40, 40, 40)
+    assert frames.decode_response(pdu, request).values == (40, 40, 40)
 
 
 def test_pipelined_requests_are_answered_in_order(live_server):
     requests = []
     for k in range(25):  # each read must see the write just before it
-        requests.append(frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 10 + k))
-        requests.append(frames.ReadHoldingRequest(SETPOINT_BLOCK_START - 1, 1))
+        requests.append(_setpoint_write(10 + k))
+        requests.append(frames.Pdu(frames.FC_READ_HOLDING, SETPOINT_BLOCK_START - 1, 1))
     with _connect(live_server) as sock:
         sock.sendall(b"".join(mbap_frame(100 + k, r) for k, r in enumerate(requests)))
         replies = [_read_reply(sock) for _ in requests]
@@ -594,7 +596,7 @@ def test_pipelined_requests_are_answered_in_order(live_server):
     for k, (request, (_, pdu)) in enumerate(zip(requests, replies)):
         response = frames.decode_response(pdu, request)
         if k % 2:
-            assert response.words == (10 + k // 2,)
+            assert response.values == (10 + k // 2,)
         else:
             assert response == request
 
@@ -623,12 +625,12 @@ def test_random_stream_cut_anywhere_gets_one_answer_per_frame(live_server):
             else:
                 assert rpdu[0] == pdu[0]  # well-formed by luck: normal response
         # the connection still serves after the stream
-        sock.sendall(mbap_frame(999, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
+        sock.sendall(mbap_frame(999, frames.Pdu(frames.FC_READ_HOLDING, STATUS_REGISTER - 1, 1)))
         assert _read_reply(sock)[0] == 999
 
 
 def test_bad_protocol_id_drops_only_that_connection(live_server, caplog):
-    request = frames.encode_pdu(frames.ReadHoldingRequest(0, 1))
+    request = frames.encode_pdu(frames.Pdu(frames.FC_READ_HOLDING, 0, 1))
     with _connect(live_server) as bad, _client(live_server) as good:
         assert good.read_holding(STATUS_REGISTER, 1) == [0]
         bad.sendall(struct.pack(">HHHB", 1, 1, len(request) + 1, 1) + request)
@@ -644,13 +646,13 @@ def test_bad_protocol_id_drops_only_that_connection(live_server, caplog):
 def test_pipelined_burst_does_not_starve_another_peer(live_server):
     with _connect(live_server) as burst, _client(live_server) as reader:
         # both connections are accepted before the burst
-        burst.sendall(mbap_frame(0, frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)))
+        burst.sendall(mbap_frame(0, frames.Pdu(frames.FC_READ_HOLDING, STATUS_REGISTER - 1, 1)))
         _read_reply(burst)
         assert reader.read_holding(SETPOINT_BLOCK_START, 1) == [40]
 
         burst.sendall(
             b"".join(
-                mbap_frame(1 + k, frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 41 + k))
+                mbap_frame(1 + k, _setpoint_write(41 + k))
                 for k in range(40)
             )
         )
@@ -662,7 +664,7 @@ def test_pipelined_burst_does_not_starve_another_peer(live_server):
 def test_peer_that_never_reads_is_not_read_and_does_not_stall_others(live_server):
     # 125-register reads whose answers overflow the socket buffers long
     # before the stream ends, unless the server buffers them without bound
-    stream = memoryview(mbap_frame(1, frames.ReadHoldingRequest(0, 125)) * 100_000)
+    stream = memoryview(mbap_frame(1, frames.Pdu(frames.FC_READ_HOLDING, 0, 125)) * 100_000)
     with socket.socket() as hog:
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
@@ -743,8 +745,8 @@ def test_interleaved_writes_from_two_connections_keep_image_consistent(
 # the client's failure rule: a bad reply closes the connection
 # ---------------------------------------------------------------------------
 
-READ = frames.ReadHoldingRequest(STATUS_REGISTER - 1, 1)
-WRITE = frames.WriteRegisterRequest(SETPOINT_BLOCK_START - 1, 80)
+READ = frames.Pdu(frames.FC_READ_HOLDING, STATUS_REGISTER - 1, 1)
+WRITE = _setpoint_write(80)
 
 
 def _mbap(proto, length, rest=b""):
@@ -757,10 +759,10 @@ MALFORMED_REPLIES = {
     "length-255": (READ, _mbap(0, 255, bytes([0x03, 2]) + bytes(252))),
     "length-300": (READ, _mbap(0, 300)),
     "protocol-id-1": (READ, _mbap(1, 5, bytes([0x03, 2, 0, 0]))),
-    "transaction-id-mismatch": (READ, mbap_frame(2, frames.ReadHoldingResponse((0,)))),
-    "wrong-function": (READ, mbap_frame(1, frames.ReadCoilsResponse((False,)))),
+    "transaction-id-mismatch": (READ, mbap_frame(2, READ._replace(values=(0,)))),
+    "wrong-function": (READ, mbap_frame(1, frames.Pdu(frames.FC_READ_COILS, 0, 1, (False,)))),
     "read-byte-count-mismatch": (READ, _mbap(0, 5, bytes([0x03, 4, 0, 0]))),
-    "echo-mismatch": (WRITE, mbap_frame(1, frames.WriteRegisterRequest(WRITE.address, 81))),
+    "echo-mismatch": (WRITE, mbap_frame(1, WRITE._replace(values=(81,)))),
 }
 
 

@@ -491,9 +491,8 @@ def test_non_finite_float_words_off_the_wire(scripted_peer, four_bus_model):
     one, low, nan, inf = (0x3F80, 0), (0x3F66, 0x6666), (0x7FC0, 0), (0x7F80, 0)
     pairs = [one, one, low, one, nan, one, one, one, inf, one, one]
     assert len(pairs) == len(meter_map.meters)
-    peer = scripted_peer(
-        [mbap_frame(1, frames.ReadHoldingResponse(tuple(w for pair in pairs for w in pair)))]
-    )
+    words = tuple(w for pair in pairs for w in pair)
+    peer = scripted_peer([mbap_frame(1, frames.Pdu(frames.FC_READ_HOLDING, 0, len(words), words))])
     with ModbusClient(*peer.address) as client:
         reading = client.read_all_voltages(meter_map, source="float")
     assert np.isnan(reading[4]) and reading[8] == float("inf")  # M B, T C
