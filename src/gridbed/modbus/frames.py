@@ -13,10 +13,10 @@ Supported function codes: 0x01 read coils, 0x03 read holding registers,
 0x05 write single coil, 0x06 write single register, 0x0F write multiple
 coils, 0x10 write multiple registers.  Every request and normal response of
 each of them is one :class:`Pdu` (function, start address, count, values),
-and the codec branches on the three body layouts the specification defines,
-not on the function code.  The FC05 rule, that a coil value is 0xFF00 or
-0x0000, lives in :func:`decode_request`.  Exception responses set the high
-bit of the function code and carry a single exception byte.
+and the codec branches on the three body layouts the specification defines
+rather than on a class per function code.  The FC05 rule, that a coil value
+is 0xFF00 or 0x0000, lives in :func:`decode_request`.  Exception responses
+set the high bit of the function code and carry a single exception byte.
 """
 
 from __future__ import annotations
