@@ -68,12 +68,14 @@ class NMaxRule:
     def __post_init__(self):
         if self.kind not in ("constant", "linear"):
             raise AttackError(f"unknown n_max rule {self.kind!r}")
-        for name in ("value", "slope", "cap"):
-            if not math.isfinite(getattr(self, name)):
-                raise AttackError(f"n_max {name} must be finite, got {getattr(self, name)!r}")
-        for name in ("value", "cap"):
-            if getattr(self, name) <= 0:
-                raise AttackError(f"n_max {name} must be positive, got {getattr(self, name)!r}")
+        base = "value" if self.kind == "constant" else "base"  # its document's key
+        fields = {base: self.value, "slope": self.slope, "cap": self.cap}
+        for key, number in fields.items():
+            if not math.isfinite(number):
+                raise AttackError(f"n_max {key} must be finite, got {number!r}")
+        for key in (base, "cap"):
+            if fields[key] <= 0:
+                raise AttackError(f"n_max {key} must be positive, got {fields[key]!r}")
 
     def evaluate(self, violation_gain: int) -> float:
         if self.kind == "constant":

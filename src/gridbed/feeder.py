@@ -21,9 +21,10 @@ each branch's state from the model's ``switch_bits``: per branch, its switch's
 bit in the mask, or -1 for a line, which is always closed.  A view keeps
 what the solver gathers from it on its first solve (``derived``), so server
 writes and both defense searches walk and gather each topology once per
-model.  On the bundled feeder a view takes about 1.3 KB and a solved radial
-tree about 3.3 KB; a meshed tree takes about 10 KB per loop coordinate (at
-most four there), so all 256 topologies solved take about 1.7 MB.  The cache
+model.  On the bundled feeder a view takes about 1.3 KB and a solved tree
+about 90 bytes per energized bus (11.7 KB with all 124 fed), plus about 9 KB
+per loop coordinate (at most four there), so all 256 topologies solved take
+about 1.5 MB (tracemalloc, Python 3.11).  The cache
 lives and dies with its model, which it references, so a model and its cache
 are freed together.
 
@@ -36,7 +37,7 @@ server thread and a defender at once; switching actions are expressed as new
 
 :func:`load_default_feeder` returns one model per process, parsed on its
 first call, so every scenario case, CLI and tool in a process shares its
-arrays, views and solved trees.  Its cache (at most 256 views, about 2 MB
+arrays, views and solved trees.  Its cache (at most 256 views, about 1.5 MB
 with every topology solved) lives as long as the process.  Like the topology
 cache it is a ``functools`` cache: two threads whose first calls race may
 each parse the document, and either model is correct.
@@ -180,12 +181,12 @@ class FeederModel:
         return z
 
     @cached_property
-    def branch_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Per branch, its ``branch_z`` block and its ``branch_mask`` row as
-        0/1 floats: read-only views that every topology's tree shares."""
-        mask = self.branch_mask.astype(float)
-        mask.flags.writeable = False
-        return tuple(self.branch_z), tuple(mask)
+    def branch_rows(self) -> tuple[tuple[tuple[complex, ...], ...], tuple[tuple[float, ...], ...]]:
+        """Per branch, its ``branch_z`` block row by row and its ``branch_mask``
+        row as 0/1 floats: Python tuples that every topology's tree shares."""
+        z = self.branch_z.reshape(-1, 9).tolist()
+        mask = self.branch_mask.astype(float).tolist()
+        return tuple(map(tuple, z)), tuple(map(tuple, mask))
 
     @cached_property
     def _topologies(self):

@@ -24,6 +24,10 @@ so every iterate meets the ties exactly and only the constant-power
 nonlinearity is left to converge: meshed topologies take about as many
 iterations as radial ones.
 
+A solve spends most of its time in the sweep, whose per-bus arithmetic runs
+on Python ``complex`` scalars: a bus needs a dozen products and sums on three
+phases, less than the fixed cost of one numpy call on a 3-element array.
+
 Every per-(bus, phase) quantity is a ``(bus, 3)`` array in the model's bus
 order (see :class:`~gridbed.feeder.FeederModel`): the demand is
 ``model.base_demand`` with the overrides written in, and the sweep runs on
@@ -166,10 +170,8 @@ def solve(
     )
 
 
-# A tree's rows for buses off the tree, and for the source.
-_NO_Z = np.zeros((3, 3), dtype=complex)
-_NO_MASK = np.zeros(3)
-_NO_Z.flags.writeable = _NO_MASK.flags.writeable = False
+# A voltage row for buses off the tree.
+_ZERO = (0j, 0j, 0j)
 
 
 @dataclass(frozen=True)
@@ -178,25 +180,27 @@ class _Tree:
     sweep, and its loop coordinates.
 
     ``order`` lists the energized buses' rows in BFS order, source first.
-    Bus row ``b`` hangs off row ``parent[b]`` through its tree branch, whose
-    impedance ``z[b]`` (ohm) and 0/1 phase ``mask[b]`` cover only the phases
-    that branch conducts; both are the model's shared per-branch rows.  A
-    phase is fed at a bus when every tree branch from the source carries it.
-    A loop coordinate is one phase of a closed non-tree branch fed at both
-    ends; column ``c`` of ``ends`` holds its from row, to row and phase, and
+    ``steps`` holds one ``(row, up, z, mask)`` per tree bus but the source,
+    in that order: bus row ``row`` hangs off row ``up`` through its tree
+    branch, whose impedance ``z`` (ohm, nine complex numbers row by row) and
+    0/1 phase ``mask`` (three floats) cover only the phases that branch
+    conducts; both are the model's shared per-branch rows.  A phase is fed at
+    a bus when every tree branch from the source carries it.  A loop
+    coordinate is one phase of a closed non-tree branch fed at both ends;
+    column ``c`` of ``ends`` holds its from row, to row and phase, and
     ``tie_z`` couples coordinates of the same tie through its impedance.
 
     With loop coordinates, ``d`` draws each coordinate's loop current at its
     from end and returns it at its to end (+1 and -1), ``response`` is
     ``sweep(0, d)``, and ``loop_matrix`` is ``tie_z`` less the response's gap
     across the ends; without them all three are None.  Every array is
-    read-only, so one tree serves every thread that solves its view.
+    read-only and every step a tuple, so one tree serves every thread that
+    solves its view.  The sweep reads the steps as Python scalars, since one
+    numpy call costs more than a bus's arithmetic.
     """
 
     order: tuple[int, ...]
-    parent: tuple[int, ...]
-    z: tuple[np.ndarray, ...]
-    mask: tuple[np.ndarray, ...]
+    steps: tuple[tuple[int, int, tuple[complex, ...], tuple[float, ...]], ...]
     fed: np.ndarray
     ends: np.ndarray
     tie_z: np.ndarray
@@ -218,12 +222,12 @@ class _Tree:
         row, n = model.bus_index, len(model.buses)
         branch_z, branch_mask = model.branch_rows
         order = tuple(row[b] for b in view.order)
-        parent, z, mask = [0] * n, [_NO_Z] * n, [_NO_MASK] * n
+        steps = []
         fed = np.zeros((n, 3), dtype=bool)
         fed[order[0]] = model.carried[order[0]]
         for b, up, i in zip(order[1:], view.parent[1:], view.via[1:]):
-            parent[b], z[b], mask[b] = order[up], branch_z[i], branch_mask[i]
-            fed[b] = fed[parent[b]] & model.branch_mask[i]
+            steps.append((b, order[up], branch_z[i], branch_mask[i]))
+            fed[b] = fed[order[up]] & model.branch_mask[i]
 
         coords = []
         for i in view.loops:
@@ -233,8 +237,7 @@ class _Tree:
         fr, to, ph, tie = np.array(coords, dtype=int).reshape(-1, 4).T
         same_tie = tie[:, None] == tie[None, :]
         tie_z = np.where(same_tie, model.branch_z[tie[:, None], ph[:, None], ph[None, :]], 0)
-        tree = _Tree(order, tuple(parent), tuple(z), tuple(mask), fed,
-                     np.array([fr, to, ph]), tie_z)
+        tree = _Tree(order, tuple(steps), fed, np.array([fr, to, ph]), tie_z)
         if ph.size:
             # The ends' voltage gap responds to the loop currents through
             # sweep(0, d), so the loop matrix is the ties' own impedance less
@@ -257,20 +260,32 @@ class _Tree:
         Currents accumulate leaf to root onto each bus's tree branch, then
         voltages drop root to leaf.  Phases a branch does not conduct read 0
         below it, as do buses off the tree.  A trailing axis on ``current`` is
-        carried through, so one call answers several right-hand sides.
+        carried through, one column at a time, so one call answers several
+        right-hand sides.
         """
-        order, parent, z = self.order, self.parent, self.z
-        mask = self.mask if current.ndim == 2 else [m[:, None] for m in self.mask]
-        node = current.astype(complex)
-        branch = np.zeros_like(node)
-        for b in order[:0:-1]:
-            branch[b] = carried = node[b] * mask[b]
-            node[parent[b]] += carried
-        volts = np.zeros_like(node)
-        volts[order[0]] = source
-        for b in order[1:]:
-            volts[b] = (volts[parent[b]] - z[b] @ branch[b]) * mask[b]
-        return volts
+        if current.ndim == 3:
+            columns = zip(np.broadcast_to(source, current.shape[1:]).T, np.moveaxis(current, 2, 0))
+            return np.stack([self.sweep(*column) for column in columns], axis=2)
+        # A bus's row of flow is its node current, then its tree branch's.
+        flow = current.astype(complex).tolist()
+        for row, up, _, (ma, mb, mc) in reversed(self.steps):
+            ia, ib, ic = flow[row]
+            flow[row] = ia, ib, ic = ia * ma, ib * mb, ic * mc
+            into = flow[up]
+            into[0] += ia
+            into[1] += ib
+            into[2] += ic
+        volts = [_ZERO] * len(flow)
+        volts[self.order[0]] = np.broadcast_to(source, 3).astype(complex).tolist()
+        for row, up, (zaa, zab, zac, zba, zbb, zbc, zca, zcb, zcc), (ma, mb, mc) in self.steps:
+            ia, ib, ic = flow[row]
+            va, vb, vc = volts[up]
+            volts[row] = (
+                (va - (zaa * ia + zab * ib + zac * ic)) * ma,
+                (vb - (zba * ia + zbb * ib + zbc * ic)) * mb,
+                (vc - (zca * ia + zcb * ib + zcc * ic)) * mc,
+            )
+        return np.array(volts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ time, and group the reading by bus in a dict to apply the scalar unbalance
 formula one bus at a time.  The two defender search
 references score every candidate with the package's ``payoff``, as the
 searches did before they learned to skip candidates that cannot win.
+:func:`sweep_reference` is the tree sweep as it ran before its per-bus
+arithmetic moved onto Python scalars: it reads the tree the solver gathered,
+but does each bus's arithmetic in numpy, the 3x3 product through ``@``.
 """
 
 from __future__ import annotations
@@ -112,6 +115,26 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000, closed=()
     for (bus_id, p), k in index.items():
         out[bus_id][p] = node_v[k] / v_base
     return out
+
+
+def sweep_reference(tree, source, current):
+    """``tree.sweep(source, current)`` with numpy calls per bus, a trailing
+    axis on ``current`` broadcast through each bus's phase mask."""
+    trailing = (slice(None),) + (None,) * (current.ndim - 2)
+    steps = [
+        (row, up, np.array(z).reshape(3, 3), np.array(mask)[trailing])
+        for row, up, z, mask in tree.steps
+    ]
+    node = current.astype(complex)
+    branch = np.zeros_like(node)
+    for row, up, _, mask in reversed(steps):
+        branch[row] = carried = node[row] * mask
+        node[up] += carried
+    volts = np.zeros_like(node)
+    volts[tree.order[0]] = source
+    for row, up, z, mask in steps:
+        volts[row] = (volts[up] - z @ branch[row]) * mask
+    return volts
 
 
 def two_bus_receiving_magnitude(vs, r, x, p_w, q_var):

@@ -333,7 +333,8 @@ FLOAT_PARAMS = (
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", FLOAT_PARAMS + ("value", "slope", "cap"))
 def test_params_reject_non_finite_numbers(key, value):
-    # value, slope and cap are the linear n_max rule's; its JSON calls value "base"
+    # value, slope and cap are the linear n_max rule's; its JSON, and so its
+    # errors, call value "base"
     if key in FLOAT_PARAMS:
         build, doc = (lambda: AttackParams(**{key: value})), {key: value}
     else:
@@ -343,7 +344,7 @@ def test_params_reject_non_finite_numbers(key, value):
                          "cap": rule["cap"]}}
     text = json.dumps(doc)  # NaN, Infinity or -Infinity, as json.loads accepts
     for make in (build, lambda: AttackParams.from_json(text)):
-        with pytest.raises(AttackError, match=f"{key} must be finite"):
+        with pytest.raises(AttackError, match=f"{'base' if key == 'value' else key} must be finite"):
             make()
 
 

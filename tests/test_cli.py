@@ -109,6 +109,14 @@ def test_cli_bad_address_or_feeder_exits_1(
         (attack.AttackParams.from_json, '{"max_steps": -1}', "max_steps"),
         (attack.AttackParams.from_json, '{"n_max": -1.0}', "n_max value"),
         (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "cap": -1}}', "n_max cap"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "base": -1, "cap": 2}}',
+         "n_max base must be positive"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "base": NaN}}',
+         "n_max base must be finite"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "constant", "value": 0}}',
+         "n_max value must be positive"),
+        (attack.AttackParams.from_json, '{"n_max": {"kind": "constant", "value": Infinity}}',
+         "n_max value must be finite"),
         (attack.NMaxRule, "bogus", "n_max rule"),
         (scenario.ScenarioConfig.from_json, '{"weights": 5}', "weights"),
         (scenario.ScenarioConfig.from_json, '{"weights": {"cost": "1"}}', "cost"),

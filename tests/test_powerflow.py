@@ -33,6 +33,7 @@ from oracles import (
     dense_nodal_solve,
     max_unbalance_reference,
     reachable_from,
+    sweep_reference,
     two_bus_receiving_magnitude,
     unbalance_at,
     violations_reference,
@@ -175,8 +176,59 @@ def test_solve_on_a_warm_model_is_bit_identical_to_a_cold_one(fixture_meter_map)
         assert warm.voltages.tobytes() == first.voltages.tobytes()
     meshed = next(_Tree.of(_view(model, c)) for c in configs if _view(model, c).loops)
     for array in (meshed.fed, meshed.ends, meshed.tie_z, meshed.d, meshed.response,
-                  meshed.loop_matrix, *meshed.z, *meshed.mask):
+                  meshed.loop_matrix):
         assert not array.flags.writeable
+    assert type(meshed.steps) is tuple
+    for step in meshed.steps:
+        assert [type(part) for part in step] == [int, int, tuple, tuple]
+
+
+def _every_tree(model):
+    for closed in itertools.product((False, True), repeat=len(model.switch_names)):
+        config = SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
+        yield _Tree.of(_view(model, config))
+
+
+def _assert_dead_read_zero(tree, volts):
+    # buses off the tree and phases a bus's branch does not carry read
+    # exactly 0, with or without a trailing axis
+    live = np.zeros(len(volts), dtype=bool)
+    live[list(tree.order)] = True
+    assert not volts[~live].any()
+    for row, _, _, mask in tree.steps:
+        assert not volts[row][np.array(mask) == 0].any()
+
+
+def test_sweep_agrees_with_the_numpy_reference_on_every_view():
+    model = load_feeder(default_feeder_text())
+    rng = np.random.default_rng(23)
+    shape = (len(model.buses), 3)
+    for tree in _every_tree(model):
+        source = rng.normal(size=3) + 1j * rng.normal(size=3)
+        for current in (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape),
+            rng.normal(size=(*shape, 4)) + 1j * rng.normal(size=(*shape, 4)),
+        ):
+            source_k = source if current.ndim == 2 else source[:, None]
+            volts = tree.sweep(source_k, current)
+            expected = sweep_reference(tree, source_k, current)
+            assert volts.shape == expected.shape and volts.dtype == complex
+            assert np.abs(volts - expected).max() <= 1e-15 * np.abs(expected).max()
+            _assert_dead_read_zero(tree, volts)
+
+
+def test_sweep_propagates_nan_as_the_numpy_reference_does(fixture_model):
+    # the phase mask multiplies, so a NaN current reaches the same
+    # voltages, dead phases included, as in the reference
+    config = SwitchConfig.normal(fixture_model).with_switch("S7", True)
+    tree = _Tree.of(_view(fixture_model, config))
+    current = np.zeros((len(fixture_model.buses), 3), dtype=complex)
+    current[tree.steps[-1][0]] = np.nan
+    volts = tree.sweep(np.ones(3), current)
+    expected = sweep_reference(tree, np.ones(3), current)
+    assert np.isnan(volts).any()
+    assert (np.isnan(volts) == np.isnan(expected)).all()
+    assert (volts[~np.isnan(expected)] == expected[~np.isnan(expected)]).all()
 
 
 def test_non_convergence_flagged_not_raised():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from gridbed.regmap import render_register_map
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,7 +30,7 @@ def test_register_map_doc_matches_render(fixture_meter_map):
 
 
 # tools/state_digest.py over every switch config and load pattern.
-STATE_SHA256 = "28f27356a9a77fa44ad094b559c62936c5704202e61331d4ad69daeff227f8c0"
+STATE_SHA256 = "5dbf6104e6372712c0eff83a6e99e761cd3a92c6c78e2bf9956bff49e1aea68b"
 
 
 def test_state_digest_prints_one_sha256():
@@ -54,7 +56,45 @@ def test_state_digest_diff_of_a_dump_against_itself_is_empty(tmp_path):
         run + ["--diff", str(dump), str(dump)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 of 1792 states differ; max |dV| 0\n"
+    assert proc.stdout == "0 of 1792 states differ: 0 in converged, 0 in iterations; max |dV| 0\n"
+
+
+def _dump(path, converged, iterations, voltages):
+    """A small state dump in ``state_digest.py --dump``'s layout: two
+    switches, four states."""
+    np.savez(
+        path,
+        switch_names=np.array(["S1", "S2"]),
+        closed=np.array([[False, False], [True, False], [False, True], [True, True]]),
+        pattern=np.array([0, 0, 1, 1]),
+        meshed=np.array([False, False, False, True]),
+        converged=np.array(converged),
+        iterations=np.array(iterations),
+        voltages=np.array(voltages, dtype=complex),
+    )
+
+
+def test_state_digest_diff_lists_each_moved_state_then_a_summary(tmp_path):
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    volts = [[1.0, 0.99j], [0.98, 0.97], [1.0, 1.0], [0.96, 0.95]]
+    _dump(before, [True, True, True, True], [3, 3, 4, 5], volts)
+    moved = [row[:] for row in volts]
+    moved[1][0] += 2e-16
+    moved[3][1] -= 5e-7
+    _dump(after, [True, True, False, True], [3, 3, 4, 6], moved)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "state_digest.py"), "--diff", str(before), str(after)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "S1 pattern 0 (no loop): converged True -> True, iterations 3 -> 3, max |dV| 2.22e-16",
+        "S2 pattern 1 (no loop): converged True -> False, iterations 4 -> 4, max |dV| 0",
+        "S1+S2 pattern 1 (meshed): converged True -> True, iterations 5 -> 6, max |dV| 5e-07",
+        "3 of 4 states differ: 1 in converged, 1 in iterations; max |dV| 5e-07",
+    ]
 
 
 # The first line of tools/plan_digest.py: every plan's fields but its search

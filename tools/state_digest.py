@@ -15,7 +15,9 @@ that leaves every output bit for bit unchanged leaves the digest unchanged:
 When the digest moves, ``--dump PATH`` also writes each state's
 ``converged``, ``iterations`` and voltages to an ``.npz`` file, and ``--diff
 A B`` prints every state whose convergence, iterations or voltages differ
-between two dumps, with its max |dV| (pu):
+between two dumps, with its max |dV| (pu), then one line with the number of
+states that differ, how many of them changed ``converged`` and how many
+``iterations``, and the max |dV| over all states:
 
     python3 tools/state_digest.py --dump before.npz
     python3 tools/state_digest.py --diff before.npz after.npz
@@ -134,7 +136,9 @@ def diff_dumps(path_a, path_b) -> list[str]:
     if not same:
         raise SystemExit("error: the dumps do not cover the same states")
     dv = np.abs(a["voltages"] - b["voltages"]).max(axis=1)
-    moved = (a["converged"] != b["converged"]) | (a["iterations"] != b["iterations"]) | (dv != 0)
+    converged = a["converged"] != b["converged"]
+    iterations = a["iterations"] != b["iterations"]
+    moved = converged | iterations | (dv != 0)
     lines = []
     for k in np.flatnonzero(moved):
         closed = "+".join(names[a["closed"][k]]) or "all open"
@@ -145,7 +149,10 @@ def diff_dumps(path_a, path_b) -> list[str]:
             f"iterations {a['iterations'][k]} -> {b['iterations'][k]}, "
             f"max |dV| {dv[k]:.3g}"
         )
-    lines.append(f"{moved.sum()} of {moved.size} states differ; max |dV| {dv.max():.3g}")
+    lines.append(
+        f"{moved.sum()} of {moved.size} states differ: {converged.sum()} in converged, "
+        f"{iterations.sum()} in iterations; max |dV| {dv.max():.3g}"
+    )
     return lines
 
 
