@@ -376,10 +376,10 @@ def main(argv=None) -> int:
     try:
         address = parse_address(args.server)
         model = load_feeder_file(args.feeder) if args.feeder else load_default_feeder()
+        meter_map = MeterMap.for_model(model)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 1
-    meter_map = MeterMap.for_model(model)
     params = AttackParams()
     if args.params:
         try:

@@ -21,10 +21,10 @@ each branch's state from the model's ``switch_bits``: per branch, its switch's
 bit in the mask, or -1 for a line, which is always closed.  A view keeps
 what the solver gathers from it on its first solve (``derived``), so server
 writes and both defense searches walk and gather each topology once per
-model.  On the bundled feeder a view takes about 1.3 KB and a solved tree
-about 90 bytes per energized bus (11.7 KB with all 124 fed), plus about 9 KB
-per loop coordinate (at most four there), so all 256 topologies solved take
-about 1.5 MB (tracemalloc, Python 3.11).  The cache
+model.  On the bundled feeder a view takes about 3.6 KB and a solved tree
+about 105 bytes per energized bus (13.0 KB with all 124 fed), plus about
+9.4 KB per loop coordinate (at most four there), so all 256 topologies solved
+take about 1.6 MB (tracemalloc, Python 3.11).  The cache
 lives and dies with its model, which it references, so a model and its cache
 are freed together.
 
@@ -37,7 +37,7 @@ server thread and a defender at once; switching actions are expressed as new
 
 :func:`load_default_feeder` returns one model per process, parsed on its
 first call, so every scenario case, CLI and tool in a process shares its
-arrays, views and solved trees.  Its cache (at most 256 views, about 1.5 MB
+arrays, views and solved trees.  Its cache (at most 256 views, about 1.6 MB
 with every topology solved) lives as long as the process.  Like the topology
 cache it is a ``functools`` cache: two threads whose first calls race may
 each parse the document, and either model is correct.

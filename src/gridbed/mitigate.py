@@ -403,10 +403,10 @@ def main(argv=None) -> int:
     try:
         address = parse_address(args.server)
         model = load_feeder_file(args.feeder)
+        meter_map = MeterMap.for_model(model)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 1
-    meter_map = MeterMap.for_model(model)
 
     def connect():
         return ModbusClient(*address)

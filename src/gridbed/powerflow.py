@@ -3,7 +3,10 @@
 The solver is one linear operator over the breadth-first spanning tree that
 :func:`~gridbed.feeder.apply_switch_config` walked, ``sweep(source,
 current)``: node currents accumulate leaf to root onto tree branches, then
-voltages drop root to leaf through each branch's phase-masked 3x3 impedance.
+voltages drop root to leaf through each branch's impedance.  A branch that
+conducts one phase, as a single-phase lateral does, drops that phase through
+its self-impedance alone; any other branch through its phase-masked 3x3
+impedance.
 The solver gathers the tree from the view and the model's per-branch rows on
 the view's first solve, keeps it with the view (see
 :mod:`gridbed.feeder` for the per-model topology cache), and never walks the
@@ -25,8 +28,10 @@ nonlinearity is left to converge: meshed topologies take about as many
 iterations as radial ones.
 
 A solve spends most of its time in the sweep, whose per-bus arithmetic runs
-on Python ``complex`` scalars: a bus needs a dozen products and sums on three
-phases, less than the fixed cost of one numpy call on a 3-element array.
+on Python ``complex`` scalars held in one list per phase: a bus below a
+one-phase branch costs one add on the way up and one multiply and subtract on
+the way down, any other bus a dozen products and sums on three phases, both
+less than the fixed cost of one numpy call on a 3-element array.
 
 Every per-(bus, phase) quantity is a ``(bus, 3)`` array in the model's bus
 order (see :class:`~gridbed.feeder.FeederModel`): the demand is
@@ -170,21 +175,20 @@ def solve(
     )
 
 
-# A voltage row for buses off the tree.
-_ZERO = (0j, 0j, 0j)
-
-
 @dataclass(frozen=True)
 class _Tree:
     """The view's BFS spanning tree over model bus rows, gathered for the
     sweep, and its loop coordinates.
 
     ``order`` lists the energized buses' rows in BFS order, source first.
-    ``steps`` holds one ``(row, up, z, mask)`` per tree bus but the source,
-    in that order: bus row ``row`` hangs off row ``up`` through its tree
-    branch, whose impedance ``z`` (ohm, nine complex numbers row by row) and
-    0/1 phase ``mask`` (three floats) cover only the phases that branch
-    conducts; both are the model's shared per-branch rows.  A phase is fed at
+    ``steps`` holds one ``(row, up, phase, z, mask)`` per tree bus but the
+    source, in that order: bus row ``row`` hangs off row ``up`` through its
+    tree branch, in one of two shapes.  A branch that conducts one phase
+    gives ``phase`` (0, 1 or 2), its self-impedance ``z`` (ohm, one complex
+    number) and ``mask`` None.  Any other branch gives ``phase`` None, its
+    impedance ``z`` (ohm, nine complex numbers row by row) and its 0/1 phase
+    ``mask`` (three floats), which cover only the phases the branch conducts
+    and are the model's shared per-branch rows.  A phase is fed at
     a bus when every tree branch from the source carries it.  A loop
     coordinate is one phase of a closed non-tree branch fed at both ends;
     column ``c`` of ``ends`` holds its from row, to row and phase, and
@@ -200,7 +204,8 @@ class _Tree:
     """
 
     order: tuple[int, ...]
-    steps: tuple[tuple[int, int, tuple[complex, ...], tuple[float, ...]], ...]
+    steps: tuple[tuple[int, int, int | None, complex | tuple[complex, ...],
+                       tuple[float, ...] | None], ...]
     fed: np.ndarray
     ends: np.ndarray
     tie_z: np.ndarray
@@ -226,7 +231,12 @@ class _Tree:
         fed = np.zeros((n, 3), dtype=bool)
         fed[order[0]] = model.carried[order[0]]
         for b, up, i in zip(order[1:], view.parent[1:], view.via[1:]):
-            steps.append((b, order[up], branch_z[i], branch_mask[i]))
+            mask = branch_mask[i]
+            if sum(mask) == 1:
+                p = mask.index(1.0)
+                steps.append((b, order[up], p, branch_z[i][4 * p], None))
+            else:
+                steps.append((b, order[up], None, branch_z[i], mask))
             fed[b] = fed[order[up]] & model.branch_mask[i]
 
         coords = []
@@ -258,34 +268,49 @@ class _Tree:
         ``current`` drawn at every bus; linear in both.
 
         Currents accumulate leaf to root onto each bus's tree branch, then
-        voltages drop root to leaf.  Phases a branch does not conduct read 0
-        below it, as do buses off the tree.  A trailing axis on ``current`` is
-        carried through, one column at a time, so one call answers several
-        right-hand sides.
+        voltages drop root to leaf, in one list of Python ``complex`` per
+        phase.  Phases a branch does not conduct read 0 below it, as do buses
+        off the tree: a one-phase branch moves its own phase only and leaves
+        the others at exactly 0, even for a NaN current, and any other branch
+        multiplies by its phase mask, so there a NaN current on a phase the
+        branch does not conduct reads NaN, as ``NaN * 0`` does.  A trailing
+        axis on ``current`` is carried through, one column at a time, so one
+        call answers several right-hand sides.
         """
         if current.ndim == 3:
             columns = zip(np.broadcast_to(source, current.shape[1:]).T, np.moveaxis(current, 2, 0))
             return np.stack([self.sweep(*column) for column in columns], axis=2)
-        # A bus's row of flow is its node current, then its tree branch's.
-        flow = current.astype(complex).tolist()
-        for row, up, _, (ma, mb, mc) in reversed(self.steps):
-            ia, ib, ic = flow[row]
-            flow[row] = ia, ib, ic = ia * ma, ib * mb, ic * mc
-            into = flow[up]
-            into[0] += ia
-            into[1] += ib
-            into[2] += ic
-        volts = [_ZERO] * len(flow)
-        volts[self.order[0]] = np.broadcast_to(source, 3).astype(complex).tolist()
-        for row, up, (zaa, zab, zac, zba, zbb, zbc, zca, zcb, zcc), (ma, mb, mc) in self.steps:
-            ia, ib, ic = flow[row]
-            va, vb, vc = volts[up]
-            volts[row] = (
-                (va - (zaa * ia + zab * ib + zac * ic)) * ma,
-                (vb - (zba * ia + zbb * ib + zbc * ic)) * mb,
-                (vc - (zca * ia + zcb * ib + zcc * ic)) * mc,
-            )
-        return np.array(volts)
+        # A bus's flow is its node current, then its tree branch's.
+        flows = fa, fb, fc = current.T.astype(complex).tolist()
+        for row, up, phase, _, mask in reversed(self.steps):
+            if mask is None:
+                f = flows[phase]
+                f[up] += f[row]
+                continue
+            ma, mb, mc = mask
+            fa[row] = ia = fa[row] * ma
+            fb[row] = ib = fb[row] * mb
+            fc[row] = ic = fc[row] * mc
+            fa[up] += ia
+            fb[up] += ib
+            fc[up] += ic
+        n = len(fa)
+        volts = va, vb, vc = [0j] * n, [0j] * n, [0j] * n
+        va[self.order[0]], vb[self.order[0]], vc[self.order[0]] = (
+            np.broadcast_to(source, 3).astype(complex).tolist()
+        )
+        for row, up, phase, z, mask in self.steps:
+            if mask is None:
+                v = volts[phase]
+                v[row] = v[up] - z * flows[phase][row]
+                continue
+            zaa, zab, zac, zba, zbb, zbc, zca, zcb, zcc = z
+            ma, mb, mc = mask
+            ia, ib, ic = fa[row], fb[row], fc[row]
+            va[row] = (va[up] - (zaa * ia + zab * ib + zac * ic)) * ma
+            vb[row] = (vb[up] - (zba * ia + zbb * ib + zbc * ic)) * mb
+            vc[row] = (vc[up] - (zca * ia + zcb * ib + zcc * ic)) * mc
+        return np.array(volts).T
 
 
 # ---------------------------------------------------------------------------

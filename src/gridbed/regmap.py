@@ -9,7 +9,9 @@ Layout (1-based register numbers; wire addresses are register - 1):
 * coils 1..S               switch states, closed = 1
 
 On the bundled feeder N_meters is 206 and K is 9; the layout constants stay
-fixed for smaller models so client code never recomputes bases.
+fixed for smaller models so client code never recomputes bases.  A map whose
+voltage block would reach register 207 (more than 206 meter points) or whose
+setpoint block would reach register 500 (more than 293 setpoints) is refused.
 """
 
 from __future__ import annotations
@@ -116,6 +118,16 @@ class MeterMap:
     layout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if VOLTAGE_BLOCK_START + len(self.meters) > SETPOINT_BLOCK_START:
+            raise RegisterMapError(
+                f"{len(self.meters)} meter points overrun the setpoint block at register "
+                f"{SETPOINT_BLOCK_START}: at most {SETPOINT_BLOCK_START - VOLTAGE_BLOCK_START} fit"
+            )
+        if SETPOINT_BLOCK_START + len(self.setpoints) > STATUS_REGISTER:
+            raise RegisterMapError(
+                f"{len(self.setpoints)} setpoints overrun the status register "
+                f"{STATUS_REGISTER}: at most {STATUS_REGISTER - SETPOINT_BLOCK_START} fit"
+            )
         cells: dict[str, list[int]] = {}
         for k, (bus, phase) in enumerate(self.meters):
             cells.setdefault(bus, [len(self.meters)] * 3)[PHASE_INDEX[phase]] = k

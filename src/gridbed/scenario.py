@@ -356,11 +356,12 @@ def main(argv=None) -> int:
 
     try:
         model = config.load_model()
+        meter_map = MeterMap.for_model(model)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load feeder {config.feeder}: {exc}")
         return 1
     report = run_scenario(config, cases, live=args.live, model=model)
-    emit_report(report, args.out_dir, MeterMap.for_model(model))
+    emit_report(report, args.out_dir, meter_map)
 
     for r in report.results:
         print(

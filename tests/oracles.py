@@ -117,21 +117,31 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000, closed=()
     return out
 
 
-def sweep_reference(tree, source, current):
-    """``tree.sweep(source, current)`` with numpy calls per bus, a trailing
-    axis on ``current`` broadcast through each bus's phase mask."""
-    trailing = (slice(None),) + (None,) * (current.ndim - 2)
-    steps = [
-        (row, up, np.array(z).reshape(3, 3), np.array(mask)[trailing])
-        for row, up, z, mask in tree.steps
+def tree_branches(view):
+    """``(row, up, z, mask)`` per bus of ``view``'s BFS tree but the source, in
+    BFS order: the bus's model row, its parent's row, and its tree branch's
+    3x3 impedance and phase mask, read from the view and the model's arrays."""
+    model = view.model
+    rows = [model.bus_index[bus] for bus in view.order]
+    return [
+        (rows[k], rows[view.parent[k]], model.branch_z[i], model.branch_mask[i])
+        for k, i in enumerate(view.via) if k
     ]
+
+
+def sweep_reference(view, source, current):
+    """The solver's tree sweep over ``view`` with numpy calls per bus, a
+    trailing axis on ``current`` broadcast through each bus's phase mask."""
+    trailing = (slice(None),) + (None,) * (current.ndim - 2)
+    steps = [(row, up, z, mask.astype(float)[trailing])
+             for row, up, z, mask in tree_branches(view)]
     node = current.astype(complex)
     branch = np.zeros_like(node)
     for row, up, _, mask in reversed(steps):
         branch[row] = carried = node[row] * mask
         node[up] += carried
     volts = np.zeros_like(node)
-    volts[tree.order[0]] = source
+    volts[view.model.bus_index[view.order[0]]] = source
     for row, up, z, mask in steps:
         volts[row] = (volts[up] - z @ branch[row]) * mask
     return volts

@@ -16,6 +16,8 @@ from gridbed.feeder import default_feeder_text
 from gridbed.modbus import server
 from gridbed.modbus.client import ModbusClient
 
+from conftest import two_bus_doc
+
 
 @pytest.fixture()
 def feeder_file(tmp_path):
@@ -73,8 +75,11 @@ def test_attack_cli_closed_port_exits_1(capsys):
         ("127.0.0.1:0", b"missing"),
         ("127.0.0.1:0", b"{not json"),
         ("127.0.0.1:0", b"{}"),
+        # a valid feeder without the default setpoint nodes
+        ("127.0.0.1:0", json.dumps(two_bus_doc()).encode()),
     ],
-    ids=["no-port", "bad-port", "bare-word", "missing-feeder", "bad-json", "bad-feeder"],
+    ids=["no-port", "bad-port", "bare-word", "missing-feeder", "bad-json", "bad-feeder",
+         "no-setpoint-nodes"],
 )
 def test_cli_bad_address_or_feeder_exits_1(
     tmp_path, capsys, feeder_file, main, args, address, content
@@ -174,6 +179,16 @@ def test_scenario_cli_bad_weights_exit_1(tmp_path, capsys, content):
 def test_scenario_cli_unreadable_feeder_exits_1(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"feeder": str(tmp_path / "missing.json")}))
+    rc = scenario.main(["--config", str(config), "--case", "1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("error: cannot load feeder")
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_scenario_cli_feeder_without_the_setpoint_nodes_exits_1(tmp_path, capsys):
+    feeder, config = tmp_path / "feeder.json", tmp_path / "config.json"
+    feeder.write_text(json.dumps(two_bus_doc()))
+    config.write_text(json.dumps({"feeder": str(feeder)}))
     rc = scenario.main(["--config", str(config), "--case", "1", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().out.startswith("error: cannot load feeder")

@@ -34,6 +34,7 @@ from oracles import (
     max_unbalance_reference,
     reachable_from,
     sweep_reference,
+    tree_branches,
     two_bus_receiving_magnitude,
     unbalance_at,
     violations_reference,
@@ -178,57 +179,87 @@ def test_solve_on_a_warm_model_is_bit_identical_to_a_cold_one(fixture_meter_map)
     for array in (meshed.fed, meshed.ends, meshed.tie_z, meshed.d, meshed.response,
                   meshed.loop_matrix):
         assert not array.flags.writeable
+    # a one-phase branch's step holds its phase and self-impedance, any
+    # other branch's its nine impedances and three mask entries
     assert type(meshed.steps) is tuple
-    for step in meshed.steps:
-        assert [type(part) for part in step] == [int, int, tuple, tuple]
+    shapes = set()
+    for row, up, phase, z, mask in meshed.steps:
+        assert type(row) is int and type(up) is int
+        if mask is None:
+            assert type(phase) is int and 0 <= phase < 3 and type(z) is complex
+        else:
+            assert phase is None and type(z) is tuple and type(mask) is tuple
+            assert (len(z), len(mask)) == (9, 3)
+        shapes.add(mask is None)
+    assert shapes == {True, False}
 
 
-def _every_tree(model):
+def _every_view(model):
     for closed in itertools.product((False, True), repeat=len(model.switch_names)):
         config = SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
-        yield _Tree.of(_view(model, config))
+        yield _view(model, config)
 
 
-def _assert_dead_read_zero(tree, volts):
-    # buses off the tree and phases a bus's branch does not carry read
-    # exactly 0, with or without a trailing axis
-    live = np.zeros(len(volts), dtype=bool)
-    live[list(tree.order)] = True
-    assert not volts[~live].any()
-    for row, _, _, mask in tree.steps:
-        assert not volts[row][np.array(mask) == 0].any()
+def _conducts(view):
+    """Where a sweep's voltages may be nonzero: the source's row and, per
+    tree bus, the phases its tree branch conducts, read from the view and the
+    model."""
+    conducts = np.zeros((len(view.model.buses), 3), dtype=bool)
+    conducts[view.model.bus_index[view.order[0]]] = True
+    for row, _, _, mask in tree_branches(view):
+        conducts[row] = mask
+    return conducts
+
+
+def _assert_agrees_with_reference(view, rng):
+    # the kernel matches the numpy reference, and buses off the tree and
+    # phases a bus's branch does not conduct read exactly 0, with or
+    # without a trailing axis
+    tree = _Tree.of(view)
+    shape = (len(view.model.buses), 3)
+    source = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for current in (
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        rng.normal(size=(*shape, 4)) + 1j * rng.normal(size=(*shape, 4)),
+    ):
+        source_k = source if current.ndim == 2 else source[:, None]
+        volts = tree.sweep(source_k, current)
+        expected = sweep_reference(view, source_k, current)
+        assert volts.shape == expected.shape and volts.dtype == complex
+        assert np.abs(volts - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert not volts[~_conducts(view)].any()
 
 
 def test_sweep_agrees_with_the_numpy_reference_on_every_view():
     model = load_feeder(default_feeder_text())
     rng = np.random.default_rng(23)
-    shape = (len(model.buses), 3)
-    for tree in _every_tree(model):
-        source = rng.normal(size=3) + 1j * rng.normal(size=3)
-        for current in (
-            rng.normal(size=shape) + 1j * rng.normal(size=shape),
-            rng.normal(size=(*shape, 4)) + 1j * rng.normal(size=(*shape, 4)),
-        ):
-            source_k = source if current.ndim == 2 else source[:, None]
-            volts = tree.sweep(source_k, current)
-            expected = sweep_reference(tree, source_k, current)
-            assert volts.shape == expected.shape and volts.dtype == complex
-            assert np.abs(volts - expected).max() <= 1e-15 * np.abs(expected).max()
-            _assert_dead_read_zero(tree, volts)
+    for view in _every_view(model):
+        _assert_agrees_with_reference(view, rng)
+
+
+def test_sweep_agrees_with_the_numpy_reference_on_a_two_phase_spur():
+    # the bundled feeder has no two-phase branch; this spur conducts A and B
+    model = load_feeder(json.dumps(four_bus_doc()))
+    view = _view(model)
+    assert sorted(mask.sum() for _, _, _, mask in tree_branches(view)) == [2, 3, 3]
+    _assert_agrees_with_reference(view, np.random.default_rng(24))
 
 
 def test_sweep_propagates_nan_as_the_numpy_reference_does(fixture_model):
-    # the phase mask multiplies, so a NaN current reaches the same
-    # voltages, dead phases included, as in the reference
+    # a NaN current reaches the same voltages as in the reference on every
+    # phase a bus's branch conducts, and phases it does not conduct read 0
     config = SwitchConfig.normal(fixture_model).with_switch("S7", True)
-    tree = _Tree.of(_view(fixture_model, config))
+    view = _view(fixture_model, config)
     current = np.zeros((len(fixture_model.buses), 3), dtype=complex)
-    current[tree.steps[-1][0]] = np.nan
-    volts = tree.sweep(np.ones(3), current)
-    expected = sweep_reference(tree, np.ones(3), current)
-    assert np.isnan(volts).any()
-    assert (np.isnan(volts) == np.isnan(expected)).all()
-    assert (volts[~np.isnan(expected)] == expected[~np.isnan(expected)]).all()
+    current[fixture_model.bus_index[view.order[-1]]] = np.nan
+    volts = _Tree.of(view).sweep(np.ones(3), current)
+    expected = sweep_reference(view, np.ones(3), current)
+    conducts = _conducts(view)
+    live, reference = volts[conducts], expected[conducts]
+    assert np.isnan(live).any()
+    assert (np.isnan(live) == np.isnan(reference)).all()
+    assert (live[~np.isnan(reference)] == reference[~np.isnan(reference)]).all()
+    assert not volts[~conducts].any()
 
 
 def test_non_convergence_flagged_not_raised():

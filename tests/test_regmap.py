@@ -1,5 +1,6 @@
 """Register codec: scaled words, FLOAT32 pairs, chunk planning, image build."""
 
+import json
 import random
 import struct
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridbed.feeder import SwitchConfig, apply_switch_config
+from gridbed.feeder import SwitchConfig, apply_switch_config, load_feeder
 from gridbed.powerflow import solve
 from gridbed.regmap import (
     FLOAT_BLOCK_START,
@@ -148,6 +149,43 @@ def test_fixture_meter_map_shape(fixture_model, fixture_meter_map):
 def test_meter_map_rejects_wrong_phase(fixture_model):
     with pytest.raises(RegisterMapError, match="N102"):
         MeterMap.for_model(fixture_model, setpoint_nodes=[("N102", "A")])
+
+
+def _chain_doc(n_buses):
+    """A single-phase chain of ``n_buses`` buses on phase A, one meter each."""
+    bus = {"phases": "A", "load_kw": [1, 0, 0], "load_kvar": [0, 0, 0]}
+    z = [[0.01, 0, 0], [0, 0, 0], [0, 0, 0]]
+    line = {"r_ohm": z, "x_ohm": z}
+    return {
+        "base_kv_ln": 1.0,
+        "base_kva": 3000.0,
+        "source": "B0",
+        "buses": [{"id": f"B{k}", **bus} for k in range(n_buses)],
+        "branches": [{"from": f"B{k}", "to": f"B{k + 1}", **line} for k in range(n_buses - 1)],
+    }
+
+
+@pytest.mark.parametrize("n_buses, fits", [(206, True), (207, False), (220, False)])
+def test_meter_map_refuses_a_voltage_block_that_reaches_the_setpoints(n_buses, fits):
+    model = load_feeder(json.dumps(_chain_doc(n_buses)))
+    if fits:
+        meter_map = MeterMap.for_model(model, setpoint_nodes=[("B1", "A")])
+        assert len(meter_map.meters) == SETPOINT_BLOCK_START - 1
+        return
+    with pytest.raises(RegisterMapError, match="setpoint block at register 207"):
+        MeterMap.for_model(model, setpoint_nodes=[("B1", "A")])
+
+
+@pytest.mark.parametrize("count, fits", [(STATUS_REGISTER - SETPOINT_BLOCK_START, True),
+                                         (STATUS_REGISTER - SETPOINT_BLOCK_START + 1, False)])
+def test_meter_map_refuses_a_setpoint_block_that_reaches_the_status_register(count, fits):
+    setpoints = tuple((f"B{k}", "A") for k in range(count))
+    if fits:
+        meter_map = MeterMap((("B0", "A"),), setpoints)
+        assert meter_map.setpoint_register(f"B{count - 1}") == STATUS_REGISTER - 1
+        return
+    with pytest.raises(RegisterMapError, match="status register 500"):
+        MeterMap((("B0", "A"),), setpoints)
 
 
 def _solved(fixture_model, overrides=None, config=None):

@@ -56,10 +56,13 @@ def test_state_digest_diff_of_a_dump_against_itself_is_empty(tmp_path):
         run + ["--diff", str(dump), str(dump)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 of 1792 states differ: 0 in converged, 0 in iterations; max |dV| 0\n"
+    assert proc.stdout == (
+        "0 of 1792 states differ: 0 in converged, 0 in iterations, 0 in max_mismatch_pu, "
+        "0 in voltage bytes only; max |dV| 0\n"
+    )
 
 
-def _dump(path, converged, iterations, voltages):
+def _dump(path, converged, iterations, voltages, mismatch=(3e-7, 2e-7, 4e-7, 1e-7)):
     """A small state dump in ``state_digest.py --dump``'s layout: two
     switches, four states."""
     np.savez(
@@ -70,8 +73,20 @@ def _dump(path, converged, iterations, voltages):
         meshed=np.array([False, False, False, True]),
         converged=np.array(converged),
         iterations=np.array(iterations),
+        max_mismatch_pu=np.array(mismatch),
         voltages=np.array(voltages, dtype=complex),
     )
+
+
+def _diff(before, after):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "state_digest.py"), "--diff", str(before), str(after)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_state_digest_diff_lists_each_moved_state_then_a_summary(tmp_path):
@@ -82,18 +97,33 @@ def test_state_digest_diff_lists_each_moved_state_then_a_summary(tmp_path):
     moved[1][0] += 2e-16
     moved[3][1] -= 5e-7
     _dump(after, [True, True, False, True], [3, 3, 4, 6], moved)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "state_digest.py"), "--diff", str(before), str(after)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "S1 pattern 0 (no loop): converged True -> True, iterations 3 -> 3, max |dV| 2.22e-16",
-        "S2 pattern 1 (no loop): converged True -> False, iterations 4 -> 4, max |dV| 0",
-        "S1+S2 pattern 1 (meshed): converged True -> True, iterations 5 -> 6, max |dV| 5e-07",
-        "3 of 4 states differ: 1 in converged, 1 in iterations; max |dV| 5e-07",
+    assert _diff(before, after) == [
+        "S1 pattern 0 (no loop): converged True -> True, iterations 3 -> 3, "
+        "max_mismatch_pu 2e-07 -> 2e-07, max |dV| 2.22e-16",
+        "S2 pattern 1 (no loop): converged True -> False, iterations 4 -> 4, "
+        "max_mismatch_pu 4e-07 -> 4e-07, max |dV| 0",
+        "S1+S2 pattern 1 (meshed): converged True -> True, iterations 5 -> 6, "
+        "max_mismatch_pu 1e-07 -> 1e-07, max |dV| 5e-07",
+        "3 of 4 states differ: 1 in converged, 1 in iterations, 0 in max_mismatch_pu, "
+        "0 in voltage bytes only; max |dV| 5e-07",
+    ]
+
+
+def test_state_digest_diff_lists_a_moved_mismatch_and_a_zero_that_changed_sign(tmp_path):
+    # each of these moves the digest while every voltage keeps its value
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    volts = [[1.0, 0.0], [0.98, 0.97], [1.0, 0.0], [0.96, 0.95]]
+    _dump(before, [True] * 4, [3, 3, 4, 5], volts)
+    signed = [row[:] for row in volts]
+    signed[2][1] = complex(-0.0, 0.0)
+    _dump(after, [True] * 4, [3, 3, 4, 5], signed, mismatch=(3e-7, 2.5e-7, 4e-7, 1e-7))
+    assert _diff(before, after) == [
+        "S1 pattern 0 (no loop): converged True -> True, iterations 3 -> 3, "
+        "max_mismatch_pu 2e-07 -> 2.5e-07, max |dV| 0",
+        "S2 pattern 1 (no loop): converged True -> True, iterations 4 -> 4, "
+        "max_mismatch_pu 4e-07 -> 4e-07, max |dV| 0 (voltage bytes only)",
+        "2 of 4 states differ: 0 in converged, 0 in iterations, 1 in max_mismatch_pu, "
+        "1 in voltage bytes only; max |dV| 0",
     ]
 
 

@@ -13,11 +13,13 @@ that leaves every output bit for bit unchanged leaves the digest unchanged:
     python3 tools/state_digest.py
 
 When the digest moves, ``--dump PATH`` also writes each state's
-``converged``, ``iterations`` and voltages to an ``.npz`` file, and ``--diff
-A B`` prints every state whose convergence, iterations or voltages differ
-between two dumps, with its max |dV| (pu), then one line with the number of
-states that differ, how many of them changed ``converged`` and how many
-``iterations``, and the max |dV| over all states:
+``converged``, ``iterations``, ``max_mismatch_pu`` and voltages to an ``.npz``
+file, and ``--diff A B`` prints every state whose convergence, iterations,
+mismatch or voltage bytes differ between two dumps, with its max |dV| (pu),
+then one line with the number of states that differ, how many of them changed
+``converged``, ``iterations`` and ``max_mismatch_pu``, how many changed their
+voltage bytes but no voltage's value (the sign of a zero), and the max |dV|
+over all states:
 
     python3 tools/state_digest.py --dump before.npz
     python3 tools/state_digest.py --diff before.npz after.npz
@@ -47,7 +49,9 @@ from gridbed.scenario import CASE_PATTERNS, case_vector
 
 # Per state: switch states, load pattern index, whether a closed branch
 # closes a loop, and the solver's outputs.
-DUMP_FIELDS = ("closed", "pattern", "meshed", "converged", "iterations", "voltages")
+DUMP_FIELDS = (
+    "closed", "pattern", "meshed", "converged", "iterations", "max_mismatch_pu", "voltages",
+)
 
 
 def unbalance_by_bus(reading, meter_map) -> dict[str, float]:
@@ -99,7 +103,7 @@ def state_digest(dump=None) -> str:
         for pattern, (setpoints, overrides) in enumerate(patterns):
             solution = solve(model, view, overrides)
             rows.append((closed, pattern, bool(view.loops), solution.converged,
-                         solution.iterations, solution.voltages))
+                         solution.iterations, solution.max_mismatch_pu, solution.voltages))
             put(solution.converged, solution.iterations, solution.max_mismatch_pu)
             digest.update(solution.voltages.tobytes())
             for high_word_first in (True, False):
@@ -135,10 +139,16 @@ def diff_dumps(path_a, path_b) -> list[str]:
     )
     if not same:
         raise SystemExit("error: the dumps do not cover the same states")
-    dv = np.abs(a["voltages"] - b["voltages"]).max(axis=1)
+    va, vb = a["voltages"], b["voltages"]
+    dv = np.abs(va - vb).max(axis=1)
     converged = a["converged"] != b["converged"]
     iterations = a["iterations"] != b["iterations"]
-    moved = converged | iterations | (dv != 0)
+    # The digest hashes the raw bytes, so compare bits: a zero's sign or a
+    # mismatch alone moves it as surely as a value does.
+    mismatch = _bits(a["max_mismatch_pu"]) != _bits(b["max_mismatch_pu"])
+    volt_bits = (_bits(va) != _bits(vb)).reshape(len(va), -1).any(axis=1)
+    bits_only = volt_bits & (va == vb).all(axis=1)
+    moved = converged | iterations | mismatch | volt_bits
     lines = []
     for k in np.flatnonzero(moved):
         closed = "+".join(names[a["closed"][k]]) or "all open"
@@ -147,13 +157,22 @@ def diff_dumps(path_a, path_b) -> list[str]:
             f"({'meshed' if a['meshed'][k] else 'no loop'}): "
             f"converged {a['converged'][k]} -> {b['converged'][k]}, "
             f"iterations {a['iterations'][k]} -> {b['iterations'][k]}, "
-            f"max |dV| {dv[k]:.3g}"
+            f"max_mismatch_pu {float(a['max_mismatch_pu'][k])!r} -> "
+            f"{float(b['max_mismatch_pu'][k])!r}, "
+            f"max |dV| {dv[k]:.3g}" + (" (voltage bytes only)" if bits_only[k] else "")
         )
     lines.append(
         f"{moved.sum()} of {moved.size} states differ: {converged.sum()} in converged, "
-        f"{iterations.sum()} in iterations; max |dV| {dv.max():.3g}"
+        f"{iterations.sum()} in iterations, {mismatch.sum()} in max_mismatch_pu, "
+        f"{bits_only.sum()} in voltage bytes only; max |dV| {dv.max():.3g}"
     )
     return lines
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """``values``' float64 words as integers, so equal bits compare equal,
+    NaN and the sign of zero included."""
+    return np.ascontiguousarray(values).view(np.int64)
 
 
 if __name__ == "__main__":
