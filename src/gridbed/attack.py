@@ -257,12 +257,6 @@ class AttackTrace:
     def budget_spent_mw(self) -> float:
         return self.steps[-1].budget_spent_mw if self.steps else 0.0
 
-    def terminal_vector(self) -> dict[str, float]:
-        for s in reversed(self.steps):
-            if s.kept:
-                return s.vector_mw
-        return self.baseline_mw
-
     def write_csv(self, path, node_order):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -284,8 +278,10 @@ class AttackTrace:
                 )
 
 
-def _vector_to_kw(vector_mw: Mapping[str, float]) -> dict[str, int]:
-    return {node: int(round(mw * 1000.0)) for node, mw in vector_mw.items()}
+def _write(client: ModbusClient, meter_map: MeterMap, vector_mw: Mapping[str, float]):
+    """Write an attack vector, in whole kW, as the setpoint vector it names."""
+    kw = tuple(round(vector_mw[node] * 1000.0) for node, _ in meter_map.setpoints)
+    client.write_setpoints(meter_map, kw)
 
 
 def _observe(client: ModbusClient, meter_map: MeterMap, band):
@@ -310,7 +306,7 @@ def run_attack(
     trace = AttackTrace(mode=mode, baseline_mw={}, v_vio_init=-1)
     try:
         baseline_kw = client.read_setpoints(meter_map)
-        baselines_mw = {node: kw / 1000.0 for node, kw in baseline_kw.items()}
+        baselines_mw = {n: kw / 1000.0 for (n, _), kw in zip(meter_map.setpoints, baseline_kw)}
         v_vio, unbalance = _observe(client, meter_map, params.band)
         trace.baseline_mw, trace.v_vio_init = dict(baselines_mw), v_vio
         prev = dict(baselines_mw)
@@ -327,16 +323,16 @@ def run_attack(
             )
             # Writing in whole kW is what the wire carries; account in the
             # same quantized units so the budget check matches the trace.
-            candidate = {n: kw / 1000.0 for n, kw in _vector_to_kw(candidate).items()}
+            candidate = {n: round(mw * 1000.0) / 1000.0 for n, mw in candidate.items()}
             step_total = sum(candidate.values())
             if spent + step_total > params.av_max_mw:
                 trace.status = STATUS_BUDGET
                 return trace
-            client.write_setpoints(meter_map, _vector_to_kw(candidate))
+            _write(client, meter_map, candidate)
             spent += step_total
             v_vio_new, unbalance = _observe(client, meter_map, params.band)
             if unbalance >= params.stealth_limit_pct:
-                client.write_setpoints(meter_map, _vector_to_kw(prev))
+                _write(client, meter_map, prev)
                 trace.steps.append(
                     AttackStep(t, dict(candidate), v_vio_new, unbalance, spent, kept=False)
                 )

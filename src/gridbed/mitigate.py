@@ -135,17 +135,18 @@ def payoff(
     model: FeederModel,
     current: SwitchConfig,
     candidate: SwitchConfig,
-    overrides=None,
+    demand=None,
     weights: Weights = Weights(),
     allow_meshed: bool = False,
     band=DEFAULT_BAND,
 ) -> Payoff:
-    """Score one candidate; infeasibility is a value, never an error."""
+    """Score one candidate under ``demand`` (see :func:`solve`);
+    infeasibility is a value, never an error."""
     cost = switching_cost(current, candidate)
     view = apply_switch_config(model, candidate)
     if not _walk_feasible(view, allow_meshed):
         return Payoff(False, 0, cost, INFEASIBLE)
-    solution = solve(model, view, overrides)
+    solution = solve(model, view, demand)
     if not solution.converged:
         return Payoff(False, 0, cost, INFEASIBLE)
     violations = count_violations(solution.magnitudes(), band)
@@ -188,7 +189,7 @@ def _skipped_entry(
 def best_response_sweep(
     model: FeederModel,
     current: SwitchConfig,
-    overrides=None,
+    demand=None,
     weights: Weights = Weights(),
     allow_meshed: bool = False,
     band=DEFAULT_BAND,
@@ -199,7 +200,7 @@ def best_response_sweep(
     scalar ordering reflects the total switching the plan would command.
     """
     score = functools.cache(
-        lambda candidate: payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+        lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)
     )
     pre = score(current)
     working = current
@@ -242,7 +243,7 @@ def best_response_sweep(
 def exhaustive_best(
     model: FeederModel,
     current: SwitchConfig,
-    overrides=None,
+    demand=None,
     weights: Weights = Weights(),
     allow_meshed: bool = False,
     band=DEFAULT_BAND,
@@ -258,7 +259,7 @@ def exhaustive_best(
             f"{len(names)} switches exceeds the exhaustive guard ({EXHAUSTIVE_GUARD})"
         )
     score = functools.cache(
-        lambda candidate: payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+        lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)
     )
     pre = score(current)
     best_key = None
@@ -309,10 +310,10 @@ def mitigate_once(
     current = SwitchConfig.from_mapping(
         model, client.read_switches(model.switch_names)
     )
-    overrides = meter_map.overrides(model, client.read_setpoints(meter_map))
+    demand = meter_map.demand(model, client.read_setpoints(meter_map))
 
     search = exhaustive_best if use_oracle else best_response_sweep
-    plan = search(model, current, overrides, weights, allow_meshed, band)
+    plan = search(model, current, demand, weights, allow_meshed, band)
     plan.pre_violations = observed_pre
     if not plan.feasible:
         log.warning("no feasible configuration found; leaving switches untouched")

@@ -1,14 +1,16 @@
 """Synchronous single-connection Modbus/TCP client.
 
 Thin request/response wrapper plus the testbed-level operations the attack
-and mitigation engines use: chunked voltage reads, setpoint writes, and
-switch operations.  Each primitive sends one :class:`frames.Pdu` and reads
-the ``values`` of the one that answers it.  Exception responses surface as
-:class:`ModbusExceptionError` with the code.  Replies are read with the
-server's own :func:`frames.receive_frame`; a transport failure, a timeout, a
-malformed reply or one that does not answer the request closes the
-connection and raises ``ConnectionError``, so a stream that has lost its
-place is never read again.  A request too large for one frame raises
+and mitigation engines use: chunked voltage reads, setpoint reads and
+writes, and switch operations.  A reading is a tuple of magnitudes in
+``meter_map.meters`` order, a setpoint vector a tuple of kW in
+``meter_map.setpoints`` order: both in register order.  Each primitive sends
+one :class:`frames.Pdu` and reads the ``values`` of the one that answers it.
+Exception responses surface as :class:`ModbusExceptionError` with the code.
+Replies are read with the server's own :func:`frames.receive_frame`; a
+transport failure, a timeout, a malformed reply or one that does not answer
+the request closes the connection and raises ``ConnectionError``, so a stream
+that has lost its place is never read again.  A request too large for one frame raises
 :class:`frames.FrameError` before anything is sent.
 """
 
@@ -116,28 +118,21 @@ class ModbusClient:
             mags = np.ascontiguousarray(pairs if high_word_first else pairs[:, ::-1]).view(">f4")
         return tuple(mags.ravel().tolist())
 
-    def read_setpoints(self, meter_map: MeterMap) -> dict[str, int]:
-        k = len(meter_map.setpoints)
-        words = self.read_holding(regmap.SETPOINT_BLOCK_START, k)
-        return {node: w for (node, _), w in zip(meter_map.setpoints, words)}
+    def read_setpoints(self, meter_map: MeterMap) -> tuple[int, ...]:
+        """The setpoint vector: kW in ``meter_map.setpoints`` order."""
+        return tuple(self.read_holding(regmap.SETPOINT_BLOCK_START, len(meter_map.setpoints)))
 
-    def write_setpoints(self, meter_map: MeterMap, kw_by_node: dict[str, int]):
-        """Write every node setpoint (kW) in one write-multiple request.
+    def write_setpoints(self, meter_map: MeterMap, setpoints_kw):
+        """Write a setpoint vector (kW in ``meter_map.setpoints`` order) in
+        one write-multiple request.
 
-        The map must name every mapped node, so the write needs no read
-        first and cannot race with another writer; an empty map is a no-op.
+        The vector covers every setpoint register, so the write needs no read
+        first and cannot race with another writer.  A vector of another
+        length or a value outside 0..65535 raises
+        :class:`~gridbed.regmap.RegisterMapError` before anything is sent.
         """
-        if not kw_by_node:
-            return
-        for node in kw_by_node:
-            meter_map.setpoint_register(node)  # raises for unmapped nodes
-        for node, kw in kw_by_node.items():
-            if not 0 <= int(kw) <= 0xFFFF:
-                raise ValueError(f"setpoint {kw} kW for {node!r} exceeds 16-bit range")
-        missing = [node for node, _ in meter_map.setpoints if node not in kw_by_node]
-        if missing:
-            raise ValueError(f"setpoint map does not name {', '.join(missing)}")
-        values = [int(kw_by_node[node]) for node, _ in meter_map.setpoints]
+        values = tuple(map(int, setpoints_kw))
+        meter_map.check_setpoints(values)
         self.write_registers(regmap.SETPOINT_BLOCK_START, values)
 
     def read_switches(self, switch_names: tuple[str, ...]) -> dict[str, bool]:

@@ -4,9 +4,12 @@ The register store is bound to a feeder model: coil writes reconfigure
 switches, setpoint-register writes change controllable loads, and the solver
 re-runs synchronously so the voltage registers already reflect the new state
 when the write response goes out.  Every write goes through
-:meth:`FeederServer._commit`, which solves and renders the new state before
-swapping it in, so a failing write leaves the previous state and image
-untouched and is answered with exception 0x04.
+:meth:`FeederServer._commit`, which solves and renders a new immutable
+:class:`ServerState` before swapping it in, so a failing write leaves the
+previous state and image untouched and is answered with exception 0x04, and
+a reader of ``server.state`` needs no copy.  Its setpoint vector is a tuple
+of kW in ``meter_map.setpoints`` order, so a register write splices its
+values in at the register's offset.
 
 One address rule answers every request.  Each function code has a table
 of the registers (or coils) it may touch, in unbroken runs: holding reads
@@ -49,7 +52,7 @@ import logging
 import selectors
 import socket
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .. import regmap
 from ..feeder import (
@@ -95,7 +98,7 @@ class ServerState:
     """Simulation + register state; the server swaps in a new one per write."""
 
     config: SwitchConfig
-    setpoints_kw: dict[str, int]
+    setpoints_kw: tuple[int, ...]  # in meter_map.setpoints order
     image: RegisterImage
     solution: VoltageSolution
     stale: bool
@@ -116,10 +119,10 @@ class FeederServer:
         self.model = model
         self.meter_map = meter_map or MeterMap.for_model(model)
         self.high_word_first = high_word_first
-        setpoints = {
-            node: int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
+        setpoints = tuple(
+            int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
             for node, phase in self.meter_map.setpoints
-        }
+        )
         self._commit(SwitchConfig.normal(model), setpoints)
 
         # The address rule's table: function code -> _run_ends of its registers.
@@ -236,15 +239,14 @@ class FeederServer:
 
     # -- simulation --------------------------------------------------------
 
-    def _commit(self, config: SwitchConfig, setpoints: dict[str, int]):
+    def _commit(self, config: SwitchConfig, setpoints: tuple[int, ...]):
         """Solve and render a new state, then swap it in.
 
         A non-converging solve keeps the last converged solution and marks
         the image stale; if anything raises, the current state stays.
         """
         view = apply_switch_config(self.model, config)
-        overrides = self.meter_map.overrides(self.model, setpoints)
-        solution = solve(self.model, view, overrides)
+        solution = solve(self.model, view, self.meter_map.demand(self.model, setpoints))
         stale = not solution.converged
         if stale:
             if self.state is None:
@@ -254,11 +256,6 @@ class FeederServer:
             solution, setpoints, config, self.meter_map, stale, self.high_word_first
         )
         self.state = ServerState(config, setpoints, image, solution, stale)
-
-    def snapshot(self) -> ServerState:
-        """Consistent copy of the live state (for tests and the orchestrator)."""
-        state = self.state
-        return replace(state, setpoints_kw=dict(state.setpoints_kw))
 
     # -- protocol ----------------------------------------------------------
 
@@ -300,10 +297,8 @@ class FeederServer:
             for name, closed in zip(self.model.switch_names[start:], request.values):
                 config = config.with_switch(name, closed)
         else:
-            setpoints = dict(setpoints)
             offset = first - regmap.SETPOINT_BLOCK_START
-            for (node, _), kw in zip(self.meter_map.setpoints[offset:], request.values):
-                setpoints[node] = kw
+            setpoints = (*setpoints[:offset], *request.values, *setpoints[offset + count :])
         self._commit(config, setpoints)
         if fc in (FC_WRITE_COIL, FC_WRITE_REGISTER):
             return request  # single writes answer with the echo

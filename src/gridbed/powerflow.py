@@ -34,9 +34,10 @@ the way down, any other bus a dozen products and sums on three phases, both
 less than the fixed cost of one numpy call on a 3-element array.
 
 Every per-(bus, phase) quantity is a ``(bus, 3)`` array in the model's bus
-order (see :class:`~gridbed.feeder.FeederModel`): the demand is
-``model.base_demand`` with the overrides written in, and the sweep runs on
-model bus rows.  Voltages are reported per-unit on the model's line-to-neutral
+order (see :class:`~gridbed.feeder.FeederModel`): the demand is complex VA
+shaped as ``model.base_demand``, which a setpoint vector reaches through
+:meth:`~gridbed.regmap.MeterMap.demand`, and the sweep runs on model bus
+rows.  Voltages are reported per-unit on the model's line-to-neutral
 base, read at ``model.carried`` into one complex array in meter order; power
 mismatch is per-unit on the model's VA base.  De-energized buses report
 exactly zero on all phases.
@@ -54,11 +55,11 @@ from __future__ import annotations
 import cmath
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .feeder import PHASE_INDEX, FeederModel, TopologyView
+from .feeder import FeederModel, TopologyView
 
 DEFAULT_TOLERANCE_PU = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
@@ -73,19 +74,15 @@ SOURCE_REFERENCE = (
 
 
 class PowerFlowError(ValueError):
-    """Invalid solver input (bad overrides, bad band) or a read of a
-    non-converged solution."""
+    """Invalid solver input (a demand of the wrong shape, a bad band) or a
+    read of a non-converged solution."""
 
 
-# Overrides: bus id -> phase -> (kw, kvar), replacing the base spot load on
-# that phase only.
-Overrides = Mapping[str, Mapping[str, tuple[float, float]]]
-
-
-@dataclass
+@dataclass(frozen=True)
 class VoltageSolution:
     """Complex voltages (pu) at every measurement point, plus convergence
-    bookkeeping.  ``voltages[k]`` is the voltage at ``meters[k]``."""
+    bookkeeping.  ``voltages[k]`` is the voltage at ``meters[k]``; the
+    solver's own solutions are read-only."""
 
     meters: tuple[tuple[str, str], ...]
     voltages: np.ndarray
@@ -104,33 +101,27 @@ class VoltageSolution:
 def solve(
     model: FeederModel,
     view: TopologyView,
-    overrides: Overrides | None = None,
+    demand: np.ndarray | None = None,
 ) -> VoltageSolution:
     """Solve the energized subgraph; de-energized buses come back at 0 pu.
 
-    An override on a de-energized bus draws nothing until a switch config
-    energizes the bus.  Raises :class:`PowerFlowError` for overrides that
-    reference unknown buses/phases.  Non-convergence is not an error: the
+    ``demand`` is the complex power (VA) each (bus, phase) draws, a
+    ``(bus, 3)`` array in model bus order; None means ``model.base_demand``.
+    A cell that is not fed draws nothing: a phase the bus does not carry,
+    or a bus no switch config energizes yet.  Raises :class:`PowerFlowError`
+    for a demand of another shape.  Non-convergence is not an error: the
     solution is returned with ``converged`` False and callers decide.
     """
-    # Complex power demand in VA per (bus, phase), overrides applied.
-    demand = model.base_demand.copy()
-    for bus_id, per_phase in (overrides or {}).items():
-        if bus_id not in model.bus_index:
-            raise PowerFlowError(f"override references unknown bus {bus_id!r}")
-        row = model.bus_index[bus_id]
-        for phase, load in per_phase.items():
-            pi = PHASE_INDEX.get(phase)
-            if pi is None or not model.carried[row, pi]:
-                raise PowerFlowError(
-                    f"override on bus {bus_id!r} phase {phase}: phase not carried"
-                )
-            demand[row, pi] = complex(*load) * 1000.0
-
+    if demand is None:
+        demand = model.base_demand
+    elif np.shape(demand) != model.base_demand.shape:
+        raise PowerFlowError(
+            f"demand of shape {np.shape(demand)}, not {model.base_demand.shape} (bus, phase)"
+        )
     tree = _Tree.of(view)
     v_base = model.base_volts_ln
     s_base = model.base_va
-    demand[~tree.fed] = 0.0
+    demand = np.where(tree.fed, demand, 0j)
     volts = np.where(tree.fed, np.array(SOURCE_REFERENCE) * v_base, 0)
     fr, to, ph = tree.ends
     loops = np.zeros(len(ph), dtype=complex)
@@ -166,9 +157,11 @@ def solve(
             converged = True
             break
 
+    voltages = volts[model.carried] / v_base
+    voltages.flags.writeable = False
     return VoltageSolution(
         meters=model.meter_points(),
-        voltages=volts[model.carried] / v_base,
+        voltages=voltages,
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=mismatch,

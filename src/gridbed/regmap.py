@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,8 +104,11 @@ def plan_chunked_read(start: int, count: int, limit: int = READ_LIMIT) -> list[t
 
 @dataclass(frozen=True)
 class MeterMap:
-    """Register assignment: meters to voltage registers, controllable nodes
-    to setpoint registers.
+    """Register assignment: meters to voltage registers, controllable
+    (bus, phase) points to setpoint registers, each point at most once.
+
+    A setpoint vector is a tuple of kW in ``setpoints`` order, which is
+    register order; :meth:`demand` turns one into the solver's load input.
 
     ``layout`` groups the meters by bus, in first-seen order: a ``(bus, 3)``
     grid of each bus's A, B, C positions in meter order, with
@@ -128,6 +131,9 @@ class MeterMap:
                 f"{len(self.setpoints)} setpoints overrun the status register "
                 f"{STATUS_REGISTER}: at most {STATUS_REGISTER - SETPOINT_BLOCK_START} fit"
             )
+        if len(set(self.setpoints)) != len(self.setpoints):
+            repeated = next(p for p in self.setpoints if self.setpoints.count(p) > 1)
+            raise RegisterMapError(f"setpoint point {repeated} is mapped twice")
         cells: dict[str, list[int]] = {}
         for k, (bus, phase) in enumerate(self.meters):
             cells.setdefault(bus, [len(self.meters)] * 3)[PHASE_INDEX[phase]] = k
@@ -150,31 +156,32 @@ class MeterMap:
                 )
         return cls(meters=meters, setpoints=tuple(setpoint_nodes))
 
-    def setpoint_register(self, node: str) -> int:
-        for k, (n, _) in enumerate(self.setpoints):
-            if n == node:
-                return SETPOINT_BLOCK_START + k
-        raise RegisterMapError(f"{node!r} has no setpoint register")
+    def check_setpoints(self, setpoints_kw: Sequence[int]):
+        """Raise :class:`RegisterMapError` unless ``setpoints_kw`` is a
+        setpoint vector of this map: one 16-bit kW value per setpoint."""
+        if len(setpoints_kw) != len(self.setpoints):
+            k = len(self.setpoints)
+            raise RegisterMapError(f"{len(setpoints_kw)} setpoints for a map of {k}")
+        for (node, phase), kw in zip(self.setpoints, setpoints_kw):
+            if not 0 <= kw <= 0xFFFF:
+                raise RegisterMapError(f"setpoint {kw} kW for {node}.{phase} not a 16-bit value")
 
-    def overrides(
-        self, model: FeederModel, setpoints_kw: Mapping[str, int]
-    ) -> dict[str, dict[str, tuple[float, float]]]:
-        """Solver overrides for commanded setpoints: kW as commanded, kvar
-        kept at the bus's base load."""
-        return {
-            node: {
-                phase: (
-                    float(setpoints_kw[node]),
-                    model.bus(node).load_kvar[PHASE_INDEX[phase]],
-                )
-            }
-            for node, phase in self.setpoints
-        }
+    def demand(self, model: FeederModel, setpoints_kw: Sequence[int]) -> np.ndarray:
+        """``model.base_demand`` with a setpoint vector written in: each
+        setpoint's kW as commanded on its (bus, phase), kvar kept at the
+        bus's base load.  This is the ``(bus, 3)`` VA array
+        :func:`~gridbed.powerflow.solve` takes."""
+        self.check_setpoints(setpoints_kw)
+        demand = model.base_demand.copy()
+        for (node, phase), kw in zip(self.setpoints, setpoints_kw):
+            p = PHASE_INDEX[phase]
+            demand[model.bus_index[node], p] = complex(kw, model.bus(node).load_kvar[p]) * 1000.0
+        return demand
 
 
 @dataclass(frozen=True)
 class RegisterImage:
-    """Immutable snapshot of the Modbus-visible state."""
+    """The Modbus-visible state, immutable."""
 
     holding: tuple[int, ...]  # index = register number; [0] unused
     coils: tuple[bool, ...]  # index = coil number; [0] unused
@@ -182,13 +189,14 @@ class RegisterImage:
 
 def build_image(
     solution: VoltageSolution,
-    setpoints_kw: Mapping[str, int],
+    setpoints_kw: Sequence[int],
     config: SwitchConfig,
     meter_map: MeterMap,
     stale: bool = False,
     high_word_first: bool = True,
 ) -> RegisterImage:
-    """Render a solved state into the register image.
+    """Render a solved state and its setpoint vector (kW in
+    ``meter_map.setpoints`` order) into the register image.
 
     Pure function of its inputs: equal arguments produce identical images.
     """
@@ -210,20 +218,21 @@ def build_image(
     words[VOLTAGE_BLOCK_START : VOLTAGE_BLOCK_START + n] = np.floor(mags * VOLTAGE_SCALE + 0.5)
     pairs = mags.astype(">f4").view(">u2").reshape(n, 2)
     words[FLOAT_BLOCK_START:] = (pairs if high_word_first else pairs[:, ::-1]).ravel()
+    meter_map.check_setpoints(setpoints_kw)
+    words[SETPOINT_BLOCK_START : SETPOINT_BLOCK_START + len(setpoints_kw)] = setpoints_kw
+    words[STATUS_REGISTER] = 1 if stale else 0
     holding = words.tolist()
-    for k, (node, _) in enumerate(meter_map.setpoints):
-        kw = int(setpoints_kw.get(node, 0))
-        if not 0 <= kw <= 0xFFFF:
-            raise RegisterMapError(f"setpoint {kw} kW for {node!r} not a 16-bit value")
-        holding[SETPOINT_BLOCK_START + k] = kw
-    holding[STATUS_REGISTER] = 1 if stale else 0
 
     coils = (False, *(bool(config.mask >> k & 1) for k in range(len(config.names))))
     return RegisterImage(holding=tuple(holding), coils=coils)
 
 
-def render_register_map(meter_map: MeterMap) -> str:
-    """Markdown reference for the register layout (the repo's map document)."""
+def render_register_map(meter_map: MeterMap, switch_names: Sequence[str]) -> str:
+    """Markdown reference for the register layout (the repo's map document),
+    with one coil per name in ``switch_names``."""
+    n, k = len(meter_map.meters), len(meter_map.setpoints)
+    coils = f"1..{len(switch_names)}" if switch_names else "none"
+    names = f"{switch_names[0]}..{switch_names[-1]}" if switch_names else "none"
     lines = [
         "# Register map reference",
         "",
@@ -232,14 +241,14 @@ def render_register_map(meter_map: MeterMap) -> str:
         "",
         "| Entity | Range | Contents | Units / scaling |",
         "|---|---|---|---|",
-        f"| Holding | {VOLTAGE_BLOCK_START}..{len(meter_map.meters)} | "
+        f"| Holding | {VOLTAGE_BLOCK_START}..{VOLTAGE_BLOCK_START + n - 1} | "
         "per-meter voltage magnitude | pu x 10^4 |",
-        f"| Holding | {SETPOINT_BLOCK_START}..{SETPOINT_BLOCK_START + len(meter_map.setpoints) - 1} | "
+        f"| Holding | {SETPOINT_BLOCK_START}..{SETPOINT_BLOCK_START + k - 1} | "
         "load setpoints | kW, unsigned |",
         f"| Holding | {STATUS_REGISTER} | solver status | 0 fresh, 1 stale |",
-        f"| Holding | {FLOAT_BLOCK_START}..{FLOAT_BLOCK_START + 2 * len(meter_map.meters) - 1} | "
+        f"| Holding | {FLOAT_BLOCK_START}..{FLOAT_BLOCK_START + 2 * n - 1} | "
         "FLOAT32 voltage mirror | IEEE 754 single, two words per meter |",
-        "| Coils | 1..8 | switch states S1..S8 | closed = 1 |",
+        f"| Coils | {coils} | switch states {names} | closed = 1 |",
         "",
         "## Voltage registers",
         "",

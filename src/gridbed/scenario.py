@@ -4,8 +4,8 @@ Each case starts a fresh in-process server on a loopback socket, over the
 bundled feeder model that every case in the process shares (or a model of
 the config's feeder file, read once per run).  It drives the attack (replay
 mode writes the case's terminal setpoint pattern directly; live mode runs
-the adaptive loop), snapshots metrics through a client connection, runs one
-mitigation cycle through a second connection, snapshots again, and tears
+the adaptive loop), reads metrics through a client connection, runs one
+mitigation cycle through a second connection, reads them again, and tears
 down.  All cross-activity traffic goes over real TCP; the server's internal
 state is touched only to cross-check that client-read metrics agree with the
 solver to within register quantization.
@@ -114,13 +114,14 @@ class ScenarioConfig:
         return load_default_feeder()
 
 
-def case_vector(meter_map: MeterMap, case: int) -> dict[str, int]:
-    """Terminal setpoint pattern for a case, in kW per controllable node."""
+def case_vector(meter_map: MeterMap, case: int) -> tuple[int, ...]:
+    """Terminal setpoint pattern for a case: a setpoint vector, kW in
+    ``meter_map.setpoints`` order."""
     group, level = CASE_PATTERNS[case]
-    return {
-        node: int(round((level if phase == group else OFF_LEVEL_MW) * 1000.0))
-        for node, phase in meter_map.setpoints
-    }
+    return tuple(
+        int(round((level if phase == group else OFF_LEVEL_MW) * 1000.0))
+        for _, phase in meter_map.setpoints
+    )
 
 
 @dataclass
@@ -169,7 +170,7 @@ def _environment_stamp(config: ScenarioConfig) -> dict:
 
 def _check_read_consistency(server: FeederServer, reading: tuple[float, ...]) -> float:
     """Max |client-read - solver| over meters; must be within quantization."""
-    direct = server.snapshot().solution.magnitudes()
+    direct = server.state.solution.magnitudes()
     return max((abs(d - read) for d, read in zip(direct, reading)), default=0.0)
 
 

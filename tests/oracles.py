@@ -27,14 +27,26 @@ PHASES = ("A", "B", "C")
 ANGLES = (1.0 + 0j, cmath.exp(-2j * cmath.pi / 3), cmath.exp(2j * cmath.pi / 3))
 
 
-def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000, closed=()):
+def demand_with(model, loads):
+    """``model.base_demand`` with ``loads``, ``{bus: {phase: (kw, kvar)}}``,
+    written in: the ``(bus, 3)`` VA array ``solve`` and
+    :func:`dense_nodal_solve` take."""
+    demand = model.base_demand.copy()
+    for bus_id, per_phase in loads.items():
+        for p, (kw, kvar) in per_phase.items():
+            demand[model.bus_index[bus_id], PHASES.index(p)] = complex(kw, kvar) * 1000.0
+    return demand
+
+
+def dense_nodal_solve(model, demand=None, tol=1e-12, max_iter=2000, closed=()):
     """Full Y-bus fixed-point solution over (bus, phase) nodes.
 
+    ``demand`` is the ``(bus, 3)`` VA array, in model bus order, that
+    ``solve`` takes; None means each bus's own ``load_kw`` and ``load_kvar``.
     A switch named in ``closed`` merges the (bus, phase) points it joins into
     one node; every other switch is open and ignored.  Lines enter the Y-bus.
     Returns {bus: {phase: complex pu}}.
     """
-    overrides = overrides or {}
     points = [(bus.id, p) for bus in model.buses for p in bus.phases]
     merged = UnionFind(points)
     for br in model.branches:
@@ -84,16 +96,15 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000, closed=()
         [ANGLES[PHASES.index(source_phase[k])] * v_base for k in source], dtype=complex
     )
 
-    demand = np.zeros(n, dtype=complex)
-    for bus_id, p in points:
-        bus = model.bus(bus_id)
-        per_phase = overrides.get(bus_id, {})
-        if p in per_phase:
-            kw, kvar = per_phase[p]
-        else:
-            kw = bus.load_kw[PHASES.index(p)]
-            kvar = bus.load_kvar[PHASES.index(p)]
-        demand[index[(bus_id, p)]] += complex(kw, kvar) * 1000.0
+    drawn = np.zeros(n, dtype=complex)
+    for row, bus in enumerate(model.buses):
+        for p in bus.phases:
+            pi = PHASES.index(p)
+            if demand is None:
+                va = complex(bus.load_kw[pi], bus.load_kvar[pi]) * 1000.0
+            else:
+                va = demand[row, pi]
+            drawn[index[(bus.id, p)]] += va
 
     y_ll = ybus[np.ix_(load, load)]
     y_ls = ybus[np.ix_(load, source)]
@@ -101,7 +112,7 @@ def dense_nodal_solve(model, overrides=None, tol=1e-12, max_iter=2000, closed=()
     v0 = -z_ll @ (y_ls @ v_src)
     v = v0.copy()
     for _ in range(max_iter):
-        inj = -np.conj(demand[load] / v)
+        inj = -np.conj(drawn[load] / v)
         v_new = v0 + z_ll @ inj
         if np.max(np.abs(v_new - v)) < tol * v_base:
             v = v_new
@@ -264,13 +275,13 @@ def modbus_address_verdict(mapped: dict, function: int, first: int, count: int):
     return None
 
 
-def best_response_sweep_reference(model, current, overrides, weights, allow_meshed, band):
+def best_response_sweep_reference(model, current, demand, weights, allow_meshed, band):
     """The best-response sweep with every flip scored (``mitigate.payoff``)."""
     from gridbed import mitigate
 
     score = functools.cache(
         lambda candidate: mitigate.payoff(
-            model, current, candidate, overrides, weights, allow_meshed, band
+            model, current, candidate, demand, weights, allow_meshed, band
         )
     )
     pre = score(current)
@@ -310,19 +321,19 @@ def exhaustive_key(entry):
     return (scalar, -entry["cost"], tuple(-int(closed) for closed in entry["config"].values()))
 
 
-def exhaustive_best_reference(model, current, overrides, weights, allow_meshed, band):
+def exhaustive_best_reference(model, current, demand, weights, allow_meshed, band):
     """The exhaustive search with all ``2**n`` configurations scored, in mask
     order."""
     from gridbed import mitigate
     from gridbed.feeder import SwitchConfig
 
     names = model.switch_names
-    pre = mitigate.payoff(model, current, current, overrides, weights, allow_meshed, band)
+    pre = mitigate.payoff(model, current, current, demand, weights, allow_meshed, band)
     best_key = best_config = best_payoff = None
     log_entries = []
     for mask in range(2 ** len(names)):
         candidate = SwitchConfig(names, mask)
-        result = mitigate.payoff(model, current, candidate, overrides, weights, allow_meshed, band)
+        result = mitigate.payoff(model, current, candidate, demand, weights, allow_meshed, band)
         entry = mitigate._log_entry("*", candidate, result)
         log_entries.append(entry)
         key = exhaustive_key(entry)

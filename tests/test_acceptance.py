@@ -26,7 +26,7 @@ from gridbed.regmap import (
     encode_float_pair,
     plan_chunked_read,
 )
-from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW, ScenarioConfig, case_vector, emit_report, run_scenario
+from gridbed.scenario import CASE_PATTERNS, ScenarioConfig, case_vector, emit_report, run_scenario
 
 from conftest import four_bus_doc, two_bus_doc, z_matrix
 from oracles import dense_nodal_solve
@@ -37,12 +37,8 @@ def _report(n, text):
     print(f"\nACCEPTANCE {n}: PASS: {text}")
 
 
-def _case_overrides(meter_map, case):
-    group, level = CASE_PATTERNS[case]
-    return {
-        node: {phase: ((level if phase == group else OFF_LEVEL_MW) * 1000.0, 0.0)}
-        for node, phase in meter_map.setpoints
-    }
+def _case_demand(model, meter_map, case):
+    return meter_map.demand(model, case_vector(meter_map, case))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +116,7 @@ def test_criterion_3_attack_pattern_replay(fixture_model, fixture_meter_map):
                 violations[case] = count_violations(mags, (0.95, 1.05))
                 unbalance[case] = max_unbalance(mags, fixture_meter_map.layout)
                 client.write_setpoints(
-                    fixture_meter_map, {n: 40 for n, _ in fixture_meter_map.setpoints}
+                    fixture_meter_map, (40,) * len(fixture_meter_map.setpoints)
                 )
     elapsed = time.perf_counter() - started
     assert all(violations[c] > 0 for c in CASE_PATTERNS), violations
@@ -163,20 +159,20 @@ def test_criterion_5_mitigation_efficacy(fixture_model, fixture_meter_map):
     started = time.perf_counter()
     base = SwitchConfig.normal(fixture_model)
     for case in (1, 2, 3, 4, 5):
-        overrides = _case_overrides(fixture_meter_map, case)
-        plan = best_response_sweep(fixture_model, base, overrides, allow_meshed=True)
+        demand = _case_demand(fixture_model, fixture_meter_map, case)
+        plan = best_response_sweep(fixture_model, base, demand, allow_meshed=True)
         assert plan.post_violations == 0, (case, plan.post_violations)
         assert set(plan.toggles) <= {"S7", "S8"}, (case, plan.toggles)
         assert len(plan.toggles) <= 2
 
-    overrides = _case_overrides(fixture_meter_map, 6)
-    sweep = best_response_sweep(fixture_model, base, overrides, allow_meshed=True)
-    oracle = exhaustive_best(fixture_model, base, overrides, allow_meshed=True)
+    demand = _case_demand(fixture_model, fixture_meter_map, 6)
+    sweep = best_response_sweep(fixture_model, base, demand, allow_meshed=True)
+    oracle = exhaustive_best(fixture_model, base, demand, allow_meshed=True)
     assert oracle.candidates_evaluated == 256
 
     def scalar(plan):
         cfg = SwitchConfig.from_mapping(fixture_model, plan.chosen)
-        return payoff(fixture_model, base, cfg, overrides, allow_meshed=True).scalar
+        return payoff(fixture_model, base, cfg, demand, allow_meshed=True).scalar
 
     gap = scalar(oracle) - scalar(sweep)
     if gap != 0:

@@ -26,6 +26,7 @@ from gridbed.modbus.client import ModbusClient
 from gridbed.regmap import READ_LIMIT
 
 from conftest import mbap_frame
+from oracles import demand_with
 
 
 def _params(**kw):
@@ -195,7 +196,8 @@ def test_attack_reaches_violation_target(live_server, fixture_meter_map):
         trace = run_attack(client, fixture_meter_map, params, "C")
         # restore baseline for the shared server
         client.write_setpoints(
-            fixture_meter_map, {n: int(mw * 1000) for n, mw in trace.baseline_mw.items()}
+            fixture_meter_map,
+            tuple(round(trace.baseline_mw[n] * 1000) for n, _ in fixture_meter_map.setpoints),
         )
     assert trace.status == STATUS_TARGET
     assert trace.steps[-1].violations >= 2
@@ -247,7 +249,7 @@ def test_doubling_bounds_reach_case_pattern(live_server, fixture_meter_map):
         baseline = client.read_setpoints(fixture_meter_map)
         trace = run_attack(client, fixture_meter_map, params, "C")
         client.write_setpoints(fixture_meter_map, baseline)
-    terminal = trace.terminal_vector()
+    terminal = next(s.vector_mw for s in reversed(trace.steps) if s.kept)
     groups = phase_groups(fixture_meter_map)
     for node in groups["C"]:
         assert terminal[node] == pytest.approx(0.08)
@@ -305,8 +307,9 @@ def test_monotone_pressure_on_radial_fixture(fixture_model, fixture_meter_map):
     groups = phase_groups(fixture_meter_map)
     last = -1
     for kw in range(40, 161, 10):
-        overrides = {node: {"C": (float(kw), 0.0)} for node in groups["C"]}
-        solution = solve(fixture_model, view, overrides)
+        loads = {node: {"C": (float(kw), 0.0)} for node in groups["C"]}
+        demand = demand_with(fixture_model, loads)
+        solution = solve(fixture_model, view, demand)
         assert solution.converged
         count = count_violations(solution.magnitudes())
         assert count >= last

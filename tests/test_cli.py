@@ -47,7 +47,7 @@ def test_attack_cli_writes_trace(tmp_path, live_server, fixture_meter_map):
     assert header.startswith("step,N102,N103,N104,N106,N107,N99,N109,N111,N114")
     # put the shared server back to baseline
     with ModbusClient(*live_server.address) as client:
-        client.write_setpoints(fixture_meter_map, {n: 40 for n, _ in fixture_meter_map.setpoints})
+        client.write_setpoints(fixture_meter_map, (40,) * len(fixture_meter_map.setpoints))
 
 
 def test_attack_cli_closed_port_exits_1(capsys):
@@ -215,7 +215,7 @@ def test_mitigate_cli_once(tmp_path, live_server, feeder_file, fixture_meter_map
     assert plan["toggles"] == ["S7"]
     with ModbusClient(*live_server.address) as client:
         client.write_switch(fixture_model.switch_names, "S7", False)
-        client.write_setpoints(fixture_meter_map, {n: 40 for n, _ in fixture_meter_map.setpoints})
+        client.write_setpoints(fixture_meter_map, (40,) * len(fixture_meter_map.setpoints))
 
 
 def test_scenario_cli_single_case(tmp_path):

@@ -27,18 +27,14 @@ from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
 from gridbed.modbus.server import FeederServer
 from gridbed.powerflow import DEFAULT_BAND
-from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW, case_vector
+from gridbed.scenario import CASE_PATTERNS, case_vector
 
 from conftest import mbap_frame, three_bus_switch_doc
 from oracles import best_response_sweep_reference, exhaustive_best_reference, exhaustive_key
 
 
-def _case_overrides(meter_map, case):
-    group, level = CASE_PATTERNS[case]
-    return {
-        node: {phase: ((level if phase == group else OFF_LEVEL_MW) * 1000.0, 0.0)}
-        for node, phase in meter_map.setpoints
-    }
+def _case_demand(model, meter_map, case):
+    return meter_map.demand(model, case_vector(meter_map, case))
 
 
 def _normal(model):
@@ -103,18 +99,18 @@ def test_payoff_cost_orders_equal_violations(fixture_model):
 
 
 def test_payoff_violations_dominate_cost(fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, 1)
+    demand = _case_demand(fixture_model, fixture_meter_map, 1)
     base = _normal(fixture_model)
-    keep = payoff(fixture_model, base, base, overrides, allow_meshed=True)
+    keep = payoff(fixture_model, base, base, demand, allow_meshed=True)
     fix = payoff(
-        fixture_model, base, base.with_switch("S7", True), overrides, allow_meshed=True
+        fixture_model, base, base.with_switch("S7", True), demand, allow_meshed=True
     )
     assert keep.violations > 0 and fix.violations == 0
     assert fix.scalar > keep.scalar  # one toggle beats any violation count
 
 
 def test_payoff_scale_invariance(fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, 4)
+    demand = _case_demand(fixture_model, fixture_meter_map, 4)
     base = _normal(fixture_model)
     candidates = [
         base,
@@ -125,7 +121,7 @@ def test_payoff_scale_invariance(fixture_model, fixture_meter_map):
 
     def argmax(weights):
         scored = [
-            payoff(fixture_model, base, c, overrides, weights, allow_meshed=True).scalar
+            payoff(fixture_model, base, c, demand, weights, allow_meshed=True).scalar
             for c in candidates
         ]
         return scored.index(max(scored))
@@ -146,9 +142,9 @@ def test_sweep_fixed_point_on_clean_state(fixture_model):
 
 
 def test_sweep_closes_s7_for_case_one(fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, 1)
+    demand = _case_demand(fixture_model, fixture_meter_map, 1)
     plan = best_response_sweep(
-        fixture_model, _normal(fixture_model), overrides, allow_meshed=True
+        fixture_model, _normal(fixture_model), demand, allow_meshed=True
     )
     assert plan.toggles == ("S7",)
     assert plan.post_violations == 0
@@ -156,13 +152,13 @@ def test_sweep_closes_s7_for_case_one(fixture_model, fixture_meter_map):
 
 
 def test_sweep_case_six_uses_both_ties(fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, 6)
+    demand = _case_demand(fixture_model, fixture_meter_map, 6)
     plan = best_response_sweep(
-        fixture_model, _normal(fixture_model), overrides, allow_meshed=True
+        fixture_model, _normal(fixture_model), demand, allow_meshed=True
     )
     assert set(plan.toggles) <= {"S7", "S8"}
     oracle = exhaustive_best(
-        fixture_model, _normal(fixture_model), overrides, allow_meshed=True
+        fixture_model, _normal(fixture_model), demand, allow_meshed=True
     )
     assert plan.post_violations == oracle.post_violations
     assert sorted(plan.toggles) == sorted(oracle.toggles)
@@ -171,8 +167,8 @@ def test_sweep_case_six_uses_both_ties(fixture_model, fixture_meter_map):
 def test_sweep_radial_default_keeps_configuration(fixture_model, fixture_meter_map):
     # under the radiality constraint no {S7,S8} toggle can help: closing a tie
     # onto the energized tree is a cycle, so the sweep must stand pat
-    overrides = _case_overrides(fixture_meter_map, 1)
-    plan = best_response_sweep(fixture_model, _normal(fixture_model), overrides)
+    demand = _case_demand(fixture_model, fixture_meter_map, 1)
+    plan = best_response_sweep(fixture_model, _normal(fixture_model), demand)
     assert plan.toggles == ()
     assert plan.post_violations > 0
 
@@ -213,15 +209,15 @@ def test_exhaustive_guard():
 
 @pytest.mark.parametrize("case", sorted(CASE_PATTERNS))
 def test_oracle_dominates_sweep(case, fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, case)
+    demand = _case_demand(fixture_model, fixture_meter_map, case)
     base = _normal(fixture_model)
-    sweep = best_response_sweep(fixture_model, base, overrides, allow_meshed=True)
-    oracle = exhaustive_best(fixture_model, base, overrides, allow_meshed=True)
+    sweep = best_response_sweep(fixture_model, base, demand, allow_meshed=True)
+    oracle = exhaustive_best(fixture_model, base, demand, allow_meshed=True)
 
     def scalar(plan):
         final = SwitchConfig.from_mapping(fixture_model, plan.chosen)
         return payoff(
-            fixture_model, base, final, overrides, allow_meshed=True
+            fixture_model, base, final, demand, allow_meshed=True
         ).scalar
 
     assert scalar(oracle) >= scalar(sweep)
@@ -233,20 +229,20 @@ def test_each_search_solves_each_candidate_once(fixture_model, fixture_meter_map
     solved = []  # the view of every solve, one object per topology
     solve = mitigate.solve
 
-    def counting_solve(model, view, overrides):
+    def counting_solve(model, view, demand):
         solved.append(view)
-        return solve(model, view, overrides)
+        return solve(model, view, demand)
 
     monkeypatch.setattr(mitigate, "solve", counting_solve)
     base = _normal(fixture_model)
     for case in sorted(CASE_PATTERNS):
-        overrides = _case_overrides(fixture_meter_map, case)
+        demand = _case_demand(fixture_model, fixture_meter_map, case)
         del solved[:]
-        sweep = best_response_sweep(fixture_model, base, overrides, allow_meshed=True)
+        sweep = best_response_sweep(fixture_model, base, demand, allow_meshed=True)
         assert len(solved) == len(set(map(id, solved))) == (4 if case == 6 else 2), case
         assert (sweep.sweeps, sweep.candidates_evaluated, len(sweep.search_log)) == (2, 17, 16)
         del solved[:]
-        oracle = exhaustive_best(fixture_model, base, overrides, allow_meshed=True)
+        oracle = exhaustive_best(fixture_model, base, demand, allow_meshed=True)
         assert len(solved) == len(set(map(id, solved))) == (8 if case == 6 else 3), case
         assert (oracle.candidates_evaluated, len(oracle.search_log)) == (256, 256)
 
@@ -254,9 +250,9 @@ def test_each_search_solves_each_candidate_once(fixture_model, fixture_meter_map
 def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map):
     # the server thread walks and solves new topologies on the model whose
     # topology cache the search fills at the same time
-    overrides = _case_overrides(fixture_meter_map, 6)
     alone = load_feeder(default_feeder_text())
-    expected = exhaustive_best(alone, _normal(alone), overrides, allow_meshed=True)
+    demand = _case_demand(alone, fixture_meter_map, 6)
+    expected = exhaustive_best(alone, _normal(alone), demand, allow_meshed=True)
 
     model = load_feeder(default_feeder_text())
     server = FeederServer(model, fixture_meter_map, bind=("127.0.0.1", 0))
@@ -281,7 +277,7 @@ def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map
         while not writes:
             stop.wait(0.001)
         before = len(writes)
-        shared = exhaustive_best(model, _normal(model), overrides, allow_meshed=True)
+        shared = exhaustive_best(model, _normal(model), demand, allow_meshed=True)
         during = len(writes) - before
     finally:
         stop.set()
@@ -315,9 +311,9 @@ RADIAL_PLAN_DIGESTS = {
 def test_radial_only_plans_are_pinned(fixture_model, fixture_meter_map):
     base = _normal(fixture_model)
     for case, expected in sorted(RADIAL_PLAN_DIGESTS.items()):
-        overrides = _case_overrides(fixture_meter_map, case)
+        demand = _case_demand(fixture_model, fixture_meter_map, case)
         plans = [
-            search(fixture_model, base, overrides, allow_meshed=False)
+            search(fixture_model, base, demand, allow_meshed=False)
             for search in (exhaustive_best, best_response_sweep)
         ]
         digests = tuple(hashlib.sha256(p.to_json().encode()).hexdigest() for p in plans)
@@ -356,8 +352,8 @@ def test_skipping_searches_plan_as_the_unpruned_references(
     base = _normal(fixture_model)
     skipped_total = 0
     for case, weights, band in _parity_draws():
-        overrides = _case_overrides(fixture_meter_map, case)
-        args = (fixture_model, base, overrides, weights, allow_meshed, band)
+        demand = _case_demand(fixture_model, fixture_meter_map, case)
+        args = (fixture_model, base, demand, weights, allow_meshed, band)
         plan, expected = search(*args), reference(*args)
         where = (case, weights, band)
         assert _without_log(plan) == _without_log(expected), where
@@ -393,9 +389,9 @@ def test_minimal_toggle_tie_break(fixture_model):
 
 
 def test_sweep_scalar_never_decreases(fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, 4)
+    demand = _case_demand(fixture_model, fixture_meter_map, 4)
     plan = best_response_sweep(
-        fixture_model, _normal(fixture_model), overrides, allow_meshed=True
+        fixture_model, _normal(fixture_model), demand, allow_meshed=True
     )
     accepted = [e for e in plan.search_log if e["scalar"] is not None]
     # replay the sweep's accepted moves: payoffs of successive working configs
@@ -407,7 +403,7 @@ def test_sweep_scalar_never_decreases(fixture_model, fixture_meter_map):
         fixture_model,
         _normal(fixture_model),
         SwitchConfig.from_mapping(fixture_model, plan.chosen),
-        overrides,
+        demand,
         allow_meshed=True,
     )
     assert final.scalar >= (best_so_far if best_so_far is not None else INFEASIBLE)
@@ -429,8 +425,7 @@ def test_mitigate_once_quiescent_makes_no_writes(live_server, fixture_model, fix
 def test_mitigate_once_case_one_single_coil_write(
     live_server, fixture_model, fixture_meter_map
 ):
-    pattern = {"N102": 80, "N103": 80, "N104": 80,
-               "N106": 1, "N107": 1, "N99": 1, "N109": 1, "N111": 1, "N114": 1}
+    pattern = (80, 80, 80, 1, 1, 1, 1, 1, 1)  # N102..N104 on C at 80 kW, the rest at 1
     with ModbusClient(*live_server.address) as attacker:
         attacker.write_setpoints(fixture_meter_map, pattern)
     try:
@@ -447,7 +442,7 @@ def test_mitigate_once_case_one_single_coil_write(
     finally:
         with ModbusClient(*live_server.address) as cleanup:
             cleanup.write_switch(fixture_model.switch_names, "S7", False)
-            cleanup.write_setpoints(fixture_meter_map, {n: 40 for n in pattern})
+            cleanup.write_setpoints(fixture_meter_map, (40,) * len(pattern))
 
 
 def test_mitigate_once_two_toggles_make_one_server_commit(
@@ -481,7 +476,7 @@ def test_mitigate_once_two_toggles_make_one_server_commit(
         with ModbusClient(*live_server.address) as cleanup:
             cleanup.write_switches(names, {"S7": False, "S8": False})
             cleanup.write_setpoints(
-                fixture_meter_map, {n: 40 for n, _ in fixture_meter_map.setpoints}
+                fixture_meter_map, (40,) * len(fixture_meter_map.setpoints)
             )
             assert cleanup.read_switches(names) == _normal(fixture_model).as_dict()
 
@@ -542,8 +537,7 @@ def test_run_mitigation_reconnects_after_malformed_reply(
     # the first connection's voltage read is answered as if it read coils
     peer = scripted_peer([mbap_frame(1, frames.Pdu(frames.FC_READ_COILS, 0, 1, (False,)))])
     addresses = iter([peer.address, live_server.address])
-    pattern = {"N102": 80, "N103": 80, "N104": 80,
-               "N106": 1, "N107": 1, "N99": 1, "N109": 1, "N111": 1, "N114": 1}
+    pattern = (80, 80, 80, 1, 1, 1, 1, 1, 1)  # N102..N104 on C at 80 kW, the rest at 1
     with ModbusClient(*live_server.address) as attacker:
         attacker.write_setpoints(fixture_meter_map, pattern)
     try:
@@ -556,13 +550,13 @@ def test_run_mitigation_reconnects_after_malformed_reply(
     finally:
         with ModbusClient(*live_server.address) as cleanup:
             cleanup.write_switch(fixture_model.switch_names, "S7", False)
-            cleanup.write_setpoints(fixture_meter_map, {n: 40 for n in pattern})
+            cleanup.write_setpoints(fixture_meter_map, (40,) * len(pattern))
 
 
 def test_plan_json_round_trip(fixture_model, fixture_meter_map):
-    overrides = _case_overrides(fixture_meter_map, 1)
+    demand = _case_demand(fixture_model, fixture_meter_map, 1)
     plan = best_response_sweep(
-        fixture_model, _normal(fixture_model), overrides, allow_meshed=True
+        fixture_model, _normal(fixture_model), demand, allow_meshed=True
     )
     doc = json.loads(plan.to_json())
     assert doc["toggles"] == ["S7"]

@@ -18,13 +18,14 @@ from gridbed.regmap import (
     SETPOINT_BLOCK_START,
     STATUS_REGISTER,
     MeterMap,
+    RegisterMapError,
     build_image,
     decode_float_pair,
     decode_voltage_word,
 )
 
 from conftest import mbap_frame, three_bus_switch_doc, two_bus_doc
-from oracles import modbus_address_sets, modbus_address_verdict
+from oracles import demand_with, modbus_address_sets, modbus_address_verdict
 
 
 def _client(server):
@@ -114,7 +115,7 @@ def test_setpoint_write_refreshes_voltages(live_server, fixture_meter_map):
         before = client.read_all_voltages(fixture_meter_map)
         _write_register(client, SETPOINT_BLOCK_START, 160)  # N102 -> 160 kW
         reread = client.read_setpoints(fixture_meter_map)
-        assert reread["N102"] == 160
+        assert reread == (160,) + (40,) * (len(fixture_meter_map.setpoints) - 1)
         after = client.read_all_voltages(fixture_meter_map)
         k = fixture_meter_map.meters.index(("N102", "C"))
         assert after[k] < before[k]
@@ -124,14 +125,13 @@ def test_setpoint_write_refreshes_voltages(live_server, fixture_meter_map):
 
 
 def test_write_setpoints_pattern_reads_back(live_server, fixture_meter_map):
-    pattern = {"N102": 80, "N103": 80, "N104": 80,
-               "N106": 1, "N107": 1, "N99": 1, "N109": 1, "N111": 1, "N114": 1}
+    pattern = (80, 80, 80, 1, 1, 1, 1, 1, 1)  # N102..N104 on C at 80 kW, the rest at 1
     with _client(live_server) as client:
         client.write_setpoints(fixture_meter_map, pattern)
         assert client.read_setpoints(fixture_meter_map) == pattern
         mags = client.read_all_voltages(fixture_meter_map)
         assert min(mags) < 0.95  # the overload bites
-        client.write_setpoints(fixture_meter_map, {n: 40 for n in pattern})
+        client.write_setpoints(fixture_meter_map, (40,) * len(pattern))
 
 
 def test_setpoint_write_loopback_matches_direct_solve(
@@ -152,16 +152,16 @@ def test_setpoint_write_loopback_matches_direct_solve(
         _write_register(client, SETPOINT_BLOCK_START, 40)
     assert len(calls) == 2  # 206 registers in two chunks
 
-    overrides = {"N102": {"C": (80.0, 0.0)}}
+    demand = demand_with(fixture_model, {"N102": {"C": (80.0, 0.0)}})
     # remaining controllable nodes sit at their base 40 kW
     view = apply_switch_config(fixture_model, SwitchConfig.normal(fixture_model))
-    direct = solve(fixture_model, view, overrides).magnitudes()
+    direct = solve(fixture_model, view, demand).magnitudes()
     for d, read in zip(direct, mags, strict=True):
         assert abs(d - read) <= 5e-5
 
 
 def test_write_setpoints_full_map_is_one_fc16_request(live_server, fixture_meter_map):
-    pattern = {node: 30 + k for k, (node, _) in enumerate(fixture_meter_map.setpoints)}
+    pattern = tuple(30 + k for k in range(len(fixture_meter_map.setpoints)))
     with _client(live_server) as client:
         sent = []
         original = client.request
@@ -171,23 +171,37 @@ def test_write_setpoints_full_map_is_one_fc16_request(live_server, fixture_meter
         assert client.read_setpoints(fixture_meter_map) == pattern
 
 
-def test_write_setpoints_empty_map_is_noop(live_server, fixture_meter_map):
-    with _client(live_server) as client:
-        before = client.read_setpoints(fixture_meter_map)
-        client.write_setpoints(fixture_meter_map, {})
-        assert client.read_setpoints(fixture_meter_map) == before
-
-
 def test_write_setpoints_validates_nodes_and_range(live_server, fixture_meter_map):
+    # a vector must cover every setpoint register with a 16-bit value, and a
+    # bad one is refused before anything is sent
+    k = len(fixture_meter_map.setpoints)
     with _client(live_server) as client:
-        with pytest.raises(Exception, match="N999"):
-            client.write_setpoints(fixture_meter_map, {"N999": 5})
-        with pytest.raises(ValueError, match="16-bit"):
-            client.write_setpoints(fixture_meter_map, {"N102": 70000})
         before = client.read_setpoints(fixture_meter_map)
-        with pytest.raises(ValueError, match="does not name N103"):
-            client.write_setpoints(fixture_meter_map, {"N102": 99})
+        sent = []
+        original = client.request
+        client.request = lambda req: sent.append(req) or original(req)
+        for short_or_long in ((99,), (40,) * (k - 1), (40,) * (k + 1)):
+            with pytest.raises(ValueError, match=f"setpoints for a map of {k}"):
+                client.write_setpoints(fixture_meter_map, short_or_long)
+        for bad in (70000, -1):
+            with pytest.raises(RegisterMapError, match="kW for N103.C not a 16-bit value"):
+                client.write_setpoints(fixture_meter_map, (40, bad) + (40,) * (k - 2))
+        assert sent == []
+        client.request = original
         assert client.read_setpoints(fixture_meter_map) == before
+
+
+def test_setpoints_on_several_phases_of_one_bus_stay_apart(fixture_model):
+    # one register per (bus, phase): three phases of N8 are three setpoints
+    meter_map = MeterMap.for_model(fixture_model, [("N8", "A"), ("N8", "B"), ("N8", "C")])
+    with FeederServer(fixture_model, meter_map, bind=("127.0.0.1", 0)).start() as server:
+        with _client(server) as client:
+            client.write_registers(SETPOINT_BLOCK_START, [1, 2, 3])
+            assert client.read_setpoints(meter_map) == (1, 2, 3)
+            assert client.read_holding(SETPOINT_BLOCK_START, 3) == [1, 2, 3]
+            _write_register(client, SETPOINT_BLOCK_START + 1, 7)
+            assert client.read_setpoints(meter_map) == (1, 7, 3)
+        assert server.state.setpoints_kw == (1, 7, 3)
 
 
 def test_write_switch_unmapped_name(live_server, fixture_model):
@@ -360,13 +374,15 @@ def test_address_rule_matches_reference(model_name, fixture_model, fixture_meter
 
 
 def test_reads_do_not_mutate_state(live_server, fixture_meter_map):
-    first = live_server.snapshot().image
+    # the state is immutable throughout, so readers share it without a copy
+    assert not live_server.state.solution.voltages.flags.writeable
+    first = live_server.state.image
     with _client(live_server) as client:
         client.read_all_voltages(fixture_meter_map)
         client.read_all_voltages(fixture_meter_map, source="float")
         client.read_coils(1, 8)
         client.read_holding(STATUS_REGISTER, 1)
-    assert live_server.snapshot().image == first
+    assert live_server.state.image == first
 
 
 def test_transaction_ids_echoed(live_server):
@@ -388,9 +404,8 @@ def test_concurrent_reads_never_see_torn_writes(fixture_model, fixture_meter_map
     server = FeederServer(fixture_model, fixture_meter_map, bind=("127.0.0.1", 0)).start()
     try:
         patterns = [
-            {n: 40 for n, _ in fixture_meter_map.setpoints},
-            {"N102": 160, "N103": 160, "N104": 160,
-             "N106": 1, "N107": 1, "N99": 1, "N109": 1, "N111": 1, "N114": 1},
+            (40,) * len(fixture_meter_map.setpoints),
+            (160, 160, 160, 1, 1, 1, 1, 1, 1),  # N102..N104 on C at 160 kW
         ]
         legal_images = []
         with _client(server) as probe:
@@ -466,7 +481,7 @@ def test_setpoint_on_dead_bus_is_stored_not_applied():
             b2 = meter_map.meters.index(("B2", "A"))
             assert client.read_all_voltages(meter_map)[b2] == 0.0
             _write_register(client, SETPOINT_BLOCK_START, 500)  # stored, dead bus
-            assert client.read_setpoints(meter_map) == {"B2": 500}
+            assert client.read_setpoints(meter_map) == (500,)
             client.write_switch(model.switch_names, "SW1", True)
             mags = client.read_all_voltages(meter_map)
             assert 0 < mags[b2] < 1.0  # now the load applies
@@ -495,7 +510,7 @@ def test_internal_failure_answers_0x04_and_keeps_state(
         assert client.read_setpoints(fixture_meter_map) == setpoints
         assert client.read_all_voltages(fixture_meter_map) == voltages
         assert client.read_holding(STATUS_REGISTER, 1) == status
-    state = live_server.snapshot()
+    state = live_server.state
     assert state.image == build_image(
         state.solution, state.setpoints_kw, state.config, fixture_meter_map, state.stale
     )
@@ -696,7 +711,7 @@ def test_interleaved_writes_from_two_connections_keep_image_consistent(
     from gridbed.powerflow import solve
 
     names = fixture_model.switch_names
-    nodes = [node for node, _ in fixture_meter_map.setpoints]
+    count = len(fixture_meter_map.setpoints)
     last_closed, last_kw = {}, {}
 
     def writer(seed, switches, registers):
@@ -710,12 +725,12 @@ def test_interleaved_writes_from_two_connections_keep_image_consistent(
                 else:
                     k, kw = rng.choice(registers), rng.randrange(200)
                     _write_register(client, SETPOINT_BLOCK_START + k, kw)
-                    last_kw[nodes[k]] = kw
+                    last_kw[k] = kw
 
     # each connection owns every other switch and setpoint, so the last write
     # to each is known while the two streams interleave at the server
     threads = [
-        threading.Thread(target=writer, args=(seed, names[seed::2], range(seed, len(nodes), 2)))
+        threading.Thread(target=writer, args=(seed, names[seed::2], range(seed, count, 2)))
         for seed in (0, 1)
     ]
     for thread in threads:
@@ -724,21 +739,21 @@ def test_interleaved_writes_from_two_connections_keep_image_consistent(
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
 
-    state = live_server.snapshot()
+    state = live_server.state
     assert state.image == build_image(
         state.solution, state.setpoints_kw, state.config, fixture_meter_map, state.stale
     )
     if not state.stale:
         view = apply_switch_config(fixture_model, state.config)
-        overrides = fixture_meter_map.overrides(fixture_model, state.setpoints_kw)
-        direct = solve(fixture_model, view, overrides)
+        demand = fixture_meter_map.demand(fixture_model, state.setpoints_kw)
+        direct = solve(fixture_model, view, demand)
         assert (direct.voltages == state.solution.voltages).all()
     with _client(live_server) as client:
         coils = client.read_switches(names)
         setpoints = client.read_setpoints(fixture_meter_map)
     assert last_closed and last_kw
     assert {name: coils[name] for name in last_closed} == last_closed
-    assert {node: setpoints[node] for node in last_kw} == last_kw
+    assert {k: setpoints[k] for k in last_kw} == last_kw
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from gridbed.scenario import CASE_PATTERNS, case_vector
 
 from conftest import four_bus_doc, mbap_frame, two_bus_doc
 from oracles import (
+    demand_with,
     dense_nodal_solve,
     max_unbalance_reference,
     reachable_from,
@@ -115,16 +116,37 @@ def test_override_on_dead_bus_draws_nothing(fixture_model):
     view = apply_switch_config(fixture_model, config)
     assert "N102" not in view.energized
     without = solve(fixture_model, view)
-    with_dead = solve(fixture_model, view, {"N102": {"C": (80.0, 0.0)}})
+    dead_load = demand_with(fixture_model, {"N102": {"C": (80.0, 0.0)}})
+    with_dead = solve(fixture_model, view, dead_load)
     assert with_dead.converged and with_dead.iterations == without.iterations
     assert with_dead.voltages.tobytes() == without.voltages.tobytes()
-    # an unknown bus or a phase the bus does not carry still raises
-    with pytest.raises(PowerFlowError, match="unknown bus"):
-        solve(fixture_model, view, {"N999": {"A": (80.0, 0.0)}})
-    carried = fixture_model.bus("N102").phases
-    missing = next(p for p in PHASES if p not in carried)
-    with pytest.raises(PowerFlowError, match="not carried"):
-        solve(fixture_model, view, {"N102": {missing: (80.0, 0.0)}})
+
+
+def test_demand_on_an_uncarried_phase_draws_nothing(fixture_model):
+    view = _view(fixture_model)
+    row = fixture_model.bus_index["N102"]
+    missing = next(p for p in PHASES if p not in fixture_model.bus("N102").phases)
+    demand = fixture_model.base_demand.copy()
+    demand[row, PHASES.index(missing)] = 80e3 + 10e3j
+    without = solve(fixture_model, view)
+    with_uncarried = solve(fixture_model, view, demand)
+    assert with_uncarried.iterations == without.iterations
+    assert with_uncarried.voltages.tobytes() == without.voltages.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (10, 3), (124, 2), (372,)])
+def test_demand_of_another_shape_raises(fixture_model, shape):
+    assert fixture_model.base_demand.shape != shape
+    with pytest.raises(PowerFlowError, match="demand of shape"):
+        solve(fixture_model, _view(fixture_model), np.zeros(shape, dtype=complex))
+
+
+def test_solve_leaves_the_demand_it_is_given_untouched(fixture_model):
+    # a search shares one demand across every candidate it solves
+    config = SwitchConfig.normal(fixture_model).with_switch("S5", False)
+    demand = fixture_model.base_demand.copy()
+    solve(fixture_model, _view(fixture_model, config), demand)
+    assert demand.tobytes() == fixture_model.base_demand.tobytes()
 
 
 def test_meshed_configs_solve_with_loop_compensation(fixture_model):
@@ -147,29 +169,29 @@ def test_meshed_configs_solve_with_loop_compensation(fixture_model):
 def test_meshed_iterates_meet_the_ties_at_case_six_load(fixture_model, fixture_meter_map):
     # each loop-current correction moves the voltages in its own iteration,
     # so a meshed solve converges in about as many iterations as a radial one
-    overrides = fixture_meter_map.overrides(fixture_model, case_vector(fixture_meter_map, 6))
+    demand = fixture_meter_map.demand(fixture_model, case_vector(fixture_meter_map, 6))
     normal = SwitchConfig.normal(fixture_model)
     for ties, most in ((("S8",), 6), (("S7", "S8"), 5)):
         config = normal
         for tie in ties:
             config = config.with_switch(tie, True)
-        solution = solve(fixture_model, _view(fixture_model, config), overrides)
+        solution = solve(fixture_model, _view(fixture_model, config), demand)
         assert solution.converged
         assert solution.iterations <= most, (ties, solution.iterations)
 
 
 def test_solve_on_a_warm_model_is_bit_identical_to_a_cold_one(fixture_meter_map):
     model = load_feeder(default_feeder_text())
-    overrides = fixture_meter_map.overrides(model, case_vector(fixture_meter_map, 6))
+    demand = fixture_meter_map.demand(model, case_vector(fixture_meter_map, 6))
     configs = [
         SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
         for closed in itertools.product((False, True), repeat=len(model.switch_names))
     ]
-    cold = [solve(model, _view(model, config), overrides) for config in configs]
+    cold = [solve(model, _view(model, config), demand) for config in configs]
     for config, first in zip(configs, cold):
         view = _view(model, config)
         tree = view.derived["tree"]
-        warm = solve(model, view, overrides)
+        warm = solve(model, view, demand)
         assert view.derived["tree"] is tree
         assert (warm.converged, warm.iterations, warm.max_mismatch_pu) == (
             first.converged, first.iterations, first.max_mismatch_pu,
@@ -329,9 +351,9 @@ def test_solver_matches_dense_oracle(doc):
 
 
 def test_solver_matches_oracle_with_overrides(four_bus_model):
-    overrides = {"T": {"B": (260.0, 60.0)}, "U": {"A": (10.0, 2.0)}}
-    solution = solve(four_bus_model, _view(four_bus_model), overrides)
-    oracle = dense_nodal_solve(four_bus_model, overrides)
+    demand = demand_with(four_bus_model, {"T": {"B": (260.0, 60.0)}, "U": {"A": (10.0, 2.0)}})
+    solution = solve(four_bus_model, _view(four_bus_model), demand)
+    oracle = dense_nodal_solve(four_bus_model, demand)
     v = _complex(solution)
     for bus in four_bus_model.buses:
         for p in bus.phases:
@@ -348,15 +370,15 @@ def test_fixture_matches_dense_oracle_radial_and_meshed(fixture_model, fixture_m
     view = _view(fixture_model, config)
     closed = {name for name, state in config.as_dict().items() if state}
     loads = [None] + [
-        fixture_meter_map.overrides(fixture_model, case_vector(fixture_meter_map, case))
+        fixture_meter_map.demand(fixture_model, case_vector(fixture_meter_map, case))
         for case in sorted(CASE_PATTERNS)
     ]
-    for overrides in loads:
-        solution = solve(fixture_model, view, overrides)
+    for pattern, demand in enumerate(loads):
+        solution = solve(fixture_model, view, demand)
         assert solution.converged
-        oracle = dense_nodal_solve(fixture_model, overrides, closed=closed)
+        oracle = dense_nodal_solve(fixture_model, demand, closed=closed)
         worst = max(abs(v - oracle[b][p]) for (b, p), v in _complex(solution).items())
-        assert worst < 1e-5, (overrides, worst)
+        assert worst < 1e-5, (pattern, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +445,15 @@ def test_power_conservation(four_bus_model):
 def test_increasing_load_weakly_decreases_feed_path_voltage(fixture_model):
     view = _view(fixture_model)
     base = _mags(solve(fixture_model, view))
-    bumped = _mags(solve(fixture_model, view, {"N104": {"C": (120.0, 0.0)}}))
+    heavier = demand_with(fixture_model, {"N104": {"C": (120.0, 0.0)}})
+    bumped = _mags(solve(fixture_model, view, heavier))
     # every bus on the feed path to N104 sags (weakly) on the loaded phase
     for bus in ("N101", "N102", "N103", "N104", "N97", "N67"):
         assert bumped[(bus, "C")] <= base[(bus, "C")] + 1e-12
 
 
 def test_load_scaling_to_zero_gives_flat_profile(fixture_model):
-    overrides = {
-        b.id: {p: (0.0, 0.0) for p in b.phases}
-        for b in fixture_model.buses
-        if b.id in fixture_model.load_buses
-    }
-    solution = solve(fixture_model, _view(fixture_model), overrides)
+    solution = solve(fixture_model, _view(fixture_model), np.zeros_like(fixture_model.base_demand))
     assert solution.converged
     for mag in solution.magnitudes():
         assert mag == pytest.approx(1.0, abs=1e-9)
@@ -477,7 +495,7 @@ def test_max_unbalance_balanced_loading(fixture_model, fixture_meter_map):
     for b in fixture_model.buses:
         if len(b.phases) == 1 and b.id in fixture_model.load_buses:
             overrides[b.id] = {b.phases[0]: (0.0, 0.0)}
-    solution = solve(fixture_model, _view(fixture_model), overrides)
+    solution = solve(fixture_model, _view(fixture_model), demand_with(fixture_model, overrides))
     assert max_unbalance(solution.magnitudes(), fixture_meter_map.layout) == pytest.approx(
         0.0, abs=1e-6
     )
@@ -548,9 +566,8 @@ def test_metrics_equal_scalar_references():
 def test_max_unbalance_equals_reference_on_solver_output(fixture_model, fixture_meter_map):
     view = _view(fixture_model)
     for case in sorted(CASE_PATTERNS):
-        setpoints = case_vector(fixture_meter_map, case)
-        overrides = fixture_meter_map.overrides(fixture_model, setpoints)
-        reading = solve(fixture_model, view, overrides).magnitudes()
+        demand = fixture_meter_map.demand(fixture_model, case_vector(fixture_meter_map, case))
+        reading = solve(fixture_model, view, demand).magnitudes()
         _, max_pct, _ = max_unbalance_reference(fixture_meter_map.meters, reading)
         assert max_unbalance(reading, fixture_meter_map.layout) == max_pct
 
@@ -613,9 +630,8 @@ def test_count_violations_reports_points_and_outages(fixture_model):
 
 
 def test_violation_count_invariant_under_bus_order(fixture_model):
-    solution = solve(
-        fixture_model, _view(fixture_model), {"N102": {"C": (160.0, 0.0)}}
-    )
+    heavy = demand_with(fixture_model, {"N102": {"C": (160.0, 0.0)}})
+    solution = solve(fixture_model, _view(fixture_model), heavy)
     reading = solution.magnitudes()
     points = sorted(zip(solution.meters, reading), key=lambda kv: hash(kv[0]))
     shuffled = [mag for _, mag in points]

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridbed.feeder import SwitchConfig, apply_switch_config, load_feeder
+from gridbed.feeder import PHASE_INDEX, SwitchConfig, apply_switch_config, load_feeder
 from gridbed.powerflow import solve
 from gridbed.regmap import (
     FLOAT_BLOCK_START,
@@ -26,6 +26,9 @@ from gridbed.regmap import (
     plan_chunked_read,
     render_register_map,
 )
+
+from conftest import three_bus_switch_doc
+from oracles import demand_with
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +145,34 @@ def test_fixture_meter_map_shape(fixture_model, fixture_meter_map):
     assert [n for n, _ in fixture_meter_map.setpoints] == [
         "N102", "N103", "N104", "N106", "N107", "N99", "N109", "N111", "N114",
     ]
-    assert fixture_meter_map.setpoint_register("N102") == 207
-    assert fixture_meter_map.setpoint_register("N114") == 215
+    assert SETPOINT_BLOCK_START + len(fixture_meter_map.setpoints) - 1 == 215
+
+
+def test_demand_writes_each_setpoint_on_its_own_bus_and_phase(fixture_model):
+    # three phases of one bus are three setpoints, each landing on its phase
+    meter_map = MeterMap.for_model(fixture_model, [("N8", "A"), ("N8", "B"), ("N8", "C")])
+    demand = meter_map.demand(fixture_model, (1, 2, 3))
+    row = fixture_model.bus_index["N8"]
+    assert demand[row].tolist() == [1000 + 0j, 2000 + 0j, 3000 + 0j]
+    others = np.ones(demand.shape, dtype=bool)
+    others[row] = False
+    assert (demand[others] == fixture_model.base_demand[others]).all()
+    with pytest.raises(RegisterMapError, match="2 setpoints for a map of 3"):
+        meter_map.demand(fixture_model, (1, 2))
+
+
+def test_demand_keeps_the_base_kvar_and_matches_the_per_point_loads(fixture_model):
+    meter_map = MeterMap.for_model(fixture_model, [("N52", "B"), ("N102", "C")])
+    assert fixture_model.bus("N52").load_kvar[PHASE_INDEX["B"]] == 9.0
+    expected = demand_with(fixture_model, {"N52": {"B": (55.0, 9.0)}, "N102": {"C": (80.0, 0.0)}})
+    assert meter_map.demand(fixture_model, (55, 80)).tobytes() == expected.tobytes()
+
+
+def test_meter_map_rejects_a_repeated_setpoint_point(fixture_model):
+    with pytest.raises(RegisterMapError, match=r"\('N8', 'B'\) is mapped twice"):
+        MeterMap.for_model(fixture_model, [("N8", "A"), ("N8", "B"), ("N8", "B")])
+    # one bus on several phases is no repeat
+    MeterMap.for_model(fixture_model, [("N8", "A"), ("N8", "B")])
 
 
 def test_meter_map_rejects_wrong_phase(fixture_model):
@@ -182,26 +211,24 @@ def test_meter_map_refuses_a_setpoint_block_that_reaches_the_status_register(cou
     setpoints = tuple((f"B{k}", "A") for k in range(count))
     if fits:
         meter_map = MeterMap((("B0", "A"),), setpoints)
-        assert meter_map.setpoint_register(f"B{count - 1}") == STATUS_REGISTER - 1
+        assert SETPOINT_BLOCK_START + len(meter_map.setpoints) - 1 == STATUS_REGISTER - 1
         return
     with pytest.raises(RegisterMapError, match="status register 500"):
         MeterMap((("B0", "A"),), setpoints)
 
 
-def _solved(fixture_model, overrides=None, config=None):
+ZEROS = (0,) * 9  # a setpoint vector for the bundled map
+
+
+def _solved(fixture_model, demand=None, config=None):
     config = config or SwitchConfig.normal(fixture_model)
     view = apply_switch_config(fixture_model, config)
-    return solve(fixture_model, view, overrides), config
+    return solve(fixture_model, view, demand), config
 
 
 def test_build_image_flat_profile(fixture_model, fixture_meter_map):
-    overrides = {
-        b.id: {p: (0.0, 0.0) for p in b.phases}
-        for b in fixture_model.buses
-        if b.id in fixture_model.load_buses
-    }
-    solution, config = _solved(fixture_model, overrides)
-    image = build_image(solution, {}, config, fixture_meter_map)
+    solution, config = _solved(fixture_model, np.zeros_like(fixture_model.base_demand))
+    image = build_image(solution, ZEROS, config, fixture_meter_map)
     assert all(image.holding[k] == 10000 for k in range(1, 207))
     for k in range(206):
         pair = (
@@ -214,22 +241,28 @@ def test_build_image_flat_profile(fixture_model, fixture_meter_map):
 def test_build_image_coils_track_config(fixture_model, fixture_meter_map):
     config = SwitchConfig.normal(fixture_model).with_switch("S7", True)
     solution, _ = _solved(fixture_model, config=config)
-    image = build_image(solution, {}, config, fixture_meter_map)
+    image = build_image(solution, ZEROS, config, fixture_meter_map)
     assert list(image.coils[1:9]) == [True] * 7 + [False]  # S1..S6 + S7 on, S8 off
 
 
 def test_build_image_setpoint_words(fixture_model, fixture_meter_map):
     solution, config = _solved(fixture_model)
-    image = build_image(solution, {"N102": 80}, config, fixture_meter_map)
-    assert image.holding[SETPOINT_BLOCK_START] == 80
+    setpoints = (80, 1, 2, 3, 4, 5, 6, 7, 0xFFFF)
+    image = build_image(solution, setpoints, config, fixture_meter_map)
+    assert image.holding[SETPOINT_BLOCK_START : SETPOINT_BLOCK_START + 9] == setpoints
     assert image.holding[STATUS_REGISTER] == 0
-    stale = build_image(solution, {"N102": 80}, config, fixture_meter_map, stale=True)
+    stale = build_image(solution, setpoints, config, fixture_meter_map, stale=True)
     assert stale.holding[STATUS_REGISTER] == 1
+    for bad in ((80,), setpoints + (1,)):
+        with pytest.raises(RegisterMapError, match="setpoints for a map of 9"):
+            build_image(solution, bad, config, fixture_meter_map)
+    with pytest.raises(RegisterMapError, match="70000 kW for N103.C not a 16-bit value"):
+        build_image(solution, (80, 70000) + ZEROS[2:], config, fixture_meter_map)
 
 
 def test_build_image_is_pure(fixture_model, fixture_meter_map):
     solution, config = _solved(fixture_model)
-    setpoints = {n: 40 for n, _ in fixture_meter_map.setpoints}
+    setpoints = (40,) * len(fixture_meter_map.setpoints)
     a = build_image(solution, setpoints, config, fixture_meter_map)
     b = build_image(solution, setpoints, config, fixture_meter_map)
     assert a == b
@@ -237,7 +270,7 @@ def test_build_image_is_pure(fixture_model, fixture_meter_map):
 
 def test_scaled_and_float_blocks_agree(fixture_model, fixture_meter_map):
     solution, config = _solved(fixture_model)
-    image = build_image(solution, {}, config, fixture_meter_map)
+    image = build_image(solution, ZEROS, config, fixture_meter_map)
     for k in range(206):
         scaled = decode_voltage_word(image.holding[1 + k])
         exact = decode_float_pair(
@@ -253,7 +286,8 @@ def test_build_image_matches_per_meter_codec(fixture_model, fixture_meter_map):
     # a solved state with outages (S6 open) and an overloaded node, and the
     # same state carrying round-half-up boundaries and both range ends
     config = SwitchConfig.normal(fixture_model).with_switch("S6", False)
-    solved, _ = _solved(fixture_model, {"N102": {"C": (160.0, 0.0)}}, config)
+    heavy = demand_with(fixture_model, {"N102": {"C": (160.0, 0.0)}})
+    solved, _ = _solved(fixture_model, heavy, config)
     rng = random.Random(31)
     edges = [(rng.randrange(65535) + 0.5) / VOLTAGE_SCALE for _ in range(204)]
     boundary = replace(solved, voltages=np.array([0.0, MAX_SCALED_PU] + edges, dtype=complex))
@@ -261,7 +295,7 @@ def test_build_image_matches_per_meter_codec(fixture_model, fixture_meter_map):
         mags = solution.magnitudes()
         for high_word_first in (True, False):
             image = build_image(
-                solution, {}, config, fixture_meter_map, high_word_first=high_word_first
+                solution, ZEROS, config, fixture_meter_map, high_word_first=high_word_first
             )
             assert list(image.holding[1:207]) == [encode_voltage_word(m) for m in mags]
             assert list(image.holding[FLOAT_BLOCK_START:]) == [
@@ -275,17 +309,31 @@ def test_build_image_rejects_unencodable_magnitude(fixture_model, fixture_meter_
     voltages = solution.voltages.copy()
     voltages[5] = bad
     with pytest.raises(RegisterMapError, match="outside encodable range"):
-        build_image(replace(solution, voltages=voltages), {}, config, fixture_meter_map)
+        build_image(replace(solution, voltages=voltages), ZEROS, config, fixture_meter_map)
 
 
 def test_build_image_rejects_meter_mismatch(fixture_model, fixture_meter_map):
     solution, config = _solved(fixture_model)
     reordered = replace(fixture_meter_map, meters=fixture_meter_map.meters[::-1])
     with pytest.raises(RegisterMapError, match="measurement points"):
-        build_image(solution, {}, config, reordered)
+        build_image(solution, ZEROS, config, reordered)
 
 
-def test_render_register_map_mentions_all_blocks(fixture_meter_map):
-    text = render_register_map(fixture_meter_map)
+def test_render_register_map_mentions_all_blocks(fixture_model, fixture_meter_map):
+    text = render_register_map(fixture_meter_map, fixture_model.switch_names)
     assert "| 206 |" in text or "1..206" in text
     assert "207" in text and "1001" in text and str(STATUS_REGISTER) in text
+
+
+def test_render_register_map_lists_the_feeders_own_coils():
+    model = load_feeder(json.dumps(three_bus_switch_doc()))
+    meter_map = MeterMap.for_model(model, setpoint_nodes=[("B2", "A")])
+    text = render_register_map(meter_map, model.switch_names)
+    assert "| Coils | 1..2 | switch states SW1..SW2 | closed = 1 |" in text
+    assert "| Holding | 1..3 | per-meter voltage magnitude |" in text
+    assert "| Holding | 207..207 | load setpoints |" in text
+    assert "S1..S8" not in text and "1..8" not in text
+    # a feeder without switches has no coils
+    model = load_feeder(json.dumps(_chain_doc(2)))
+    text = render_register_map(MeterMap.for_model(model, [("B1", "A")]), model.switch_names)
+    assert "| Coils | none | switch states none | closed = 1 |" in text

@@ -12,7 +12,7 @@ from gridbed.feeder import SwitchConfig, apply_switch_config
 from gridbed.powerflow import count_violations, max_unbalance, solve
 from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW
 
-from oracles import max_unbalance_reference
+from oracles import demand_with, max_unbalance_reference
 
 BASELINE_MIN_PU = 0.957075
 
@@ -41,11 +41,11 @@ def test_baseline_minimum_voltage(fixture_model, base_view):
 @pytest.mark.parametrize("case", sorted(CASE_BASELINES))
 def test_case_metrics_frozen(case, fixture_model, fixture_meter_map, base_view):
     group, level = CASE_PATTERNS[case]
-    overrides = {
+    demand = demand_with(fixture_model, {
         node: {phase: ((level if phase == group else OFF_LEVEL_MW) * 1000.0, 0.0)}
         for node, phase in fixture_meter_map.setpoints
-    }
-    solution = solve(fixture_model, base_view, overrides)
+    })
+    solution = solve(fixture_model, base_view, demand)
     count, unbalance, at_bus = CASE_BASELINES[case]
     reading = solution.magnitudes()
     assert count_violations(reading) == count

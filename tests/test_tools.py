@@ -24,9 +24,9 @@ def test_make_fixture_check_scorecard_agrees():
     assert agree == [(str(case), "True") for case in range(1, 7)]
 
 
-def test_register_map_doc_matches_render(fixture_meter_map):
+def test_register_map_doc_matches_render(fixture_model, fixture_meter_map):
     committed = (ROOT / "docs" / "register_map.md").read_text(encoding="utf-8")
-    assert render_register_map(fixture_meter_map) == committed
+    assert render_register_map(fixture_meter_map, fixture_model.switch_names) == committed
 
 
 # tools/state_digest.py over every switch config and load pattern.

@@ -11,10 +11,11 @@ from gridbed.regmap import MeterMap, render_register_map
 
 
 def main():
-    meter_map = MeterMap.for_model(load_default_feeder())
+    model = load_default_feeder()
+    meter_map = MeterMap.for_model(model)
     out = Path(__file__).resolve().parents[1] / "docs" / "register_map.md"
     out.parent.mkdir(exist_ok=True)
-    out.write_text(render_register_map(meter_map), encoding="utf-8")
+    out.write_text(render_register_map(meter_map, model.switch_names), encoding="utf-8")
     print(f"wrote {out} ({len(meter_map.meters)} meters)")
 
 

@@ -265,7 +265,7 @@ def check(doc: dict):
     from gridbed.mitigate import Weights, best_response_sweep, exhaustive_best
     from gridbed.powerflow import count_violations, max_unbalance, solve
     from gridbed.regmap import MeterMap
-    from gridbed.scenario import CASE_PATTERNS, OFF_LEVEL_MW
+    from gridbed.scenario import CASE_PATTERNS, case_vector
     from state_digest import unbalance_by_bus, worst_bus
 
     model = load_feeder(json.dumps(doc))
@@ -287,24 +287,16 @@ def check(doc: dict):
           f"maxU={max_unbalance(reading, meter_map.layout):.3f}% "
           f"at {worst_bus(unbalance_by_bus(reading, meter_map))}")
 
-    def overrides_for(case):
-        group, level = CASE_PATTERNS[case]
-        out = {}
-        for node, phase in meter_map.setpoints:
-            mw = level if phase == group else OFF_LEVEL_MW
-            out[node] = {phase: (mw * 1000.0, 0.0)}
-        return out
-
     unbalances = {}
     for case in sorted(CASE_PATTERNS):
-        ov = overrides_for(case)
-        s = solve(model, view, ov)
+        demand = meter_map.demand(model, case_vector(meter_map, case))
+        s = solve(model, view, demand)
         reading = s.magnitudes()
         unbalances[case] = max_unbalance(reading, meter_map.layout)
         max_bus = worst_bus(unbalance_by_bus(reading, meter_map))
         margin = min(abs(m - 0.95) for m in reading if m > 0)
-        plan = best_response_sweep(model, base, ov, Weights(), allow_meshed=True)
-        oracle = exhaustive_best(model, base, ov, Weights(), allow_meshed=True)
+        plan = best_response_sweep(model, base, demand, Weights(), allow_meshed=True)
+        oracle = exhaustive_best(model, base, demand, Weights(), allow_meshed=True)
         agree = (plan.post_violations, sorted(plan.toggles)) == (
             oracle.post_violations, sorted(oracle.toggles))
         print(

@@ -34,8 +34,8 @@ def plans():
     for search in (exhaustive_best, best_response_sweep):
         for allow_meshed in (True, False):
             for case in sorted(CASE_PATTERNS):
-                overrides = meter_map.overrides(model, case_vector(meter_map, case))
-                yield search(model, base, overrides, allow_meshed=allow_meshed)
+                demand = meter_map.demand(model, case_vector(meter_map, case))
+                yield search(model, base, demand, allow_meshed=allow_meshed)
 
 
 def plan_digests() -> tuple[str, str]:

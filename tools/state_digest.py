@@ -73,15 +73,16 @@ def worst_bus(per_bus: dict[str, float]) -> str | None:
 
 
 def load_patterns(model, meter_map):
-    """(setpoints kW, solver overrides) for the base loads and each case."""
-    base = {
-        node: int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
+    """(setpoint vector in kW, solver demand) for the base loads and each
+    case."""
+    base = tuple(
+        int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
         for node, phase in meter_map.setpoints
-    }
+    )
     yield base, None
     for case in sorted(CASE_PATTERNS):
         setpoints = case_vector(meter_map, case)
-        yield setpoints, meter_map.overrides(model, setpoints)
+        yield setpoints, meter_map.demand(model, setpoints)
 
 
 def state_digest(dump=None) -> str:
@@ -100,8 +101,8 @@ def state_digest(dump=None) -> str:
         config = SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
         view = apply_switch_config(model, config)
         put(sorted(view.energized), is_radial(view))
-        for pattern, (setpoints, overrides) in enumerate(patterns):
-            solution = solve(model, view, overrides)
+        for pattern, (setpoints, demand) in enumerate(patterns):
+            solution = solve(model, view, demand)
             rows.append((closed, pattern, bool(view.loops), solution.converged,
                          solution.iterations, solution.max_mismatch_pu, solution.voltages))
             put(solution.converged, solution.iterations, solution.max_mismatch_pu)
