@@ -1,5 +1,6 @@
 """Attack engine: step sizing, clamping, the adaptive loop over live TCP."""
 
+import hashlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from gridbed.attack import (
+    MODES,
     STATUS_BUDGET,
     STATUS_ERROR,
     STATUS_STEALTH,
@@ -23,6 +25,7 @@ from gridbed.attack import (
 )
 from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
+from gridbed.modbus.server import FeederServer
 from gridbed.regmap import READ_LIMIT
 
 from conftest import mbap_frame
@@ -295,6 +298,26 @@ def test_trace_csv_round_trip(tmp_path, live_server, fixture_meter_map):
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[:1] == ["step"]
     assert len(lines) == len(trace.steps) + 1
+
+
+# SHA-256 of the trace CSV of a default-parameter attack on the bundled
+# feeder, from a fresh server: pins every step's vector, violation count,
+# unbalance and budget, which the scenario CSVs do not.
+TRACE_CSV_SHA256 = {
+    "A": "ddb3afffd1f8de5b0233cb6dc62de7afecde7a4d18691be96834b416d17fd37d",
+    "B": "6007aa389867862f3c162165aefe45b1e8b60003ee37f7211b6a07dfaa61294b",
+    "C": "f44f0fdd91fd523b3ae7c3ab73497888a77728fcbe35ea8f946a21c956422c0f",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_default_attack_trace_csv_is_pinned(tmp_path, fixture_model, fixture_meter_map, mode):
+    with FeederServer(fixture_model, fixture_meter_map, bind=("127.0.0.1", 0)) as server:
+        with ModbusClient(*server.address) as client:
+            trace = run_attack(client, fixture_meter_map, AttackParams(), mode)
+    out = tmp_path / "trace.csv"
+    trace.write_csv(out, [n for n, _ in fixture_meter_map.setpoints])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_CSV_SHA256[mode]
 
 
 def test_monotone_pressure_on_radial_fixture(fixture_model, fixture_meter_map):
