@@ -296,9 +296,11 @@ def test_non_convergence_flagged_not_raised():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="sweep defect, fixed by the one-solver-path item (nodal operator in "
-    "place of sweep plus loop compensation): a phase counts as fed only along "
-    "its spanning-tree path, so closing the phase-A tie S8 starves B/C meters",
+    reason="sweep defect, mended by a spanning tree whose every branch conducts "
+    "each phase fed at its lower bus: a phase counts as fed only along its tree "
+    "path, so closing the phase-A tie S8 starves 15 B/C meter points; N108 B/C "
+    "read 0, but the other 13 read 7.2e-5 to 1.65e-4 pu, the mutual drop of the "
+    "phase-A current, and count_violations counts them as violations, not outages",
 )
 def test_meters_connected_on_their_phase_are_fed_with_s8_closed(fixture_model):
     config = SwitchConfig.normal(fixture_model).with_switch("S8", True)
