@@ -215,12 +215,9 @@ def step(
         raise AttackError(f"unknown mode {mode!r}")
     if observed_v_vio >= params.n_tar:
         return tuple(prev_mw)
-    gamma = {group: step_size(observed_v_vio, params, group) for group in MODES}
-    out = (
-        mw + gamma[phase] if phase == mode else mw - gamma[phase]
-        for mw, phase in zip(prev_mw, phases, strict=True)
-    )
-    return clamp(tuple(out), baselines_mw, params, violation_gain)
+    delta = {g: (1.0 if g == mode else -1.0) * step_size(observed_v_vio, params, g) for g in MODES}
+    out = tuple(mw + delta[phase] for mw, phase in zip(prev_mw, phases, strict=True))
+    return clamp(out, baselines_mw, params, violation_gain)
 
 
 @dataclass
