@@ -301,7 +301,7 @@ def run_attack(
         v_vio, unbalance = _observe(client, meter_map, params.band)
         trace.baseline_mw, trace.v_vio_init = dict(zip(columns, baselines_mw)), v_vio
         prev = baselines_mw
-        spent = 0.0
+        spent_kw = 0
         for t in range(1, params.max_steps + 1):
             if v_vio >= params.n_tar:
                 # Hold branch forever; with a real target this is success,
@@ -313,14 +313,16 @@ def run_attack(
                 violation_gain=v_vio - trace.v_vio_init,
             )
             # Writing in whole kW is what the wire carries; account in the
-            # same quantized units so the budget check matches the trace.
-            candidate = tuple(round(mw * 1000.0) / 1000.0 for mw in candidate)
-            step_total = sum(candidate)
-            if spent + step_total > params.av_max_mw:
+            # same units, as integers, so the budget check matches the trace
+            # and no sum depends on the order of the setpoints.
+            kw = [round(mw * 1000.0) for mw in candidate]
+            candidate = tuple(k / 1000.0 for k in kw)
+            if (spent_kw + sum(kw)) / 1000.0 > params.av_max_mw:
                 trace.status = STATUS_BUDGET
                 return trace
             _write(client, meter_map, candidate)
-            spent += step_total
+            spent_kw += sum(kw)
+            spent = spent_kw / 1000.0
             v_vio_new, unbalance = _observe(client, meter_map, params.band)
             vector_mw = dict(zip(columns, candidate))
             if unbalance >= params.stealth_limit_pct:

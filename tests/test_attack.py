@@ -157,6 +157,17 @@ def test_zero_budget_means_no_steps_no_writes(live_server, fixture_meter_map):
         assert client.read_setpoints(fixture_meter_map) == before
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_step_that_spends_exactly_the_budget_is_taken(live_server, fixture_meter_map, mode):
+    # the first step of every mode writes 3 x 50 + 6 x 30 kW; the budget is
+    # counted in whole kW, so no summation order makes that exceed 0.33 MW
+    with ModbusClient(*live_server.address) as client:
+        baseline = client.read_setpoints(fixture_meter_map)
+        trace = run_attack(client, fixture_meter_map, _params(av_max_mw=0.33), mode)
+        client.write_setpoints(fixture_meter_map, baseline)
+    assert (trace.status, len(trace.steps), trace.budget_spent_mw) == (STATUS_BUDGET, 1, 0.33)
+
+
 def test_degenerate_zero_target_stops_at_first_step(live_server, fixture_meter_map):
     with ModbusClient(*live_server.address) as client:
         trace = run_attack(client, fixture_meter_map, _params(n_tar=0), "C")
