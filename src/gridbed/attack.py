@@ -263,11 +263,6 @@ class AttackTrace:
                 )
 
 
-def _write(client: ModbusClient, meter_map: MeterMap, vector_mw: Sequence[float]):
-    """Write an attack vector as the setpoint vector of whole kW it rounds to."""
-    client.write_setpoints(meter_map, tuple(round(mw * 1000.0) for mw in vector_mw))
-
-
 def _observe(client: ModbusClient, meter_map: MeterMap, band):
     reading = client.read_all_voltages(meter_map)
     return count_violations(reading, band), max_unbalance(reading, meter_map.layout)
@@ -297,10 +292,10 @@ def run_attack(
     # A failure before the first observation leaves no baseline (-1, {}).
     trace = AttackTrace(mode=mode, baseline_mw={}, v_vio_init=-1)
     try:
-        baselines_mw = tuple(kw / 1000.0 for kw in client.read_setpoints(meter_map))
+        prev_kw = client.read_setpoints(meter_map)
+        baselines_mw = tuple(kw / 1000.0 for kw in prev_kw)
         v_vio, unbalance = _observe(client, meter_map, params.band)
         trace.baseline_mw, trace.v_vio_init = dict(zip(columns, baselines_mw)), v_vio
-        prev = baselines_mw
         spent_kw = 0
         for t in range(1, params.max_steps + 1):
             if v_vio >= params.n_tar:
@@ -309,31 +304,30 @@ def run_attack(
                 trace.status = STATUS_TARGET if params.n_tar > 0 else STATUS_STEP_CAP
                 return trace
             candidate = step(
-                prev, v_vio, params, mode, phases, baselines_mw,
+                tuple(k / 1000.0 for k in prev_kw), v_vio, params, mode, phases, baselines_mw,
                 violation_gain=v_vio - trace.v_vio_init,
             )
             # Writing in whole kW is what the wire carries; account in the
             # same units, as integers, so the budget check matches the trace
             # and no sum depends on the order of the setpoints.
-            kw = [round(mw * 1000.0) for mw in candidate]
-            candidate = tuple(k / 1000.0 for k in kw)
+            kw = tuple(round(mw * 1000.0) for mw in candidate)
             if (spent_kw + sum(kw)) / 1000.0 > params.av_max_mw:
                 trace.status = STATUS_BUDGET
                 return trace
-            _write(client, meter_map, candidate)
+            client.write_setpoints(meter_map, kw)
             spent_kw += sum(kw)
             spent = spent_kw / 1000.0
             v_vio_new, unbalance = _observe(client, meter_map, params.band)
-            vector_mw = dict(zip(columns, candidate))
+            vector_mw = dict(zip(columns, (k / 1000.0 for k in kw)))
             if unbalance >= params.stealth_limit_pct:
-                _write(client, meter_map, prev)
+                client.write_setpoints(meter_map, prev_kw)
                 trace.steps.append(
                     AttackStep(t, vector_mw, v_vio_new, unbalance, spent, kept=False)
                 )
                 trace.status = STATUS_STEALTH
                 return trace
             trace.steps.append(AttackStep(t, vector_mw, v_vio_new, unbalance, spent, kept=True))
-            prev = candidate
+            prev_kw = kw
             v_vio = v_vio_new
         trace.status = STATUS_STEP_CAP
         return trace

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -357,14 +358,21 @@ def is_radial(view: TopologyView) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float: a finite JSON number, not a boolean (whose type
+    is not ``int``).  The bound also refuses NaN and an integer too large
+    for a float."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise FeederError(f"{what} must be a finite number")
+    return float(value)
+
+
 def _require(doc: Mapping, key: str, kind, where: str):
     if key not in doc:
         raise FeederError(f"{where}: missing required key {key!r}")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FeederError(f"{where}: key {key!r} must be a number")
-        return float(value)
+        return _number(value, f"{where}: key {key!r}")
     if not isinstance(value, kind):
         raise FeederError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
@@ -386,22 +394,18 @@ def _parse_phases(raw, where: str) -> tuple[str, ...]:
 def _parse_triplet(raw, key: str, where: str) -> tuple[float, float, float]:
     if not isinstance(raw, list) or len(raw) != 3:
         raise FeederError(f"{where}: {key} must be a list of 3 numbers")
-    out = []
-    for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FeederError(f"{where}: {key} entries must be numbers")
-        out.append(float(v))
-    return tuple(out)  # type: ignore[return-value]
+    what = f"{where}: {key} entry"
+    return tuple(_number(v, what) for v in raw)  # type: ignore[return-value]
 
 
 def _parse_matrix(raw, key: str, where: str) -> list[list[float]]:
     if not isinstance(raw, list) or len(raw) != 3:
         raise FeederError(f"{where}: {key} must be a 3x3 matrix")
-    rows = []
+    rows, what = [], f"{where}: {key} entry"
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:
             raise FeederError(f"{where}: {key} must be a 3x3 matrix")
-        rows.append([float(v) for v in row])
+        rows.append([_number(v, what) for v in row])
     for i in range(3):
         for j in range(3):
             if rows[i][j] != rows[j][i]:

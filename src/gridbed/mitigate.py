@@ -8,22 +8,23 @@ order effectively lexicographic.  The default search is a best-response
 sweep (each switch in turn picks its best state holding the others fixed,
 ties keep the current state to minimize switching); an exhaustive search
 over all configurations is available both as an oracle and as a CLI option.
-Both searches score each candidate once: the payoff of a configuration they
-revisit is read back, which is exact because every toggle cost in a search
-is counted against the same starting config.
+Both searches score each candidate once: the exhaustive search visits each
+configuration once, and the sweep reads back the payoff of one it revisits,
+which is exact because every toggle cost is counted against its start.
 
 Neither search solves a candidate that cannot beat the incumbent (the best
 candidate found so far), in the manner of branch and bound.  With both
 weights non-negative a candidate's payoff is at most ``-w_c * cost``, its
-payoff with zero violations.  The sweep skips a flip whose bound is no
-better than the working payoff; the exhaustive search visits masks in order
-of toggle count, then mask, and skips one whose best possible key is below
-the best key so far.  Plans are the same as with every candidate solved.  A
-skipped candidate's ``search_log`` entry still gives its cost and the walk's
-feasibility (every load bus energized and, unless meshing is allowed, a
-radial network), with ``"violations": null`` and ``"scalar": null``; one
-that the walk rules out reads ``"violations": 0`` as a scored infeasible
-candidate does.  Convergence is known only for solved candidates.
+payoff with zero violations, so both searches skip a candidate when even
+that payoff cannot beat the incumbent under their own acceptance rule: a
+strictly higher scalar for the sweep, a higher ``(scalar, -cost, open before
+closed)`` key for the exhaustive search, which visits masks by toggle count,
+then mask.  Plans are the same as with every candidate solved.  A skipped
+candidate is logged with the walk's feasibility (every load bus energized
+and, unless meshing is allowed, a radial network): ``"violations": null``
+and ``"scalar": null`` when the walk passes, ``"violations": 0`` as for a
+scored infeasible candidate when it does not.  Convergence is known only for
+solved candidates.
 
 The defender searches on its own model mirror using setpoints read from the
 server, then writes the toggled coils in one request and verifies by
@@ -82,7 +83,7 @@ class Weights:
 @dataclass(frozen=True)
 class Payoff:
     feasible: bool
-    violations: int
+    violations: int | None
     cost: int
     scalar: float
 
@@ -91,9 +92,8 @@ class Payoff:
 class MitigationPlan:
     """A search's outcome.  ``search_log`` holds one entry per flip in the
     order the sweep tried them, or one per configuration in mask order for
-    the exhaustive search.  A candidate the search skipped because it could
-    not win has ``feasible`` from the walk alone and, when that is true,
-    ``violations`` and ``scalar`` of None (module docstring)."""
+    the exhaustive search; a skipped candidate's entry is described in the
+    module docstring."""
 
     initial: dict[str, bool]
     chosen: dict[str, bool]
@@ -165,6 +165,14 @@ def _bound(weights: Weights, cost: int) -> float:
     return -(weights.cost * cost)
 
 
+def _skipped(model: FeederModel, candidate: SwitchConfig, cost: int, allow_meshed: bool) -> Payoff:
+    """The payoff logged for a candidate left unsolved because it cannot
+    win: the walk's feasibility, with unknown violations if it is feasible."""
+    if _walk_feasible(apply_switch_config(model, candidate), allow_meshed):
+        return Payoff(True, None, cost, INFEASIBLE)
+    return Payoff(False, 0, cost, INFEASIBLE)
+
+
 def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
     return {
         "switch": name,
@@ -176,14 +184,20 @@ def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
     }
 
 
-def _skipped_entry(
-    name: str, model: FeederModel, candidate: SwitchConfig, cost: int, allow_meshed: bool
-) -> dict:
-    """Log entry of a candidate left unsolved because it cannot win."""
-    entry = _log_entry(name, candidate, Payoff(False, 0, cost, INFEASIBLE))
-    if _walk_feasible(apply_switch_config(model, candidate), allow_meshed):
-        entry.update(feasible=True, violations=None)
-    return entry
+def _plan(method, current, pre, chosen, best, search_log, evaluated, sweeps=0) -> MitigationPlan:
+    """The plan of a search from ``current`` that chose ``chosen``, scored ``best``."""
+    return MitigationPlan(
+        initial=current.as_dict(),
+        chosen=chosen.as_dict(),
+        toggles=chosen.toggled_from(current),
+        pre_violations=pre.violations if pre.feasible else -1,
+        post_violations=best.violations if best.feasible else -1,
+        method=method,
+        feasible=best.feasible,
+        sweeps=sweeps,
+        candidates_evaluated=evaluated,
+        search_log=search_log,
+    )
 
 
 def best_response_sweep(
@@ -202,42 +216,25 @@ def best_response_sweep(
     score = functools.cache(
         lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)
     )
-    pre = score(current)
+    pre = best = score(current)
     working = current
-    working_payoff = pre
-    log_entries: list[dict] = []
-    evaluated = 1
-    sweeps = 0
+    search_log: list[dict] = []
     for sweeps in range(1, DEFAULT_SWEEP_CAP + 1):
-        changed = False
+        start = working
         for name in model.switch_names:
             flipped = working.with_switch(name, not working.closed(name))
-            evaluated += 1
             cost = switching_cost(current, flipped)
-            if _bound(weights, cost) <= working_payoff.scalar:
-                log_entries.append(_skipped_entry(name, model, flipped, cost, allow_meshed))
-                continue
-            contender = score(flipped)
-            log_entries.append(_log_entry(name, flipped, contender))
-            if contender.scalar > working_payoff.scalar:
-                working = flipped
-                working_payoff = contender
-                changed = True
-        if not changed:
+            if _bound(weights, cost) <= best.scalar:
+                result = _skipped(model, flipped, cost, allow_meshed)
+            else:
+                result = score(flipped)
+            search_log.append(_log_entry(name, flipped, result))
+            if result.scalar > best.scalar:
+                working, best = flipped, result
+        # an accepted flip raises the scalar strictly, so no sweep returns to its start
+        if working == start:
             break
-    final = working_payoff
-    return MitigationPlan(
-        initial=current.as_dict(),
-        chosen=working.as_dict(),
-        toggles=working.toggled_from(current),
-        pre_violations=pre.violations if pre.feasible else -1,
-        post_violations=final.violations if final.feasible else -1,
-        method="sweep",
-        feasible=final.feasible,
-        sweeps=sweeps,
-        candidates_evaluated=evaluated,
-        search_log=log_entries,
-    )
+    return _plan("sweep", current, pre, working, best, search_log, 1 + len(search_log), sweeps)
 
 
 def exhaustive_best(
@@ -252,46 +249,30 @@ def exhaustive_best(
     the lexicographically first config (open before closed, switch order).
 
     Configurations are visited by toggle count, so the incumbent's key soon
-    bounds out every costlier one (module docstring)."""
+    bounds out every costlier one (module docstring).  The first one visited
+    is ``current``, whose payoff is the plan's ``pre_violations``."""
     names = model.switch_names
     if len(names) > EXHAUSTIVE_GUARD:
         raise MitigationError(
             f"{len(names)} switches exceeds the exhaustive guard ({EXHAUSTIVE_GUARD})"
         )
-    score = functools.cache(
-        lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)
-    )
-    pre = score(current)
-    best_key = None
-    best_config = current
-    best_payoff = None
+    best_key = (INFEASIBLE,)  # below every candidate's key
     masks = range(2 ** len(names))
-    log_entries: list[dict | None] = [None] * len(masks)
+    search_log: list[dict | None] = [None] * len(masks)
     for mask in sorted(masks, key=lambda mask: ((mask ^ current.mask).bit_count(), mask)):
         candidate = SwitchConfig(names, mask)
         cost = switching_cost(current, candidate)
         bits = tuple(-(mask >> i & 1) for i in range(len(names)))
-        if best_key is not None and (_bound(weights, cost), -cost, bits) < best_key:
-            log_entries[mask] = _skipped_entry("*", model, candidate, cost, allow_meshed)
-            continue
-        result = score(candidate)
-        log_entries[mask] = _log_entry("*", candidate, result)
-        key = (result.scalar, -cost, bits)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_config = candidate
-            best_payoff = result
-    return MitigationPlan(
-        initial=current.as_dict(),
-        chosen=best_config.as_dict(),
-        toggles=best_config.toggled_from(current),
-        pre_violations=pre.violations if pre.feasible else -1,
-        post_violations=best_payoff.violations if best_payoff.feasible else -1,
-        method="exhaustive",
-        feasible=best_payoff.feasible,
-        candidates_evaluated=len(masks),
-        search_log=log_entries,
-    )
+        if (_bound(weights, cost), -cost, bits) < best_key:
+            result = _skipped(model, candidate, cost, allow_meshed)
+        else:
+            result = payoff(model, current, candidate, demand, weights, allow_meshed, band)
+        search_log[mask] = _log_entry("*", candidate, result)
+        if mask == current.mask:
+            pre = result
+        if (result.scalar, -cost, bits) > best_key:
+            chosen, best, best_key = candidate, result, (result.scalar, -cost, bits)
+    return _plan("exhaustive", current, pre, chosen, best, search_log, len(masks))
 
 
 def mitigate_once(

@@ -62,7 +62,7 @@ from ..feeder import (
     apply_switch_config,
     load_feeder_file,
 )
-from ..powerflow import VoltageSolution, solve
+from ..powerflow import PowerFlowError, VoltageSolution, solve
 from ..regmap import MeterMap, RegisterImage, build_image
 from . import frames, parse_address
 from .frames import (
@@ -250,7 +250,7 @@ class FeederServer:
         stale = not solution.converged
         if stale:
             if self.state is None:
-                raise RuntimeError("base state does not converge; refusing to serve")
+                raise PowerFlowError("base state does not converge; refusing to serve")
             solution = self.state.solution
         image = build_image(
             solution, setpoints, config, self.meter_map, stale, self.high_word_first

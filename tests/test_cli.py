@@ -1,5 +1,6 @@
 """Console entry points, run in-process (and the server via subprocess)."""
 
+import importlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gridbed import attack, mitigate, scenario
-from gridbed.feeder import default_feeder_text
+from gridbed.feeder import DEFAULT_FEEDER_RESOURCE, default_feeder_text
 from gridbed.modbus import server
 from gridbed.modbus.client import ModbusClient
 
@@ -91,6 +92,16 @@ def test_cli_bad_address_or_feeder_exits_1(
             feeder.write_bytes(content)
     assert main([arg.format(address=address, feeder=feeder) for arg in args]) == 1
     assert capsys.readouterr().out.startswith("error: ")
+
+
+def test_server_cli_feeder_without_a_converging_base_exits_1(tmp_path, capsys):
+    doc = json.loads(default_feeder_text())
+    for bus in doc["buses"]:
+        bus["load_kw"] = [kw * 60 for kw in bus["load_kw"]]
+    feeder = tmp_path / "heavy.json"
+    feeder.write_text(json.dumps(doc))
+    assert server.main(["--bind", "127.0.0.1:0", "--feeder", str(feeder)]) == 1
+    assert capsys.readouterr().out.startswith("error: base state does not converge")
 
 
 @pytest.mark.parametrize(
@@ -262,3 +273,21 @@ def test_server_cli_subprocess(tmp_path, feeder_file):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_pyproject_scripts_import_and_package_data_holds_the_feeder():
+    # the tests import gridbed from src/, so check what an install would wire
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    scripts = project["project"]["scripts"]
+    assert sorted(scripts) == [
+        "gridbed-attack", "gridbed-mitigate", "gridbed-scenario", "gridbed-server",
+    ]
+    for target in scripts.values():
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name)), target
+    package_data = project["tool"]["setuptools"]["package-data"]["gridbed"]
+    package = root / "src" / "gridbed"
+    shipped = {p.relative_to(package).as_posix() for g in package_data for p in package.glob(g)}
+    assert f"data/{DEFAULT_FEEDER_RESOURCE}" in shipped  # data/ieee123.json

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,28 @@ def test_asymmetric_impedance_rejected():
     doc = two_bus_doc()
     doc["branches"][0]["r_ohm"][0][1] = 0.5
     with pytest.raises(FeederError, match="symmetric"):
+        load_feeder(json.dumps(doc))
+
+
+# Where a number sits in a document: the container and the key or index.
+NUMBER_PLACES = {
+    "base_kva": lambda doc: (doc, "base_kva"),
+    "load_kw": lambda doc: (doc["buses"][1]["load_kw"], 0),
+    "r_ohm": lambda doc: (doc["branches"][0]["r_ohm"][0], 0),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, "0.01", True, math.nan, math.inf, -math.inf, 10**400],
+    ids=["null", "string", "true", "nan", "inf", "-inf", "past-float-range"],
+)
+@pytest.mark.parametrize("place", sorted(NUMBER_PLACES))
+def test_every_number_must_be_finite(place, value):
+    doc = two_bus_doc()
+    container, key = NUMBER_PLACES[place](doc)
+    container[key] = value
+    with pytest.raises(FeederError, match=f"{place}.* must be a finite number"):
         load_feeder(json.dumps(doc))
 
 

@@ -224,8 +224,8 @@ def test_oracle_dominates_sweep(case, fixture_model, fixture_meter_map):
 
 
 def test_each_search_solves_each_candidate_once(fixture_model, fixture_meter_map, monkeypatch):
-    # a candidate the sweep revisits, and the oracle's starting config, are
-    # scored from the search's own record; the logs still list every visit
+    # a candidate the sweep revisits is scored from the search's own record,
+    # and the oracle visits each config once; the logs still list every visit
     solved = []  # the view of every solve, one object per topology
     solve = mitigate.solve
 
@@ -339,13 +339,47 @@ def _without_log(plan):
     return doc
 
 
-@pytest.mark.parametrize("allow_meshed", [True, False])
-@pytest.mark.parametrize(
+def _skipped_as_reference(search, reference, args, case) -> int:
+    """Check that ``search(*args)`` plans as ``reference(*args)``, that every
+    entry it did not skip is the reference's, and that every skipped one
+    provably loses; return the number skipped."""
+    model, start = args[:2]
+    plan, expected = search(*args), reference(*args)
+    where = (case, start.as_dict(), *args[3:])
+    assert _without_log(plan) == _without_log(expected), where
+    assert len(plan.search_log) == len(expected.search_log), where
+    chosen = SwitchConfig.from_mapping(model, expected.chosen).mask
+    chosen_key = exhaustive_key(expected.search_log[chosen]) if search is exhaustive_best else None
+    working = payoff(model, start, start, *args[2:]).scalar
+    skipped = 0
+    for got, want in zip(plan.search_log, expected.search_log):
+        want_scalar = INFEASIBLE if want["scalar"] is None else want["scalar"]
+        if got["violations"] is not None:  # scored, or ruled out by the walk
+            assert got == want, where
+        else:  # skipped: the walk's feasibility, and it provably loses
+            skipped += 1
+            assert got["scalar"] is None, where
+            assert [got[k] for k in ("switch", "feasible", "cost", "config")] == [
+                want[k] for k in ("switch", "feasible", "cost", "config")
+            ], where
+            if chosen_key is not None:
+                assert exhaustive_key(want) < chosen_key, where
+            else:
+                assert want_scalar <= working, where
+        working = max(working, want_scalar)
+    return skipped
+
+
+SEARCHES = pytest.mark.parametrize(
     "search, reference",
     [(exhaustive_best, exhaustive_best_reference),
      (best_response_sweep, best_response_sweep_reference)],
     ids=["exhaustive", "sweep"],
 )
+
+
+@pytest.mark.parametrize("allow_meshed", [True, False])
+@SEARCHES
 def test_skipping_searches_plan_as_the_unpruned_references(
     search, reference, allow_meshed, fixture_model, fixture_meter_map
 ):
@@ -354,29 +388,36 @@ def test_skipping_searches_plan_as_the_unpruned_references(
     for case, weights, band in _parity_draws():
         demand = _case_demand(fixture_model, fixture_meter_map, case)
         args = (fixture_model, base, demand, weights, allow_meshed, band)
-        plan, expected = search(*args), reference(*args)
-        where = (case, weights, band)
-        assert _without_log(plan) == _without_log(expected), where
-        assert len(plan.search_log) == len(expected.search_log), where
-        chosen = SwitchConfig.from_mapping(fixture_model, expected.chosen).mask
-        chosen_key = exhaustive_key(expected.search_log[chosen]) if search is exhaustive_best else None
-        working = payoff(*args[:2], base, *args[2:]).scalar
-        for got, want in zip(plan.search_log, expected.search_log):
-            want_scalar = INFEASIBLE if want["scalar"] is None else want["scalar"]
-            if got["violations"] is not None:  # scored, or ruled out by the walk
-                assert got == want, where
-            else:  # skipped: the walk's feasibility, and it provably loses
-                skipped_total += 1
-                assert got["scalar"] is None, where
-                assert [got[k] for k in ("switch", "feasible", "cost", "config")] == [
-                    want[k] for k in ("switch", "feasible", "cost", "config")
-                ], where
-                if chosen_key is not None:
-                    assert exhaustive_key(want) < chosen_key, where
-                else:
-                    assert want_scalar <= working, where
-            working = max(working, want_scalar)
+        skipped_total += _skipped_as_reference(search, reference, args, case)
     if allow_meshed or search is exhaustive_best:
+        assert skipped_total > 0
+
+
+# Starts other than the normal config, as (switch, closed) changes to it.
+OTHER_STARTS = {
+    "S7-closed": {"S7": True},
+    "S7-S8-closed": {"S7": True, "S8": True},
+    "S3-open": {"S3": False},
+    "all-open": {f"S{i}": False for i in range(1, 9)},
+}
+
+
+@pytest.mark.parametrize("start", sorted(OTHER_STARTS))
+@pytest.mark.parametrize("allow_meshed", [True, False])
+@SEARCHES
+def test_skipping_searches_plan_as_the_references_from_other_starts(
+    search, reference, allow_meshed, start, fixture_model, fixture_meter_map
+):
+    config = _normal(fixture_model)
+    for name, closed in OTHER_STARTS[start].items():
+        config = config.with_switch(name, closed)
+    skipped_total = 0
+    for case in sorted(CASE_PATTERNS):
+        demand = _case_demand(fixture_model, fixture_meter_map, case)
+        args = (fixture_model, config, demand, Weights(), allow_meshed, DEFAULT_BAND)
+        skipped_total += _skipped_as_reference(search, reference, args, case)
+    # even from an infeasible start, where nothing is skipped before a feasible plan
+    if search is exhaustive_best:
         assert skipped_total > 0
 
 
