@@ -16,10 +16,10 @@ import argparse
 import csv
 import json
 import logging
-import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
+from .feeder import known_keys, load_default_feeder, load_feeder_file, number
 from .modbus import parse_address
 from .modbus.client import ModbusClient
 from .powerflow import DEFAULT_BAND, check_band, count_violations, max_unbalance
@@ -40,22 +40,6 @@ class AttackError(ValueError):
     """Bad attack parameters or an unusable mode/observation."""
 
 
-def _reject_unknown(doc, known: set[str], what: str):
-    if not isinstance(doc, dict):
-        raise AttackError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise AttackError(f"unknown key(s) in {what}: {', '.join(unknown)}")
-
-
-def _number(value, key: str, kind=(int, float)):
-    """``value``, which must be a ``kind`` and not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is int else "a number"
-        raise AttackError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class NMaxRule:
     """Upper load multiplier as a function of the violation gain so far."""
@@ -69,40 +53,32 @@ class NMaxRule:
         if self.kind not in ("constant", "linear"):
             raise AttackError(f"unknown n_max rule {self.kind!r}")
         base = "value" if self.kind == "constant" else "base"  # its document's key
-        fields = {base: self.value, "slope": self.slope, "cap": self.cap}
-        for key, number in fields.items():
-            if not math.isfinite(number):
-                raise AttackError(f"n_max {key} must be finite, got {number!r}")
-        for key in (base, "cap"):
-            if fields[key] <= 0:
-                raise AttackError(f"n_max {key} must be positive, got {fields[key]!r}")
+        for name, key in (("value", base), ("slope", "slope"), ("cap", "cap")):
+            value = number(getattr(self, name), f"n_max {key}", AttackError)
+            if value <= 0 and name != "slope":
+                raise AttackError(f"n_max {key} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def evaluate(self, violation_gain: int) -> float:
         if self.kind == "constant":
             return self.value
         return min(self.value + self.slope * violation_gain, self.cap)
 
-    def to_doc(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        return {"kind": "linear", "base": self.value, "slope": self.slope, "cap": self.cap}
-
     @classmethod
     def from_doc(cls, doc) -> "NMaxRule":
-        if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-            return cls("constant", float(doc))
+        """A rule from its JSON form: a bare number for a constant, or an
+        object whose ``kind`` names the rule."""
         if not isinstance(doc, dict):
-            raise AttackError(f"n_max must be a number or a JSON object, got {doc!r}")
+            return cls("constant", doc)
         kind = doc.get("kind", "constant")
-        keys = {"constant": {"kind", "value"}, "linear": {"kind", "base", "slope", "cap"}}
+        keys = {"constant": ("kind", "value"), "linear": ("kind", "base", "slope", "cap")}
         if not isinstance(kind, str) or kind not in keys:
             raise AttackError(f"unknown n_max rule {kind!r}")
-        _reject_unknown(doc, keys[kind], f"n_max {kind} rule")
+        known_keys(doc, keys[kind], f"n_max {kind} rule", AttackError)
         if kind == "constant":
-            return cls("constant", float(_number(doc.get("value"), "value")))
-        base = float(_number(doc.get("base", 1.0), "base"))
-        slope = float(_number(doc.get("slope", 0.0), "slope"))
-        return cls("linear", base, slope, float(_number(doc.get("cap", base), "cap")))
+            return cls("constant", doc.get("value"))
+        base = doc.get("base", 1.0)
+        return cls("linear", base, doc.get("slope", 0.0), doc.get("cap", base))
 
 
 @dataclass(frozen=True)
@@ -123,10 +99,12 @@ class AttackParams:
     band: tuple[float, float] = DEFAULT_BAND
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in fields(self):  # by annotation, a string under postponed evaluation
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise AttackError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise AttackError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" or (f.type == "float | None" and value is not None):
+                object.__setattr__(self, f.name, number(value, f.name, AttackError))
         if self.alpha_mw <= 0 or self.k_mw <= 0 or self.delta_mw <= 0:
             raise AttackError("alpha, k and delta must be positive")
         for group in "abc":
@@ -153,25 +131,13 @@ class AttackParams:
         return self.alpha_mw if value is None else value
 
     @classmethod
-    def from_json(cls, text: str) -> "AttackParams":
-        doc = json.loads(text)
-        _reject_unknown(doc, {f.name for f in fields(cls)}, "attack parameters")
-        kwargs = {}
-        for key, value in doc.items():
-            if key == "n_max":
-                value = NMaxRule.from_doc(value)
-            elif key in ("n_tar", "max_steps"):
-                value = _number(value, key, int)
-            # A null gamma means alpha; the band is checked on construction.
-            elif key != "band" and not (key.startswith("gamma_") and value is None):
-                value = _number(value, key)
-            kwargs[key] = value
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc.update(n_max=self.n_max.to_doc(), band=list(self.band))
-        return json.dumps(doc, indent=1)
+    def from_doc(cls, doc) -> "AttackParams":
+        """Parameters from their JSON form: an object holding any of the
+        fields, ``n_max`` as :meth:`NMaxRule.from_doc` reads it."""
+        known_keys(doc, [f.name for f in fields(cls)], "attack parameters", AttackError)
+        if "n_max" in doc:
+            doc = {**doc, "n_max": NMaxRule.from_doc(doc["n_max"])}
+        return cls(**doc)
 
 
 def step_size(v_vio: int, params: AttackParams, group: str = "A") -> float:
@@ -353,8 +319,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
-    from .feeder import load_default_feeder, load_feeder_file
-
     try:
         address = parse_address(args.server)
         model = load_feeder_file(args.feeder) if args.feeder else load_default_feeder()
@@ -366,7 +330,7 @@ def main(argv=None) -> int:
     if args.params:
         try:
             with open(args.params, "r", encoding="utf-8") as fh:
-                params = AttackParams.from_json(fh.read())
+                params = AttackParams.from_doc(json.load(fh))
         except (OSError, ValueError) as exc:
             print(f"error: bad attack parameters {args.params}: {exc}")
             return 1

@@ -62,6 +62,8 @@ PHASE_INDEX = {"A": 0, "B": 1, "C": 2}
 
 DEFAULT_FEEDER_RESOURCE = "ieee123.json"
 
+_FLOAT_MAX = sys.float_info.max
+
 # Topologies each model keeps, least recently used evicted first: every
 # config of a feeder with up to eight switches, as the bundled one has.
 TOPOLOGY_CACHE_SIZE = 256
@@ -358,13 +360,25 @@ def is_radial(view: TopologyView) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float: a finite JSON number, not a boolean (whose type
-    is not ``int``).  The bound also refuses NaN and an integer too large
-    for a float."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise FeederError(f"{what} must be a finite number")
+def number(value, what: str, error: type[ValueError] = FeederError) -> float:
+    """``value`` as a float: an ``int`` or ``float`` that is not a boolean,
+    is finite and lies within float range.  The one rule for every number in
+    a feeder, attack or scenario document; ``error`` is the reader's class.
+    The bound also refuses NaN and an integer too large for a float."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+    ):
+        raise error(f"{what} must be a finite number")
     return float(value)
+
+
+def known_keys(doc, keys, what: str, error: type[ValueError] = FeederError) -> None:
+    """Refuse ``doc`` unless it is a JSON object with no key outside ``keys``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise error(f"unknown key(s) in {what}: {', '.join(unknown)}")
 
 
 def _require(doc: Mapping, key: str, kind, where: str):
@@ -372,7 +386,7 @@ def _require(doc: Mapping, key: str, kind, where: str):
         raise FeederError(f"{where}: missing required key {key!r}")
     value = doc[key]
     if kind is float:
-        return _number(value, f"{where}: key {key!r}")
+        return number(value, f"{where}: key {key!r}")
     if not isinstance(value, kind):
         raise FeederError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
@@ -395,7 +409,7 @@ def _parse_triplet(raw, key: str, where: str) -> tuple[float, float, float]:
     if not isinstance(raw, list) or len(raw) != 3:
         raise FeederError(f"{where}: {key} must be a list of 3 numbers")
     what = f"{where}: {key} entry"
-    return tuple(_number(v, what) for v in raw)  # type: ignore[return-value]
+    return tuple(number(v, what) for v in raw)  # type: ignore[return-value]
 
 
 def _parse_matrix(raw, key: str, where: str) -> list[list[float]]:
@@ -405,7 +419,7 @@ def _parse_matrix(raw, key: str, where: str) -> list[list[float]]:
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:
             raise FeederError(f"{where}: {key} must be a 3x3 matrix")
-        rows.append([_number(v, what) for v in row])
+        rows.append([number(v, what) for v in row])
     for i in range(3):
         for j in range(3):
             if rows[i][j] != rows[j][i]:
@@ -419,8 +433,7 @@ def load_feeder(text: str) -> FeederModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FeederError(f"feeder document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FeederError("feeder document must be a JSON object")
+    known_keys(doc, ("base_kv_ln", "base_kva", "source", "buses", "branches"), "feeder document")
 
     base_kv_ln = _require(doc, "base_kv_ln", float, "document")
     base_kva = _require(doc, "base_kva", float, "document")
@@ -434,8 +447,7 @@ def load_feeder(text: str) -> FeederModel:
     ids: set[str] = set()
     for n, raw in enumerate(raw_buses):
         where = f"buses[{n}]"
-        if not isinstance(raw, dict):
-            raise FeederError(f"{where}: must be an object")
+        known_keys(raw, ("id", "phases", "load_kw", "load_kvar"), where)
         bus_id = _require(raw, "id", str, where)
         if bus_id in ids:
             raise FeederError(f"duplicate bus id {bus_id!r}")
@@ -461,8 +473,7 @@ def load_feeder(text: str) -> FeederModel:
     switch_names: set[str] = set()
     for n, raw in enumerate(raw_branches):
         where = f"branches[{n}]"
-        if not isinstance(raw, dict):
-            raise FeederError(f"{where}: must be an object")
+        known_keys(raw, ("from", "to", "r_ohm", "x_ohm", "switch", "normal"), where)
         from_bus = _require(raw, "from", str, where)
         to_bus = _require(raw, "to", str, where)
         for endpoint in (from_bus, to_bus):

@@ -37,7 +37,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ from .feeder import (
     apply_switch_config,
     is_radial,
     load_feeder_file,
+    number,
 )
 from .modbus import parse_address
 from .modbus.client import ModbusClient
@@ -75,9 +75,10 @@ class Weights:
 
     def __post_init__(self):
         for name in ("violation", "cost"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            value = number(getattr(self, name), f"weights.{name}", ValueError)
+            if value < 0:
                 raise ValueError(f"weights.{name} must be finite and non-negative, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,13 @@ def best_response_sweep(
 
     Toggle costs are always counted against the starting config, so the
     scalar ordering reflects the total switching the plan would command.
+
+    The sweep cannot leave an infeasible start that is two flips from every
+    feasible config, as on the bundled feeder S7 and S8 both closed with
+    radial operation required, or every switch open: each single flip is
+    infeasible too, and an infeasible payoff never beats another, so the
+    plan is infeasible and toggles nothing.  :func:`exhaustive_best` finds
+    a plan from there.
     """
     score = functools.cache(
         lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)

@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .feeder import FeederModel, TopologyView
+from .feeder import FeederModel, TopologyView, number
 
 DEFAULT_TOLERANCE_PU = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
@@ -315,15 +315,14 @@ class _Tree:
 
 
 def check_band(band) -> tuple[float, float]:
-    """``band`` as a ``(low, high)`` pair of numbers with low < high."""
-    if not (
-        isinstance(band, (list, tuple))
-        and len(band) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in band)
-        and band[0] < band[1]
-    ):
-        raise PowerFlowError(f"inverted or malformed band {band!r}: need two numbers, low < high")
-    return tuple(band)
+    """``band`` as a ``(low, high)`` pair of finite numbers, each as
+    :func:`~gridbed.feeder.number` reads it, with low < high."""
+    if isinstance(band, (list, tuple)) and len(band) == 2:
+        low = number(band[0], "band low", PowerFlowError)
+        high = number(band[1], "band high", PowerFlowError)
+        if low < high:
+            return low, high
+    raise PowerFlowError(f"inverted or malformed band {band!r}: need two numbers, low < high")
 
 
 def count_violations(reading: Sequence[float], band: tuple[float, float] = DEFAULT_BAND) -> int:

@@ -23,14 +23,14 @@ import logging
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy
 
 from . import __version__
 from .attack import AttackParams, run_attack
-from .feeder import FeederModel, load_default_feeder, load_feeder_file
+from .feeder import FeederModel, known_keys, load_default_feeder, load_feeder_file
 from .mitigate import MitigationPlan, Weights, mitigate_once
 from .modbus.client import ModbusClient
 from .modbus.server import FeederServer
@@ -54,20 +54,10 @@ OFF_LEVEL_MW = 0.001
 QUANTIZATION_PU = 5e-5
 
 
-def _reject_unknown(doc, known: set[str], prefix: str = ""):
-    if not isinstance(doc, dict):
-        what = prefix.rstrip(".") or "document"
-        raise ValueError(f"scenario config {what} must be a JSON object, got {doc!r}")
-    unknown = [prefix + key for key in sorted(set(doc) - known)]
-    if unknown:
-        raise ValueError(f"unknown scenario config key(s): {', '.join(unknown)}")
-
-
 def _typed(doc: dict, key: str, default, kinds: tuple, what: str):
-    """``doc[key]`` (``default`` when absent), which must be one of ``kinds``;
-    a boolean passes only where ``kinds`` names bool."""
+    """``doc[key]`` (``default`` when absent), which must be one of ``kinds``."""
     value = doc.get(key, default)
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+    if not isinstance(value, kinds):
         raise ValueError(f"scenario config {key} must be {what}, got {value!r}")
     return value
 
@@ -84,26 +74,27 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         doc = json.loads(text)
-        _reject_unknown(
-            doc, {"feeder", "allow_meshed", "oracle", "band", "weights", "attack_params"}
+        known_keys(
+            doc,
+            ("feeder", "allow_meshed", "oracle", "band", "weights", "attack_params"),
+            "scenario config document",
+            ValueError,
         )
         weights = doc.get("weights", {})
-        _reject_unknown(weights, {"violation", "cost"}, "weights.")
+        known_keys(weights, ("violation", "cost"), "scenario config weights", ValueError)
         cfg = cls()
         cfg.feeder = _typed(doc, "feeder", None, (str, type(None)), "a path")
         cfg.allow_meshed = _typed(doc, "allow_meshed", True, (bool,), "true or false")
         cfg.use_oracle = _typed(doc, "oracle", False, (bool,), "true or false")
         if "band" in doc:
             cfg.band = check_band(doc["band"])
-        violation = float(_typed(weights, "violation", 1000.0, (int, float), "a number"))
-        cost = float(_typed(weights, "cost", 1.0, (int, float), "a number"))
         try:
-            cfg.weights = Weights(violation, cost)
+            cfg.weights = Weights(**weights)
         except ValueError as exc:
             raise ValueError(f"scenario config {exc}") from exc
         if "attack_params" in doc:
             try:
-                cfg.attack_params = AttackParams.from_json(json.dumps(doc["attack_params"]))
+                cfg.attack_params = AttackParams.from_doc(doc["attack_params"])
             except ValueError as exc:
                 raise ValueError(f"scenario config attack_params: {exc}") from exc
         return cfg
@@ -288,28 +279,12 @@ def emit_report(report: ScenarioReport, out_dir, meter_map: MeterMap) -> list[Pa
     written.append(summary)
 
     detail = out / "detail.json"
+    # Every field of each case but the voltage profiles (a CSV each) and the plan.
+    skipped = ("profile_pre", "profile_post", "plan")
+    keys = [f.name for f in fields(CaseResult) if f.name not in skipped]
     doc = {
         "environment": report.environment,
-        "cases": [
-            {
-                "case": r.case,
-                "status": r.status,
-                "group": r.group,
-                "level_mw": r.level_mw,
-                "violations_baseline": r.violations_baseline,
-                "violations_pre": r.violations_pre,
-                "unbalance_pre_pct": r.unbalance_pre_pct,
-                "toggles": list(r.toggles),
-                "violations_post": r.violations_post,
-                "unbalance_post_pct": r.unbalance_post_pct,
-                "attack_status": r.attack_status,
-                "attack_steps": r.attack_steps,
-                "budget_spent_mw": r.budget_spent_mw,
-                "max_read_error_pu": r.max_read_error_pu,
-                "wall_ms": r.wall_ms,
-            }
-            for r in report.results
-        ],
+        "cases": [{key: getattr(r, key) for key in keys} for r in report.results],
     }
     with open(detail, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -1,4 +1,5 @@
 import json
+import math
 import socket
 import threading
 
@@ -19,6 +20,20 @@ def no_server_thread_left_running():
         t for t in threading.enumerate() if t.name == "gridbed-server" and t not in before
     ]
     assert not leaked, f"{len(leaked)} server thread(s) left running; close() the server"
+
+
+# Values every number in every document must refuse, each a JSON value:
+# json.dumps writes NaN and ±Infinity as JavaScript does, and json.loads
+# reads them back; 10**400 is an integer past float range.
+BAD_NUMBERS = [
+    pytest.param(None, id="null"),
+    pytest.param("0.01", id="string"),
+    pytest.param(True, id="true"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+    pytest.param(-math.inf, id="-inf"),
+    pytest.param(10**400, id="past-float-range"),
+]
 
 
 def zero3():

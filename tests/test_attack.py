@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import random
 
 import pytest
@@ -27,7 +26,7 @@ from gridbed.modbus.client import ModbusClient
 from gridbed.modbus.server import FeederServer
 from gridbed.regmap import READ_LIMIT, MeterMap
 
-from conftest import mbap_frame
+from conftest import BAD_NUMBERS, mbap_frame
 from oracles import demand_with
 
 
@@ -367,7 +366,7 @@ def test_monotone_pressure_on_radial_fixture(fixture_model, fixture_meter_map):
 
 def test_params_json_rejects_unknown_key():
     with pytest.raises(AttackError, match="alpha"):
-        AttackParams.from_json('{"alpha": 0.5}')
+        AttackParams.from_doc(json.loads('{"alpha": 0.5}'))
 
 
 def test_n_max_rule_rejects_unknown_kind():
@@ -379,27 +378,52 @@ FLOAT_PARAMS = (
     "alpha_mw", "k_mw", "delta_mw", "floor_step_mw", "gamma_a_mw", "gamma_b_mw",
     "gamma_c_mw", "av_max_mw", "n_min", "stealth_limit_pct",
 )
+N_MAX_FORMS = ("value", "slope", "cap", "n_max", "constant")
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("key", FLOAT_PARAMS + ("value", "slope", "cap"))
+def _n_max_form(form, x):
+    """An n_max rule holding ``x``: its NMaxRule arguments, its document and
+    the key its errors name.  value, slope and cap are the linear rule's,
+    whose document calls value "base"; n_max is the constant rule written
+    as a bare number, constant the same rule written as an object."""
+    if form in ("n_max", "constant"):
+        doc = x if form == "n_max" else {"kind": "constant", "value": x}
+        return ("constant", x), doc, "value"
+    rule = {"value": 4.0, "slope": 0.0, "cap": 4.0, form: x}
+    doc = {"kind": "linear", "base": rule["value"], "slope": rule["slope"], "cap": rule["cap"]}
+    return ("linear", *rule.values()), doc, "base" if form == "value" else form
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param(key, bad.values[0], id=f"{key}-{bad.id}")
+        for key in FLOAT_PARAMS + N_MAX_FORMS
+        for bad in BAD_NUMBERS
+        if not (key.startswith("gamma_") and bad.values[0] is None)  # null means alpha
+    ],
+)
 def test_params_reject_non_finite_numbers(key, value):
-    # value, slope and cap are the linear n_max rule's; its JSON, and so its
-    # errors, call value "base"
     if key in FLOAT_PARAMS:
-        build, doc = (lambda: AttackParams(**{key: value})), {key: value}
+        build, doc, named = (lambda: AttackParams(**{key: value})), {key: value}, key
     else:
-        rule = {"value": 4.0, "slope": 0.0, "cap": 4.0, key: value}
-        build = lambda: AttackParams(n_max=NMaxRule("linear", **rule))
-        doc = {"n_max": {"kind": "linear", "base": rule["value"], "slope": rule["slope"],
-                         "cap": rule["cap"]}}
+        args, rule_doc, named = _n_max_form(key, value)
+        build, doc = (lambda: AttackParams(n_max=NMaxRule(*args))), {"n_max": rule_doc}
+        named = f"n_max {named}"
     text = json.dumps(doc)  # NaN, Infinity or -Infinity, as json.loads accepts
-    for make in (build, lambda: AttackParams.from_json(text)):
-        with pytest.raises(AttackError, match=f"{'base' if key == 'value' else key} must be finite"):
+    for make in (build, lambda: AttackParams.from_doc(json.loads(text))):
+        with pytest.raises(AttackError, match=f"{named} must be a finite number"):
             make()
 
 
-def test_params_json_round_trip():
-    p = _params(alpha_mw=0.015, n_tar=7, n_max=NMaxRule("linear", 2.0, 0.5, 4.0))
-    q = AttackParams.from_json(p.to_json())
-    assert q == p
+@pytest.mark.parametrize("key, value", [("max_steps", 2.5), ("n_tar", True)])
+def test_params_counts_must_be_integers(key, value):
+    with pytest.raises(AttackError, match=f"{key} must be an integer"):
+        AttackParams(**{key: value})
+
+
+def test_params_from_doc_reads_a_linear_rule():
+    doc = {"alpha_mw": 0.015, "n_tar": 7,
+           "n_max": {"kind": "linear", "base": 2, "slope": 0.5, "cap": 4}}
+    expected = _params(alpha_mw=0.015, n_tar=7, n_max=NMaxRule("linear", 2.0, 0.5, 4.0))
+    assert AttackParams.from_doc(doc) == expected

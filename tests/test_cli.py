@@ -17,7 +17,7 @@ from gridbed.feeder import DEFAULT_FEEDER_RESOURCE, default_feeder_text
 from gridbed.modbus import server
 from gridbed.modbus.client import ModbusClient
 
-from conftest import two_bus_doc
+from conftest import BAD_NUMBERS, two_bus_doc
 
 
 @pytest.fixture()
@@ -104,35 +104,48 @@ def test_server_cli_feeder_without_a_converging_base_exits_1(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error: base state does not converge")
 
 
+def from_json(text):
+    """Attack parameters from JSON text, as ``gridbed-attack --params`` reads them."""
+    return attack.AttackParams.from_doc(json.loads(text))
+
+
+# Each place in a scenario config that holds a number, as a document holding x.
+SCENARIO_NUMBER_PLACES = (
+    ("weights.violation", lambda x: {"weights": {"violation": x}}),
+    ("weights.cost", lambda x: {"weights": {"cost": x}}),
+    ("band low", lambda x: {"band": [x, 1.05]}),
+)
+
+
 @pytest.mark.parametrize(
     "parse, text, key",
     [
-        (attack.AttackParams.from_json, '{"n_max": "x"}', "n_max"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "constant"}}', "value"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": [1]}}', "n_max"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "cap": "4"}}', "cap"),
-        (attack.AttackParams.from_json, '{"band": 5}', "band"),
-        (attack.AttackParams.from_json, '{"band": [1.05, 0.95]}', "band"),
-        (attack.AttackParams.from_json, '{"band": [0.9, "1.1"]}', "band"),
-        (attack.AttackParams.from_json, '{"band": [0.9, 1.0, 1.1]}', "band"),
-        (attack.AttackParams.from_json, '{"alpha_mw": "0.5"}', "alpha_mw"),
-        (attack.AttackParams.from_json, '{"max_steps": 2.5}', "max_steps"),
-        (attack.AttackParams.from_json, "[1]", "attack parameters"),
-        (attack.AttackParams.from_json, '{"gamma_a_mw": -0.5}', "gamma_a_mw"),
-        (attack.AttackParams.from_json, '{"gamma_c_mw": 0}', "gamma_c_mw"),
-        (attack.AttackParams.from_json, '{"av_max_mw": -1.0}', "av_max_mw"),
-        (attack.AttackParams.from_json, '{"n_tar": -3}', "n_tar"),
-        (attack.AttackParams.from_json, '{"max_steps": -1}', "max_steps"),
-        (attack.AttackParams.from_json, '{"n_max": -1.0}', "n_max value"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "cap": -1}}', "n_max cap"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "base": -1, "cap": 2}}',
+        (from_json, '{"n_max": "x"}', "n_max"),
+        (from_json, '{"n_max": {"kind": "constant"}}', "value"),
+        (from_json, '{"n_max": {"kind": [1]}}', "n_max"),
+        (from_json, '{"n_max": {"kind": "linear", "cap": "4"}}', "cap"),
+        (from_json, '{"band": 5}', "band"),
+        (from_json, '{"band": [1.05, 0.95]}', "band"),
+        (from_json, '{"band": [0.9, "1.1"]}', "band"),
+        (from_json, '{"band": [0.9, 1.0, 1.1]}', "band"),
+        (from_json, '{"alpha_mw": "0.5"}', "alpha_mw"),
+        (from_json, '{"max_steps": 2.5}', "max_steps"),
+        (from_json, "[1]", "attack parameters"),
+        (from_json, '{"gamma_a_mw": -0.5}', "gamma_a_mw"),
+        (from_json, '{"gamma_c_mw": 0}', "gamma_c_mw"),
+        (from_json, '{"av_max_mw": -1.0}', "av_max_mw"),
+        (from_json, '{"n_tar": -3}', "n_tar"),
+        (from_json, '{"max_steps": -1}', "max_steps"),
+        (from_json, '{"n_max": -1.0}', "n_max value"),
+        (from_json, '{"n_max": {"kind": "linear", "cap": -1}}', "n_max cap"),
+        (from_json, '{"n_max": {"kind": "linear", "base": -1, "cap": 2}}',
          "n_max base must be positive"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "linear", "base": NaN}}',
-         "n_max base must be finite"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "constant", "value": 0}}',
+        (from_json, '{"n_max": {"kind": "linear", "base": NaN}}',
+         "n_max base must be a finite number"),
+        (from_json, '{"n_max": {"kind": "constant", "value": 0}}',
          "n_max value must be positive"),
-        (attack.AttackParams.from_json, '{"n_max": {"kind": "constant", "value": Infinity}}',
-         "n_max value must be finite"),
+        (from_json, '{"n_max": {"kind": "constant", "value": Infinity}}',
+         "n_max value must be a finite number"),
         (attack.NMaxRule, "bogus", "n_max rule"),
         (scenario.ScenarioConfig.from_json, '{"weights": 5}', "weights"),
         (scenario.ScenarioConfig.from_json, '{"weights": {"cost": "1"}}', "cost"),
@@ -142,6 +155,14 @@ def test_server_cli_feeder_without_a_converging_base_exits_1(tmp_path, capsys):
         (scenario.ScenarioConfig.from_json, '{"band": [1.1, 0.9]}', "band"),
         (scenario.ScenarioConfig.from_json, '{"allow_meshed": "no"}', "allow_meshed"),
         (scenario.ScenarioConfig.from_json, '{"feeder": 3}', "feeder"),
+    ]
+    + [
+        pytest.param(
+            scenario.ScenarioConfig.from_json, json.dumps(doc(bad.values[0])),
+            f"{place} must be a finite number", id=f"{place}-{bad.id}",
+        )
+        for place, doc in SCENARIO_NUMBER_PLACES
+        for bad in BAD_NUMBERS
     ],
 )
 def test_config_errors_name_the_bad_key(parse, text, key):
@@ -154,7 +175,11 @@ def test_attack_params_reject_inverted_band():
         attack.AttackParams(band=(1.05, 0.95))
 
 
-@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b'{"alpha": 1}'])
+@pytest.mark.parametrize(
+    "content",
+    [None, b"{not json", b"\xff\xfe", b'{"alpha": 1}',
+     pytest.param(b'{"n_max": %d}' % 10**400, id="n_max-past-float-range")],
+)
 def test_attack_cli_bad_params_file_exits_1(tmp_path, capsys, content):
     params = tmp_path / "params.json"
     if content is not None:
@@ -164,7 +189,11 @@ def test_attack_cli_bad_params_file_exits_1(tmp_path, capsys, content):
     assert capsys.readouterr().out.startswith("error: ")
 
 
-@pytest.mark.parametrize("content", [None, b"{not json", b'{"weights": 5}'])
+@pytest.mark.parametrize(
+    "content",
+    [None, b"{not json", b'{"weights": 5}',
+     pytest.param(b'{"weights": {"violation": %d}}' % 10**400, id="violation-past-float-range")],
+)
 def test_scenario_cli_bad_config_file_exits_1(tmp_path, capsys, content):
     config = tmp_path / "config.json"
     if content is not None:

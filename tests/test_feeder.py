@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from gridbed.feeder import (
 )
 from gridbed.mitigate import switching_cost
 
-from conftest import three_bus_switch_doc, two_bus_doc
+from conftest import BAD_NUMBERS, three_bus_switch_doc, two_bus_doc
 from oracles import edges_form_cycle, reachable_from
 
 
@@ -112,17 +111,30 @@ NUMBER_PLACES = {
 }
 
 
-@pytest.mark.parametrize(
-    "value",
-    [None, "0.01", True, math.nan, math.inf, -math.inf, 10**400],
-    ids=["null", "string", "true", "nan", "inf", "-inf", "past-float-range"],
-)
+@pytest.mark.parametrize("value", BAD_NUMBERS)
 @pytest.mark.parametrize("place", sorted(NUMBER_PLACES))
 def test_every_number_must_be_finite(place, value):
     doc = two_bus_doc()
     container, key = NUMBER_PLACES[place](doc)
     container[key] = value
     with pytest.raises(FeederError, match=f"{place}.* must be a finite number"):
+        load_feeder(json.dumps(doc))
+
+
+# A misspelt key in each object of a document: read as written, each would
+# leave its value at the default (no load, a zero-impedance line).
+UNKNOWN_KEY_PLACES = {
+    "bases_kva": lambda doc: doc,
+    "laod_kw": lambda doc: doc["buses"][1],
+    "r_ohms": lambda doc: doc["branches"][0],
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNKNOWN_KEY_PLACES))
+def test_every_object_refuses_unknown_keys(key):
+    doc = two_bus_doc()
+    UNKNOWN_KEY_PLACES[key](doc)[key] = 1.0
+    with pytest.raises(FeederError, match=f"unknown key.*: {key}$"):
         load_feeder(json.dumps(doc))
 
 

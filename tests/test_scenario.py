@@ -142,6 +142,18 @@ def test_emit_report_files(tmp_path):
     assert "environment" in detail
 
 
+def test_detail_json_keys_each_case_by_its_result_fields(tmp_path):
+    report = run_scenario(ScenarioConfig(), [1])
+    emit_report(report, tmp_path, MeterMap.for_model(ScenarioConfig().load_model()))
+    (case,) = json.loads((tmp_path / "detail.json").read_text())["cases"]
+    assert list(case) == [
+        "case", "status", "group", "level_mw", "violations_baseline", "violations_pre",
+        "unbalance_pre_pct", "toggles", "violations_post", "unbalance_post_pct",
+        "attack_status", "attack_steps", "budget_spent_mw", "max_read_error_pu", "wall_ms",
+    ]
+    assert case["toggles"] == list(report.results[0].toggles)
+
+
 def test_failed_case_emits_partial_row(tmp_path):
     config = ScenarioConfig(feeder="/nonexistent/feeder.json")
     report = run_scenario(config, [2])
@@ -175,7 +187,7 @@ def test_config_json_parsing():
 def test_config_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="use_oracle"):
         ScenarioConfig.from_json('{"use_oracle": true}')
-    with pytest.raises(ValueError, match="weights.violations"):
+    with pytest.raises(ValueError, match="scenario config weights: violations"):
         ScenarioConfig.from_json('{"weights": {"violations": 5}}')
 
 
