@@ -105,6 +105,8 @@ class AttackParams:
                 raise AttackError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" or (f.type == "float | None" and value is not None):
                 object.__setattr__(self, f.name, number(value, f.name, AttackError))
+        if not isinstance(self.n_max, NMaxRule):
+            object.__setattr__(self, "n_max", NMaxRule.from_doc(self.n_max))
         if self.alpha_mw <= 0 or self.k_mw <= 0 or self.delta_mw <= 0:
             raise AttackError("alpha, k and delta must be positive")
         for group in "abc":
@@ -135,8 +137,6 @@ class AttackParams:
         """Parameters from their JSON form: an object holding any of the
         fields, ``n_max`` as :meth:`NMaxRule.from_doc` reads it."""
         known_keys(doc, [f.name for f in fields(cls)], "attack parameters", AttackError)
-        if "n_max" in doc:
-            doc = {**doc, "n_max": NMaxRule.from_doc(doc["n_max"])}
         return cls(**doc)
 
 

@@ -13,18 +13,19 @@ configuration once, and the sweep reads back the payoff of one it revisits,
 which is exact because every toggle cost is counted against its start.
 
 Neither search solves a candidate that cannot beat the incumbent (the best
-candidate found so far), in the manner of branch and bound.  With both
-weights non-negative a candidate's payoff is at most ``-w_c * cost``, its
-payoff with zero violations, so both searches skip a candidate when even
-that payoff cannot beat the incumbent under their own acceptance rule: a
-strictly higher scalar for the sweep, a higher ``(scalar, -cost, open before
-closed)`` key for the exhaustive search, which visits masks by toggle count,
-then mask.  Plans are the same as with every candidate solved.  A skipped
-candidate is logged with the walk's feasibility (every load bus energized
-and, unless meshing is allowed, a radial network): ``"violations": null``
-and ``"scalar": null`` when the walk passes, ``"violations": 0`` as for a
-scored infeasible candidate when it does not.  Convergence is known only for
-solved candidates.
+candidate found so far, seeded with the start and its own payoff), in the
+manner of branch and bound.  Both accept a candidate by one rule: a strictly
+higher scalar, so of two tied candidates the first one visited wins.  The
+exhaustive search visits configurations in order of preference (toggle
+count, then open before closed in switch order), so a tie goes to the
+preferred one.  With both weights non-negative a candidate's payoff is at
+most ``-w_c * cost``, its payoff with zero violations, so both searches skip
+a candidate when that payoff is at most the incumbent's.  Plans are the same
+as with every candidate solved.  A skipped candidate is logged with the
+walk's feasibility (every load bus energized and, unless meshing is allowed,
+a radial network): ``"violations": null`` and ``"scalar": null`` when the
+walk passes, ``"violations": 0`` as for a scored infeasible candidate when
+it does not.  Convergence is known only for solved candidates.
 
 The defender searches on its own model mirror using setpoints read from the
 server, then writes the toggled coils in one request and verifies by
@@ -38,7 +39,7 @@ import functools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .feeder import (
     FeederModel,
@@ -89,40 +90,28 @@ class Payoff:
     scalar: float
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MitigationPlan:
-    """A search's outcome.  ``search_log`` holds one entry per flip in the
-    order the sweep tried them, or one per configuration in mask order for
-    the exhaustive search; a skipped candidate's entry is described in the
-    module docstring."""
+    """A search's outcome, its fields in the order :meth:`to_json` writes
+    them.  ``search_log`` holds one entry per flip in the order the sweep
+    tried them, or one per configuration in mask order for the exhaustive
+    search; a skipped candidate's entry is described in the module
+    docstring."""
 
+    method: str
     initial: dict[str, bool]
     chosen: dict[str, bool]
     toggles: tuple[str, ...]
     pre_violations: int
     post_violations: int
-    method: str
+    observed_post_violations: int | None = None
     feasible: bool
     sweeps: int = 0
     candidates_evaluated: int = 0
     search_log: list[dict] = field(default_factory=list)
-    observed_post_violations: int | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "method": self.method,
-            "initial": self.initial,
-            "chosen": self.chosen,
-            "toggles": list(self.toggles),
-            "pre_violations": self.pre_violations,
-            "post_violations": self.post_violations,
-            "observed_post_violations": self.observed_post_violations,
-            "feasible": self.feasible,
-            "sweeps": self.sweeps,
-            "candidates_evaluated": self.candidates_evaluated,
-            "search_log": self.search_log,
-        }
-        return json.dumps(doc, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
 
 def switching_cost(current: SwitchConfig, candidate: SwitchConfig) -> int:
@@ -160,20 +149,6 @@ def _walk_feasible(view: TopologyView, allow_meshed: bool) -> bool:
     return view.model.load_buses <= view.energized if allow_meshed else is_radial(view)
 
 
-def _bound(weights: Weights, cost: int) -> float:
-    """The best payoff a candidate at ``cost`` toggles can score: its payoff
-    with zero violations."""
-    return -(weights.cost * cost)
-
-
-def _skipped(model: FeederModel, candidate: SwitchConfig, cost: int, allow_meshed: bool) -> Payoff:
-    """The payoff logged for a candidate left unsolved because it cannot
-    win: the walk's feasibility, with unknown violations if it is feasible."""
-    if _walk_feasible(apply_switch_config(model, candidate), allow_meshed):
-        return Payoff(True, None, cost, INFEASIBLE)
-    return Payoff(False, 0, cost, INFEASIBLE)
-
-
 def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
     return {
         "switch": name,
@@ -185,20 +160,47 @@ def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
     }
 
 
-def _plan(method, current, pre, chosen, best, search_log, evaluated, sweeps=0) -> MitigationPlan:
-    """The plan of a search from ``current`` that chose ``chosen``, scored ``best``."""
-    return MitigationPlan(
-        initial=current.as_dict(),
-        chosen=chosen.as_dict(),
-        toggles=chosen.toggled_from(current),
-        pre_violations=pre.violations if pre.feasible else -1,
-        post_violations=best.violations if best.feasible else -1,
-        method=method,
-        feasible=best.feasible,
-        sweeps=sweeps,
-        candidates_evaluated=evaluated,
-        search_log=search_log,
-    )
+class _Search:
+    """One search from ``current``: its incumbent ``chosen`` and ``best``,
+    seeded with ``current`` and its own payoff ``pre``."""
+
+    def __init__(self, model, current, demand, weights, allow_meshed, band):
+        self.model, self.current, self.weights, self.allow_meshed = (
+            model, current, weights, allow_meshed
+        )
+        self.score = functools.cache(
+            lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)
+        )
+        self.chosen, self.pre = current, self.score(current)
+        self.best = self.pre
+
+    def visit(self, name: str, candidate: SwitchConfig) -> dict:
+        """Score ``candidate`` unless its payoff with zero violations cannot
+        beat the incumbent, take it if its scalar is strictly higher, and
+        return its log entry."""
+        cost = switching_cost(self.current, candidate)
+        if -(self.weights.cost * cost) <= self.best.scalar:
+            feasible = _walk_feasible(apply_switch_config(self.model, candidate), self.allow_meshed)
+            result = Payoff(feasible, None if feasible else 0, cost, INFEASIBLE)
+        else:
+            result = self.score(candidate)
+            if result.scalar > self.best.scalar:
+                self.chosen, self.best = candidate, result
+        return _log_entry(name, candidate, result)
+
+    def plan(self, method: str, search_log: list, evaluated: int, sweeps: int = 0):
+        return MitigationPlan(
+            method=method,
+            initial=self.current.as_dict(),
+            chosen=self.chosen.as_dict(),
+            toggles=self.chosen.toggled_from(self.current),
+            pre_violations=self.pre.violations if self.pre.feasible else -1,
+            post_violations=self.best.violations if self.best.feasible else -1,
+            feasible=self.best.feasible,
+            sweeps=sweeps,
+            candidates_evaluated=evaluated,
+            search_log=search_log,
+        )
 
 
 def best_response_sweep(
@@ -221,28 +223,17 @@ def best_response_sweep(
     plan is infeasible and toggles nothing.  :func:`exhaustive_best` finds
     a plan from there.
     """
-    score = functools.cache(
-        lambda candidate: payoff(model, current, candidate, demand, weights, allow_meshed, band)
-    )
-    pre = best = score(current)
-    working = current
+    search = _Search(model, current, demand, weights, allow_meshed, band)
     search_log: list[dict] = []
     for sweeps in range(1, DEFAULT_SWEEP_CAP + 1):
-        start = working
+        start = search.chosen
         for name in model.switch_names:
-            flipped = working.with_switch(name, not working.closed(name))
-            cost = switching_cost(current, flipped)
-            if _bound(weights, cost) <= best.scalar:
-                result = _skipped(model, flipped, cost, allow_meshed)
-            else:
-                result = score(flipped)
-            search_log.append(_log_entry(name, flipped, result))
-            if result.scalar > best.scalar:
-                working, best = flipped, result
+            flipped = search.chosen.with_switch(name, not search.chosen.closed(name))
+            search_log.append(search.visit(name, flipped))
         # an accepted flip raises the scalar strictly, so no sweep returns to its start
-        if working == start:
+        if search.chosen == start:
             break
-    return _plan("sweep", current, pre, working, best, search_log, 1 + len(search_log), sweeps)
+    return search.plan("sweep", search_log, 1 + len(search_log), sweeps)
 
 
 def exhaustive_best(
@@ -253,34 +244,29 @@ def exhaustive_best(
     allow_meshed: bool = False,
     band=DEFAULT_BAND,
 ) -> MitigationPlan:
-    """Evaluate every switch configuration; ties prefer fewer toggles, then
-    the lexicographically first config (open before closed, switch order).
+    """Evaluate every switch configuration, in order of preference: toggle
+    count, then open before closed in switch order.
 
-    Configurations are visited by toggle count, so the incumbent's key soon
-    bounds out every costlier one (module docstring).  The first one visited
-    is ``current``, whose payoff is the plan's ``pre_violations``."""
+    A candidate is taken only if its scalar is strictly higher than the
+    incumbent's, so the first candidate visited wins a tie, and every
+    costlier one is soon bounded out (module docstring).  The first one
+    visited is ``current``, whose payoff is the plan's ``pre_violations``."""
     names = model.switch_names
     if len(names) > EXHAUSTIVE_GUARD:
         raise MitigationError(
             f"{len(names)} switches exceeds the exhaustive guard ({EXHAUSTIVE_GUARD})"
         )
-    best_key = (INFEASIBLE,)  # below every candidate's key
-    masks = range(2 ** len(names))
-    search_log: list[dict | None] = [None] * len(masks)
-    for mask in sorted(masks, key=lambda mask: ((mask ^ current.mask).bit_count(), mask)):
-        candidate = SwitchConfig(names, mask)
-        cost = switching_cost(current, candidate)
-        bits = tuple(-(mask >> i & 1) for i in range(len(names)))
-        if (_bound(weights, cost), -cost, bits) < best_key:
-            result = _skipped(model, candidate, cost, allow_meshed)
-        else:
-            result = payoff(model, current, candidate, demand, weights, allow_meshed, band)
-        search_log[mask] = _log_entry("*", candidate, result)
-        if mask == current.mask:
-            pre = result
-        if (result.scalar, -cost, bits) > best_key:
-            chosen, best, best_key = candidate, result, (result.scalar, -cost, bits)
-    return _plan("exhaustive", current, pre, chosen, best, search_log, len(masks))
+    search = _Search(model, current, demand, weights, allow_meshed, band)
+    search_log: list[dict | None] = [None] * 2 ** len(names)
+    search_log[current.mask] = _log_entry("*", current, search.pre)
+    # a mask's bits in switch order, as a string: "0" (open) sorts first
+    by_preference = sorted(
+        range(len(search_log)),
+        key=lambda mask: ((mask ^ current.mask).bit_count(), f"{mask:0{len(names)}b}"[::-1]),
+    )
+    for mask in by_preference[1:]:
+        search_log[mask] = search.visit("*", SwitchConfig(names, mask))
+    return search.plan("exhaustive", search_log, len(search_log))
 
 
 def mitigate_once(
@@ -391,6 +377,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
     try:
+        if args.interval < 0:
+            raise ValueError(f"--interval must not be negative, got {args.interval}")
         address = parse_address(args.server)
         model = load_feeder_file(args.feeder)
         meter_map = MeterMap.for_model(model)

@@ -374,6 +374,13 @@ def test_n_max_rule_rejects_unknown_kind():
         NMaxRule.from_doc({"kind": "quadratic"})
 
 
+def test_params_build_an_n_max_rule_from_its_document_form():
+    assert AttackParams(n_max=5.0).n_max == NMaxRule("constant", 5.0)
+    assert AttackParams(n_max={"kind": "linear", "cap": 3}).n_max == NMaxRule("linear", 1, 0, 3)
+    with pytest.raises(AttackError, match="n_max"):
+        AttackParams(n_max="x")
+
+
 FLOAT_PARAMS = (
     "alpha_mw", "k_mw", "delta_mw", "floor_step_mw", "gamma_a_mw", "gamma_b_mw",
     "gamma_c_mw", "av_max_mw", "n_min", "stealth_limit_pct",

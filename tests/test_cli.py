@@ -258,6 +258,24 @@ def test_mitigate_cli_once(tmp_path, live_server, feeder_file, fixture_meter_map
         client.write_setpoints(fixture_meter_map, (40,) * len(fixture_meter_map.setpoints))
 
 
+def test_mitigate_cli_negative_interval_exits_1(
+    capsys, live_server, feeder_file, fixture_meter_map, fixture_model
+):
+    # under attack, a loop started with it would toggle S7 and then fail to sleep
+    with ModbusClient(*live_server.address) as client:
+        client.write_setpoints(fixture_meter_map, scenario.case_vector(fixture_meter_map, 1))
+    args = ["--server", _addr(live_server), "--feeder", str(feeder_file), "--allow-meshed"]
+    try:
+        assert mitigate.main([*args, "--interval", "-1"]) == 1
+        assert capsys.readouterr().out.startswith("error: --interval must not be negative")
+        with ModbusClient(*live_server.address) as client:
+            assert client.read_switches(fixture_model.switch_names)["S7"] is False
+    finally:
+        with ModbusClient(*live_server.address) as client:
+            client.write_switch(fixture_model.switch_names, "S7", False)
+            client.write_setpoints(fixture_meter_map, (40,) * len(fixture_meter_map.setpoints))
+
+
 def test_scenario_cli_single_case(tmp_path):
     out = tmp_path / "report"
     rc = scenario.main(["--case", "2", "--replay", "--out-dir", str(out)])

@@ -247,6 +247,27 @@ def test_each_search_solves_each_candidate_once(fixture_model, fixture_meter_map
         assert (oracle.candidates_evaluated, len(oracle.search_log)) == (256, 256)
 
 
+# Solves per oracle search from the normal config, cases 1-6, by allow_meshed:
+# the start and every candidate not bounded out by the incumbent.
+ORACLE_SOLVES = {False: (2, 2, 2, 5, 2, 7), True: (3, 3, 3, 3, 3, 8)}
+
+
+@pytest.mark.parametrize("allow_meshed", [False, True], ids=["radial", "meshed"])
+def test_oracle_solves_per_case_are_pinned(
+    allow_meshed, fixture_model, fixture_meter_map, monkeypatch
+):
+    solves = []
+    solve = mitigate.solve
+    monkeypatch.setattr(mitigate, "solve", lambda *args: solves.append(args) or solve(*args))
+    counts = []
+    for case in sorted(CASE_PATTERNS):
+        demand = _case_demand(fixture_model, fixture_meter_map, case)
+        del solves[:]
+        exhaustive_best(fixture_model, _normal(fixture_model), demand, allow_meshed=allow_meshed)
+        counts.append(len(solves))
+    assert tuple(counts) == ORACLE_SOLVES[allow_meshed]
+
+
 def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map):
     # the server thread walks and solves new topologies on the model whose
     # topology cache the search fills at the same time
@@ -293,15 +314,15 @@ def test_exhaustive_search_shares_its_model_with_a_live_server(fixture_meter_map
 # gridbed-mitigate default), per case: (exhaustive_best, best_response_sweep).
 # Through search_log these pin feasibility of all 256 candidates per case.
 RADIAL_PLAN_DIGESTS = {
-    1: ("d4ed967c6a9a66b0c9acd03251077ae3f27cde177da17c2fdf469175794cbf92",
+    1: ("c890b607c4f43d0790acdfb8bf205b6cffac58a07e88a7e3c0fbb78f3613d565",
         "daf152a963d85c5938074576a9468c0c0c6a8b26d82d187a9b4e49bba2a659f9"),
-    2: ("d4ed967c6a9a66b0c9acd03251077ae3f27cde177da17c2fdf469175794cbf92",
+    2: ("c890b607c4f43d0790acdfb8bf205b6cffac58a07e88a7e3c0fbb78f3613d565",
         "daf152a963d85c5938074576a9468c0c0c6a8b26d82d187a9b4e49bba2a659f9"),
-    3: ("69a5937130fcb8c967e21b9211517848483cbd3bd7f639f79cd21a527562c809",
+    3: ("fe768e11fa83afc4c26dd3dfac5d42828ad29af03299b05e81dadd61c328319b",
         "c4f7bdfd489f246f391ed52111847fd234c1e9b3d2770a565422e260f53b54cf"),
     4: ("dc18014a643f39d0ba3a86ef4868cad4c47101808991f9e56ac40bd4a5e413b4",
         "5ea720e7fb5a84ce02025d60054dac03267e041938e9202bd99fb6ec5c3ed41e"),
-    5: ("3a9e28121a376a54b72db53214f5ecb3c5985b6aabbe8c9fa28d140d4e563c74",
+    5: ("f19f4ead40fb8e50c06a823a75ce53644d6340a5438be23773f89e0e297f54bc",
         "1c0ae69832d42d5af7675b639a7910fd4eef672a6554d159dfa292bd5d591245"),
     6: ("8ef5500e2f1d0e88c25acddd17494d537fd62d9465593eb55764a03e0d80303e",
         "1c0ae69832d42d5af7675b639a7910fd4eef672a6554d159dfa292bd5d591245"),

@@ -658,20 +658,26 @@ def test_bad_protocol_id_drops_only_that_connection(live_server, caplog):
     assert "bad MBAP (proto=1" in caplog.text
 
 
-def test_pipelined_burst_does_not_starve_another_peer(live_server):
-    with _connect(live_server) as burst, _client(live_server) as reader:
+def test_pipelined_burst_does_not_starve_another_peer(monkeypatch, live_server):
+    request = frames.Pdu(frames.FC_READ_HOLDING, SETPOINT_BLOCK_START - 1, 1)
+    with _connect(live_server) as burst, _connect(live_server) as reader:
         # both connections are accepted before the burst
-        burst.sendall(mbap_frame(0, frames.Pdu(frames.FC_READ_HOLDING, STATUS_REGISTER - 1, 1)))
-        _read_reply(burst)
-        assert reader.read_holding(SETPOINT_BLOCK_START, 1) == [40]
+        for sock in (burst, reader):
+            sock.sendall(mbap_frame(0, request))
+            assert frames.decode_response(_read_reply(sock)[1], request).values == (40,)
+        # the first write is held until the read is sent, so the server's
+        # next select finds both peers' frames pending
+        sent, dispatch = threading.Event(), live_server._dispatch
 
-        burst.sendall(
-            b"".join(
-                mbap_frame(1 + k, _setpoint_write(41 + k))
-                for k in range(40)
-            )
-        )
-        [kw] = reader.read_holding(SETPOINT_BLOCK_START, 1)
+        def held_dispatch(pdu):
+            sent.wait(10.0)
+            return dispatch(pdu)
+
+        monkeypatch.setattr(live_server, "_dispatch", held_dispatch)
+        burst.sendall(b"".join(mbap_frame(1 + k, _setpoint_write(41 + k)) for k in range(40)))
+        reader.sendall(mbap_frame(0, request))
+        sent.set()
+        [kw] = frames.decode_response(_read_reply(reader)[1], request).values
         assert [_read_reply(burst)[0] for _ in range(40)] == list(range(1, 41))
     assert kw < 50  # fewer than 10 of the 40 writes ran before the read
 

@@ -131,7 +131,7 @@ def test_state_digest_diff_lists_a_moved_mismatch_and_a_zero_that_changed_sign(t
 # log, over both searches, meshing allowed and not, and cases 1-6.
 PLAN_HEADS_SHA256 = "61ad440cdf3be6584fbe7b432c8eae7f81999d1d22b5c6c1f66028100be01c3b"
 # Its second line: the full texts, search logs included.
-PLAN_TEXTS_SHA256 = "7b44146c772206dfaafdbe5a95672842f6094b80fc84a50e434087ce620d53f0"
+PLAN_TEXTS_SHA256 = "53a4cc6b463a0038646bf4cefd2b589f6210b02101d8f4cba947d42f83606de9"
 
 
 def test_plan_digest_prints_two_sha256_lines():
