@@ -18,14 +18,16 @@ manner of branch and bound.  Both accept a candidate by one rule: a strictly
 higher scalar, so of two tied candidates the first one visited wins.  The
 exhaustive search visits configurations in order of preference (toggle
 count, then open before closed in switch order), so a tie goes to the
-preferred one.  With both weights non-negative a candidate's payoff is at
-most ``-w_c * cost``, its payoff with zero violations, so both searches skip
-a candidate when that payoff is at most the incumbent's.  Plans are the same
-as with every candidate solved.  A skipped candidate is logged with the
-walk's feasibility (every load bus energized and, unless meshing is allowed,
-a radial network): ``"violations": null`` and ``"scalar": null`` when the
-walk passes, ``"violations": 0`` as for a scored infeasible candidate when
-it does not.  Convergence is known only for solved candidates.
+preferred one; that order is computed once per start and switch count, and
+kept for the last :data:`PREFERENCE_CACHE_SIZE` starts.  With both weights
+non-negative a candidate's payoff is at most ``-w_c * cost``, its payoff
+with zero violations, so both searches skip a candidate when that payoff is
+at most the incumbent's.  Plans are the same as with every candidate
+solved.  A skipped candidate is logged with the walk's feasibility (every
+load bus energized and, unless meshing is allowed, a radial network):
+``"violations": null`` and ``"scalar": null`` when the walk passes,
+``"violations": 0`` as for a scored infeasible candidate when it does not.
+Convergence is known only for solved candidates.
 
 The defender searches on its own model mirror using setpoints read from the
 server, then writes the toggled coils in one request and verifies by
@@ -60,6 +62,8 @@ log = logging.getLogger("gridbed.mitigate")
 INFEASIBLE = float("-inf")
 DEFAULT_SWEEP_CAP = 10
 EXHAUSTIVE_GUARD = 16
+# Exhaustive preference orders kept, least recently used evicted first.
+PREFERENCE_CACHE_SIZE = 8
 
 
 class MitigationError(RuntimeError):
@@ -149,15 +153,24 @@ def _walk_feasible(view: TopologyView, allow_meshed: bool) -> bool:
     return view.model.load_buses <= view.energized if allow_meshed else is_radial(view)
 
 
-def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
+def _entry(name: str, candidate: SwitchConfig, feasible: bool, violations: int | None,
+           cost: int, scalar: float | None = None) -> dict:
+    """One search log entry; ``scalar`` is None for a candidate that was
+    skipped or is infeasible."""
     return {
         "switch": name,
         "config": candidate.as_dict(),
-        "feasible": result.feasible,
-        "violations": result.violations,
-        "cost": result.cost,
-        "scalar": None if result.scalar == INFEASIBLE else result.scalar,
+        "feasible": feasible,
+        "violations": violations,
+        "cost": cost,
+        "scalar": scalar,
     }
+
+
+def _log_entry(name: str, candidate: SwitchConfig, result: Payoff) -> dict:
+    """The log entry of a scored candidate."""
+    scalar = None if result.scalar == INFEASIBLE else result.scalar
+    return _entry(name, candidate, result.feasible, result.violations, result.cost, scalar)
 
 
 class _Search:
@@ -181,11 +194,10 @@ class _Search:
         cost = switching_cost(self.current, candidate)
         if -(self.weights.cost * cost) <= self.best.scalar:
             feasible = _walk_feasible(apply_switch_config(self.model, candidate), self.allow_meshed)
-            result = Payoff(feasible, None if feasible else 0, cost, INFEASIBLE)
-        else:
-            result = self.score(candidate)
-            if result.scalar > self.best.scalar:
-                self.chosen, self.best = candidate, result
+            return _entry(name, candidate, feasible, None if feasible else 0, cost)
+        result = self.score(candidate)
+        if result.scalar > self.best.scalar:
+            self.chosen, self.best = candidate, result
         return _log_entry(name, candidate, result)
 
     def plan(self, method: str, search_log: list, evaluated: int, sweeps: int = 0):
@@ -259,14 +271,24 @@ def exhaustive_best(
     search = _Search(model, current, demand, weights, allow_meshed, band)
     search_log: list[dict | None] = [None] * 2 ** len(names)
     search_log[current.mask] = _log_entry("*", current, search.pre)
-    # a mask's bits in switch order, as a string: "0" (open) sorts first
-    by_preference = sorted(
-        range(len(search_log)),
-        key=lambda mask: ((mask ^ current.mask).bit_count(), f"{mask:0{len(names)}b}"[::-1]),
-    )
-    for mask in by_preference[1:]:
+    for mask in _by_preference(len(names), current.mask)[1:]:
         search_log[mask] = search.visit("*", SwitchConfig(names, mask))
     return search.plan("exhaustive", search_log, len(search_log))
+
+
+@functools.lru_cache(maxsize=PREFERENCE_CACHE_SIZE)
+def _by_preference(count: int, start: int) -> tuple[int, ...]:
+    """Every mask of ``count`` switches in order of preference from
+    ``start``: toggle count, then open before closed in switch order.  One
+    order is kept per (count, start) for the :data:`PREFERENCE_CACHE_SIZE`
+    starts used last.  An order of the bundled feeder's eight switches takes
+    about 2 KB; at the 16-switch guard one order holds 65536 masks, about
+    2.4 MB, less than that search's own log."""
+    # a mask's bits in switch order, as a string: "0" (open) sorts first
+    return tuple(sorted(
+        range(2 ** count),
+        key=lambda mask: ((mask ^ start).bit_count(), f"{mask:0{count}b}"[::-1]),
+    ))
 
 
 def mitigate_once(

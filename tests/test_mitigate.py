@@ -195,6 +195,44 @@ def test_exhaustive_ties_prefer_open_before_closed_in_switch_order(monkeypatch):
     assert plan.toggles == ("SW2",)
 
 
+def test_exhaustive_preference_order_is_the_documented_key(fixture_model):
+    # toggle count from the start, then open before closed in switch order;
+    # the starts of an 8- and a 2-switch feeder alternate, so an order kept
+    # under a key of the start alone or the count alone would be read back
+    small = load_feeder(json.dumps(three_bus_switch_doc()))
+    counts = (len(fixture_model.switch_names), len(small.switch_names))
+    assert counts == (8, 2)
+
+    def documented(count, start):
+        return sorted(
+            range(2 ** count),
+            key=lambda mask: ((mask ^ start).bit_count(),
+                              tuple(mask >> i & 1 for i in range(count))),
+        )
+
+    for start in range(2 ** counts[0]):
+        for count in counts:
+            if start < 2 ** count:
+                order = mitigate._by_preference(count, start)
+                assert list(order) == documented(count, start), (count, start)
+                assert order[0] == start
+
+
+def test_exhaustive_plans_do_not_share_their_log_dicts(fixture_model, fixture_meter_map):
+    start = _normal(fixture_model)
+    assert start.as_dict() is not start.as_dict()
+    demand = _case_demand(fixture_model, fixture_meter_map, 6)
+    first, second = (exhaustive_best(fixture_model, start, demand, allow_meshed=True)
+                     for _ in range(2))
+    untouched = second.to_json()
+    for entry in first.search_log:
+        entry["config"]["S7"] = not entry["config"]["S7"]
+    first.initial.clear()
+    first.chosen.clear()
+    assert second.to_json() == untouched
+    assert exhaustive_best(fixture_model, start, demand, allow_meshed=True).to_json() == untouched
+
+
 def test_exhaustive_guard():
     doc = three_bus_switch_doc()
     model = load_feeder(json.dumps(doc))

@@ -284,6 +284,32 @@ def test_sweep_propagates_nan_as_the_numpy_reference_does(fixture_model):
     assert not volts[~conducts].any()
 
 
+@pytest.mark.parametrize("bus", ["T", "U"])
+@pytest.mark.parametrize("phase", range(3))
+def test_sweep_propagates_nan_through_a_two_phase_spur(bus, phase):
+    # The spur M-U conducts A and B and keeps its mask multiplies next to the
+    # all-phase trunk, which skips them.  A NaN current at the three-phase
+    # leaf T or at U reaches the same voltages as in the reference on every
+    # phase a bus's branch conducts.  On the phase the spur does not conduct
+    # both read NaN, as NaN * 0 does, where a finite current reads 0.
+    model = load_feeder(json.dumps(four_bus_doc()))
+    view = _view(model)
+    tree = _Tree.of(view)
+    current = np.zeros((len(model.buses), 3), dtype=complex)
+    current[model.bus_index[bus], phase] = np.nan
+    volts = tree.sweep(np.ones(3), current)
+    expected = sweep_reference(view, np.ones(3), current)
+    conducts = _conducts(view)
+    assert (np.isnan(volts) == np.isnan(expected)).all()
+    live, reference = volts[conducts], expected[conducts]
+    assert np.isnan(live).any()
+    assert (live[~np.isnan(reference)] == reference[~np.isnan(reference)]).all()
+    unfed = model.bus_index["U"], 2
+    assert not conducts[unfed] and np.isnan(volts[unfed])
+    current[model.bus_index[bus], phase] = 1.0
+    assert tree.sweep(np.ones(3), current)[unfed] == 0
+
+
 def test_non_convergence_flagged_not_raised():
     # load far beyond deliverable power collapses the fixed point
     model = load_feeder(json.dumps(two_bus_doc(load_kw=40000.0)))
