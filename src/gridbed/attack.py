@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .feeder import known_keys, load_default_feeder, load_feeder_file, number
 from .modbus import parse_address
-from .modbus.client import ModbusClient
+from .modbus.client import ModbusClient, ModbusExceptionError
 from .powerflow import DEFAULT_BAND, check_band, count_violations, max_unbalance
 from .regmap import MeterMap
 
@@ -107,29 +107,18 @@ class AttackParams:
                 object.__setattr__(self, f.name, number(value, f.name, AttackError))
         if not isinstance(self.n_max, NMaxRule):
             object.__setattr__(self, "n_max", NMaxRule.from_doc(self.n_max))
-        if self.alpha_mw <= 0 or self.k_mw <= 0 or self.delta_mw <= 0:
-            raise AttackError("alpha, k and delta must be positive")
-        for group in "abc":
-            gamma = getattr(self, f"gamma_{group}_mw")
-            if gamma is not None and gamma <= 0:
-                raise AttackError(f"gamma_{group}_mw must be positive, got {gamma!r}")
+        for name in ("alpha_mw", "k_mw", "delta_mw", "floor_step_mw", "gamma_a_mw", "gamma_b_mw",
+                     "gamma_c_mw", "n_min", "stealth_limit_pct"):
+            value = getattr(self, name)  # a gamma left at None takes alpha
+            if value is not None and value <= 0:
+                raise AttackError(f"{name} must be positive, got {value!r}")
         for name in ("av_max_mw", "n_tar", "max_steps"):
             if getattr(self, name) < 0:
                 raise AttackError(f"{name} must not be negative, got {getattr(self, name)!r}")
-        if self.floor_step_mw <= 0:
-            raise AttackError("floor step must be positive")
-        if self.n_min <= 0:
-            raise AttackError("n_min must be positive")
-        if self.stealth_limit_pct <= 0:
-            raise AttackError("stealth limit must be positive")
         object.__setattr__(self, "band", check_band(self.band))
 
     def gamma_for(self, group: str) -> float:
-        value = {
-            "A": self.gamma_a_mw,
-            "B": self.gamma_b_mw,
-            "C": self.gamma_c_mw,
-        }[group]
+        value = getattr(self, f"gamma_{group.lower()}_mw")
         return self.alpha_mw if value is None else value
 
     @classmethod
@@ -245,7 +234,9 @@ def run_attack(
     The baseline and every attack vector are tuples of MW in
     ``meter_map.setpoints`` order, so several phases of one bus stay apart.
     The trace holds them as ``{column: MW}`` dicts in that order, a column
-    being the setpoint's node, or ``node.phase`` where the node repeats.
+    being the setpoint's node, or ``node.phase`` where the node repeats.  A
+    transport failure or a Modbus exception response ends it with
+    ``STATUS_ERROR``.
     """
     if mode not in MODES:
         raise AttackError(f"unknown mode {mode!r}")
@@ -297,8 +288,8 @@ def run_attack(
             v_vio = v_vio_new
         trace.status = STATUS_STEP_CAP
         return trace
-    except ConnectionError as exc:
-        log.error("transport failure: %s", exc)
+    except (ConnectionError, ModbusExceptionError) as exc:
+        log.error("request failed: %s", exc)
         trace.status = STATUS_ERROR
         return trace
 

@@ -1,4 +1,4 @@
-"""Distribution feeder model: document ingestion, switch topology, radiality.
+"""Distribution feeder model: document ingestion, switch topology, feasibility.
 
 A feeder is described by a JSON document listing buses with per-phase
 constant-power spot loads, branches with 3x3 series impedance matrices, and
@@ -8,7 +8,7 @@ See ``docs/feeder_format.md`` for the schema.
 :func:`apply_switch_config` takes the one graph walk a topology gets: a
 breadth-first walk from the source over the closed branches.  Its
 :class:`TopologyView` is both the energized set and the spanning tree the
-solver sweeps, and :func:`is_radial` reads it without walking again.  Each
+solver sweeps, and :func:`feasible` reads it without walking again.  Each
 branch's conducting phases and phase-masked impedance are computed once per
 :class:`FeederModel`, as are its per-(bus, phase) arrays (see there).
 
@@ -360,9 +360,10 @@ def _walk(model: FeederModel, mask: int) -> TopologyView:
     return TopologyView(model, tuple(order), tuple(parent), tuple(via), loops)
 
 
-def is_radial(view: TopologyView) -> bool:
-    """True iff the energized subgraph is a tree spanning every load bus."""
-    return view.model.load_buses <= view.energized and not view.loops
+def feasible(view: TopologyView, allow_meshed: bool = False) -> bool:
+    """The one rule for which topologies may be chosen: every load bus is
+    energized and, unless ``allow_meshed``, no closed branch closes a loop."""
+    return view.model.load_buses <= view.energized and (allow_meshed or not view.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +515,8 @@ def load_feeder(text: str) -> FeederModel:
             normal_closed = normal == "closed"
             if any(v != 0 for row in z for v in row):
                 raise FeederError(f"switch {switch!r}: impedance must be zero")
+        elif "normal" in raw:
+            raise FeederError(f"{where}: key 'normal' is set on a branch without a switch")
         branches.append(Branch(from_bus, to_bus, z, switch, normal_closed))
 
     model = FeederModel(

@@ -1,16 +1,17 @@
 """Topology-control defender: payoff-driven switch reconfiguration.
 
 Each switch is a player with strategies {open, closed}; a candidate
-configuration's payoff rewards feasibility (energizing every load bus,
-radial unless meshed operation is allowed), then penalizes violation count
-and toggle count with violation weight far above cost weight, making the
-order effectively lexicographic.  The default search is a best-response
-sweep (each switch in turn picks its best state holding the others fixed,
-ties keep the current state to minimize switching); an exhaustive search
-over all configurations is available both as an oracle and as a CLI option.
-Both searches score each candidate once: the exhaustive search visits each
-configuration once, and the sweep reads back the payoff of one it revisits,
-which is exact because every toggle cost is counted against its start.
+configuration's payoff rewards feasibility (:func:`~gridbed.feeder.feasible`:
+every load bus energized, radial unless meshed operation is allowed), then
+penalizes violation count and toggle count with violation weight far above
+cost weight, making the order effectively lexicographic.  The default
+search is a best-response sweep (each switch in turn picks its best state
+holding the others fixed, ties keep the current state to minimize
+switching); an exhaustive search over all configurations is available both
+as an oracle and as a CLI option.  Both searches score each candidate
+once: the exhaustive search visits each configuration once, and the sweep
+reads back the payoff of one it revisits, which is exact because every
+toggle cost is counted against its start.
 
 Neither search solves a candidate that cannot beat the incumbent (the best
 candidate found so far, seeded with the start and its own payoff), in the
@@ -23,10 +24,10 @@ kept for the last :data:`PREFERENCE_CACHE_SIZE` starts.  With both weights
 non-negative a candidate's payoff is at most ``-w_c * cost``, its payoff
 with zero violations, so both searches skip a candidate when that payoff is
 at most the incumbent's.  Plans are the same as with every candidate
-solved.  A skipped candidate is logged with the walk's feasibility (every
-load bus energized and, unless meshing is allowed, a radial network):
-``"violations": null`` and ``"scalar": null`` when the walk passes,
-``"violations": 0`` as for a scored infeasible candidate when it does not.
+solved.  A skipped candidate is logged with its walk's
+:func:`~gridbed.feeder.feasible`: ``"violations": null`` and ``"scalar":
+null`` when the walk passes, ``"violations": 0`` as for a scored infeasible
+candidate when it does not.
 Convergence is known only for solved candidates.
 
 The defender searches on its own model mirror using setpoints read from the
@@ -46,14 +47,13 @@ from dataclasses import asdict, dataclass, field
 from .feeder import (
     FeederModel,
     SwitchConfig,
-    TopologyView,
     apply_switch_config,
-    is_radial,
+    feasible,
     load_feeder_file,
     number,
 )
 from .modbus import parse_address
-from .modbus.client import ModbusClient
+from .modbus.client import ModbusClient, ModbusExceptionError, ReadBackError
 from .powerflow import DEFAULT_BAND, count_violations, solve
 from .regmap import MeterMap
 
@@ -67,7 +67,8 @@ PREFERENCE_CACHE_SIZE = 8
 
 
 class MitigationError(RuntimeError):
-    """Mismatched switch sets, guard exceeded, or an unusable server state."""
+    """Mismatched switch sets, guard exceeded, or an unusable server state:
+    one answered with a Modbus exception, or a switch write read back wrong."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def payoff(
     infeasibility is a value, never an error."""
     cost = switching_cost(current, candidate)
     view = apply_switch_config(model, candidate)
-    if not _walk_feasible(view, allow_meshed):
+    if not feasible(view, allow_meshed):
         return Payoff(False, 0, cost, INFEASIBLE)
     solution = solve(model, view, demand)
     if not solution.converged:
@@ -146,11 +147,6 @@ def payoff(
     violations = count_violations(solution.magnitudes(), band)
     scalar = -(weights.violation * violations + weights.cost * cost)
     return Payoff(True, violations, cost, scalar)
-
-
-def _walk_feasible(view: TopologyView, allow_meshed: bool) -> bool:
-    """Every load bus energized and, unless meshing is allowed, radial."""
-    return view.model.load_buses <= view.energized if allow_meshed else is_radial(view)
 
 
 def _entry(name: str, candidate: SwitchConfig, feasible: bool, violations: int | None,
@@ -193,8 +189,8 @@ class _Search:
         return its log entry."""
         cost = switching_cost(self.current, candidate)
         if -(self.weights.cost * cost) <= self.best.scalar:
-            feasible = _walk_feasible(apply_switch_config(self.model, candidate), self.allow_meshed)
-            return _entry(name, candidate, feasible, None if feasible else 0, cost)
+            walk = feasible(apply_switch_config(self.model, candidate), self.allow_meshed)
+            return _entry(name, candidate, walk, None if walk else 0, cost)
         result = self.score(candidate)
         if result.scalar > self.best.scalar:
             self.chosen, self.best = candidate, result
@@ -360,6 +356,8 @@ def run_mitigation(
                 if once:
                     return plans
                 time.sleep(interval_s)
+            except (ModbusExceptionError, ReadBackError) as exc:
+                raise MitigationError(f"server refused the defense cycle: {exc}") from exc
             except (ConnectionError, OSError) as exc:
                 attempt += 1
                 if client is not None:

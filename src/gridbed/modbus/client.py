@@ -35,6 +35,10 @@ class ModbusExceptionError(RuntimeError):
         self.code = code
 
 
+class ReadBackError(RuntimeError):
+    """A write the server acknowledged reads back otherwise."""
+
+
 class ModbusClient:
     def __init__(self, host: str, port: int, unit_id: int = 1, timeout: float = 5.0):
         self.unit_id = unit_id
@@ -147,7 +151,7 @@ class ModbusClient:
         self.write_coil(coil, closed)
         state = self.read_coils(coil, 1)[0]
         if state != closed:
-            raise RuntimeError(f"switch {name!r} read-back mismatch after write")
+            raise ReadBackError(f"switch {name!r} read-back mismatch after write")
 
     def write_switches(self, switch_names: tuple[str, ...], states: dict[str, bool]):
         """Operate several switches in one write-multiple-coils request and
@@ -170,4 +174,4 @@ class ModbusClient:
         wanted = [bool(states[name]) for name in span]
         self.request(Pdu(frames.FC_WRITE_COILS, coils[0], len(wanted), tuple(wanted)))
         if self.read_coils(1 + coils[0], len(span)) != wanted:
-            raise RuntimeError(f"switches {', '.join(span)} read-back mismatch after write")
+            raise ReadBackError(f"switches {', '.join(span)} read-back mismatch after write")

@@ -13,8 +13,8 @@ values in at the register's offset.
 
 One address rule answers every request.  Each function code has a table
 of the registers (or coils) it may touch, in unbroken runs: holding reads
-(FC03) reach every mapped holding register, register writes (FC06, FC16)
-only the setpoint block, and coil requests (FC01, FC05, FC0F) coils
+(FC03) reach every block of ``meter_map.holding()``, register writes (FC06,
+FC16) only its setpoint block, and coil requests (FC01, FC05, FC0F) coils
 1..len(switch_names).  A request whose first register is not in its table
 is answered 0x02; one with a count below 1, a holding read of more than
 ``READ_LIMIT`` registers, or a span that runs past the end of the first
@@ -55,13 +55,7 @@ import threading
 from dataclasses import dataclass
 
 from .. import regmap
-from ..feeder import (
-    PHASE_INDEX,
-    FeederModel,
-    SwitchConfig,
-    apply_switch_config,
-    load_feeder_file,
-)
+from ..feeder import FeederModel, SwitchConfig, apply_switch_config, load_feeder_file
 from ..powerflow import PowerFlowError, VoltageSolution, solve
 from ..regmap import MeterMap, RegisterImage, build_image
 from . import frames, parse_address
@@ -119,27 +113,13 @@ class FeederServer:
         self.model = model
         self.meter_map = meter_map or MeterMap.for_model(model)
         self.high_word_first = high_word_first
-        setpoints = tuple(
-            int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
-            for node, phase in self.meter_map.setpoints
-        )
-        self._commit(SwitchConfig.normal(model), setpoints)
+        self._commit(SwitchConfig.normal(model), self.meter_map.base_setpoints(model))
 
         # The address rule's table: function code -> _run_ends of its registers.
-        n = len(self.meter_map.meters)
-        setpoint_block = range(
-            regmap.SETPOINT_BLOCK_START,
-            regmap.SETPOINT_BLOCK_START + len(self.meter_map.setpoints),
-        )
-        writable = _run_ends(setpoint_block)
-        readable = _run_ends(
-            [
-                *range(regmap.VOLTAGE_BLOCK_START, regmap.VOLTAGE_BLOCK_START + n),
-                *setpoint_block,
-                regmap.STATUS_REGISTER,
-                *range(regmap.FLOAT_BLOCK_START, regmap.FLOAT_BLOCK_START + 2 * n),
-            ]
-        )
+        holding = self.meter_map.holding()
+        spans = {name: range(b.first, b.first + b.size) for name, b in holding.items()}
+        writable = _run_ends(spans["setpoint"])
+        readable = _run_ends(r for span in spans.values() for r in span)
         coils = _run_ends(range(1, len(model.switch_names) + 1))
         self._run_end = {
             FC_READ_HOLDING: readable,

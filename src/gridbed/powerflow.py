@@ -370,9 +370,10 @@ def count_violations(reading: Sequence[float], band: tuple[float, float] = DEFAU
     return sum(mag != 0.0 and not low <= mag <= high for mag in reading)
 
 
-def max_unbalance(reading: Sequence[float], layout: np.ndarray) -> float:
-    """Worst unbalance (percent) over the buses of a meter-order reading with
-    three nonzero, finite magnitudes; 0.0 when no bus qualifies.
+def unbalance_by_bus(reading: Sequence[float], layout: np.ndarray) -> tuple:
+    """Per-bus unbalance of a meter-order reading: a bool mask over
+    ``layout``'s rows, True for each bus with three nonzero, finite
+    magnitudes, and an array of those buses' unbalance (percent), in order.
 
     ``layout`` is the reading's ``(bus, 3)`` grid of A, B, C positions, with
     ``len(reading)`` standing for a phase the bus lacks (see
@@ -381,8 +382,13 @@ def max_unbalance(reading: Sequence[float], layout: np.ndarray) -> float:
     percent of that mean.
     """
     mags = np.array([*reading, 0.0])[layout]
-    mags = mags[((mags > 0) & np.isfinite(mags)).all(axis=1)]
-    if not len(mags):
-        return 0.0
+    live = ((mags > 0) & np.isfinite(mags)).all(axis=1)
+    mags = mags[live]
     mean = (mags[:, 0] + mags[:, 1] + mags[:, 2]) / 3.0
-    return float((np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0).max())
+    return live, np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0
+
+
+def max_unbalance(reading: Sequence[float], layout: np.ndarray) -> float:
+    """The greatest of :func:`unbalance_by_bus`; 0.0 when no bus qualifies."""
+    pct = unbalance_by_bus(reading, layout)[1]
+    return float(pct.max()) if len(pct) else 0.0

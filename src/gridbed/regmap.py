@@ -1,17 +1,13 @@
 """Codec between simulation state and the Modbus-visible register image.
 
-Layout (1-based register numbers; wire addresses are register - 1):
-
-* holding 1..N_meters      scaled voltage magnitudes, pu x 10^4
-* holding 207..206+K       commanded load setpoints, integer kW
-* holding 500              solver status (0 fresh, 1 stale)
-* holding 1001..1000+2N    FLOAT32 mirror of the voltages, two words each
-* coils 1..S               switch states, closed = 1
-
-On the bundled feeder N_meters is 206 and K is 9; the layout constants stay
-fixed for smaller models so client code never recomputes bases.  A map whose
-voltage block would reach register 207 (more than 206 meter points) or whose
-setpoint block would reach register 500 (more than 293 setpoints) is refused.
+Registers are numbered from 1 (wire address = register - 1).  The holding
+registers carry the meters' scaled voltages (pu x 10^4) from 1, the load
+setpoints (kW) from 207, the solver status (0 fresh, 1 stale) at 500 and a
+FLOAT32 mirror of the voltages, two words each, from 1001; coils 1..S carry
+the switch states, closed = 1.  The bases stay fixed for every model, so
+client code never recomputes them.  :meth:`MeterMap.holding` is the one
+table of the holding blocks, which the overlap check, the server's address
+rule and :func:`render_register_map` read.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +47,17 @@ DEFAULT_SETPOINT_NODES: tuple[tuple[str, str], ...] = (
 
 class RegisterMapError(ValueError):
     """Value out of codec range or map/solution mismatch."""
+
+
+class HoldingBlock(NamedTuple):
+    """``size`` holding registers from ``first``, and their row of the
+    rendered map; a ``register`` is one register, written by its number."""
+
+    first: int
+    size: int
+    contents: str
+    units: str
+    register: bool = False
 
 
 def encode_voltage_word(pu: float) -> int:
@@ -91,15 +98,8 @@ def plan_chunked_read(start: int, count: int, limit: int = READ_LIMIT) -> list[t
         raise RegisterMapError("count must be >= 1")
     if limit < 1:
         raise RegisterMapError("limit must be >= 1")
-    spans = []
-    remaining = count
-    at = start
-    while remaining > 0:
-        take = min(limit, remaining)
-        spans.append((at, take))
-        at += take
-        remaining -= take
-    return spans
+    end = start + count
+    return [(at, min(limit, end - at)) for at in range(start, end, limit)]
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ class MeterMap:
     ``layout`` groups the meters by bus, in first-seen order: a ``(bus, 3)``
     grid of each bus's A, B, C positions in meter order, with
     ``len(meters)`` standing for a phase the bus lacks.  It is the grid
-    :func:`~gridbed.powerflow.max_unbalance` reads a reading through.
+    :func:`~gridbed.powerflow.max_unbalance` reads a reading through.  A
+    map is refused when one of its :meth:`holding` blocks runs into the next.
     """
 
     meters: tuple[tuple[str, str], ...]
@@ -121,16 +122,14 @@ class MeterMap:
     layout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if VOLTAGE_BLOCK_START + len(self.meters) > SETPOINT_BLOCK_START:
-            raise RegisterMapError(
-                f"{len(self.meters)} meter points overrun the setpoint block at register "
-                f"{SETPOINT_BLOCK_START}: at most {SETPOINT_BLOCK_START - VOLTAGE_BLOCK_START} fit"
-            )
-        if SETPOINT_BLOCK_START + len(self.setpoints) > STATUS_REGISTER:
-            raise RegisterMapError(
-                f"{len(self.setpoints)} setpoints overrun the status register "
-                f"{STATUS_REGISTER}: at most {STATUS_REGISTER - SETPOINT_BLOCK_START} fit"
-            )
+        blocks = list(self.holding().items())
+        for (name, block), (next_name, after) in zip(blocks, blocks[1:]):
+            if block.first + block.size > after.first:
+                at = ("register " if after.register else "block at register ") + str(after.first)
+                raise RegisterMapError(
+                    f"{block.size} registers of the {name} block overrun the {next_name} {at}: "
+                    f"at most {after.first - block.first} fit"
+                )
         if len(set(self.setpoints)) != len(self.setpoints):
             repeated = next(p for p in self.setpoints if self.setpoints.count(p) > 1)
             raise RegisterMapError(f"setpoint point {repeated} is mapped twice")
@@ -156,6 +155,20 @@ class MeterMap:
                 )
         return cls(meters=meters, setpoints=tuple(setpoint_nodes))
 
+    def holding(self) -> dict[str, HoldingBlock]:
+        """The holding-register layout, one block per name in register order;
+        the server's address rule and :func:`render_register_map` read it."""
+        n = len(self.meters)
+        return {
+            "voltage": HoldingBlock(VOLTAGE_BLOCK_START, n, "per-meter voltage magnitude",
+                                    "pu x 10^4"),
+            "setpoint": HoldingBlock(SETPOINT_BLOCK_START, len(self.setpoints), "load setpoints",
+                                     "kW, unsigned"),
+            "status": HoldingBlock(STATUS_REGISTER, 1, "solver status", "0 fresh, 1 stale", True),
+            "float": HoldingBlock(FLOAT_BLOCK_START, 2 * n, "FLOAT32 voltage mirror",
+                                  "IEEE 754 single, two words per meter"),
+        }
+
     def check_setpoints(self, setpoints_kw: Sequence[int]):
         """Raise :class:`RegisterMapError` unless ``setpoints_kw`` is a
         setpoint vector of this map: one 16-bit kW value per setpoint."""
@@ -177,6 +190,10 @@ class MeterMap:
             p = PHASE_INDEX[phase]
             demand[model.bus_index[node], p] = complex(kw, model.bus(node).load_kvar[p]) * 1000.0
         return demand
+
+    def base_setpoints(self, model: FeederModel) -> tuple[int, ...]:
+        """``model``'s base loads as a setpoint vector in whole kW: :meth:`demand` reversed."""
+        return tuple(round(model.bus(n).load_kw[PHASE_INDEX[p]]) for n, p in self.setpoints)
 
 
 @dataclass(frozen=True)
@@ -230,7 +247,6 @@ def build_image(
 def render_register_map(meter_map: MeterMap, switch_names: Sequence[str]) -> str:
     """Markdown reference for the register layout (the repo's map document),
     with one coil per name in ``switch_names``."""
-    n, k = len(meter_map.meters), len(meter_map.setpoints)
     coils = f"1..{len(switch_names)}" if switch_names else "none"
     names = f"{switch_names[0]}..{switch_names[-1]}" if switch_names else "none"
     lines = [
@@ -241,13 +257,11 @@ def render_register_map(meter_map: MeterMap, switch_names: Sequence[str]) -> str
         "",
         "| Entity | Range | Contents | Units / scaling |",
         "|---|---|---|---|",
-        f"| Holding | {VOLTAGE_BLOCK_START}..{VOLTAGE_BLOCK_START + n - 1} | "
-        "per-meter voltage magnitude | pu x 10^4 |",
-        f"| Holding | {SETPOINT_BLOCK_START}..{SETPOINT_BLOCK_START + k - 1} | "
-        "load setpoints | kW, unsigned |",
-        f"| Holding | {STATUS_REGISTER} | solver status | 0 fresh, 1 stale |",
-        f"| Holding | {FLOAT_BLOCK_START}..{FLOAT_BLOCK_START + 2 * n - 1} | "
-        "FLOAT32 voltage mirror | IEEE 754 single, two words per meter |",
+        *(
+            f"| Holding | {b.first if b.register else f'{b.first}..{b.first + b.size - 1}'} | "
+            f"{b.contents} | {b.units} |"
+            for b in meter_map.holding().values()
+        ),
         f"| Coils | {coils} | switch states {names} | closed = 1 |",
         "",
         "## Voltage registers",

@@ -23,7 +23,7 @@ import logging
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy
@@ -67,9 +67,9 @@ class ScenarioConfig:
     feeder: str | None = None  # None = bundled fixture
     allow_meshed: bool = True  # the bundled cases operate ties into loops
     use_oracle: bool = False
-    band: tuple[float, float] = DEFAULT_BAND
+    band: tuple[float, float] = DEFAULT_BAND  # the run's one band, the attacker's too
     weights: Weights = field(default_factory=Weights)
-    attack_params: AttackParams = field(default_factory=AttackParams)
+    attack_params: AttackParams = field(default_factory=AttackParams)  # its band is replaced
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -92,11 +92,13 @@ class ScenarioConfig:
             cfg.weights = Weights(**weights)
         except ValueError as exc:
             raise ValueError(f"scenario config {exc}") from exc
-        if "attack_params" in doc:
-            try:
-                cfg.attack_params = AttackParams.from_doc(doc["attack_params"])
-            except ValueError as exc:
-                raise ValueError(f"scenario config attack_params: {exc}") from exc
+        params = doc.get("attack_params", {})
+        try:
+            if isinstance(params, dict) and "band" in params:
+                raise ValueError("band is the scenario's own; set it at the top level")
+            cfg.attack_params = AttackParams.from_doc(params)
+        except ValueError as exc:
+            raise ValueError(f"scenario config attack_params: {exc}") from exc
         return cfg
 
     def load_model(self) -> FeederModel:
@@ -188,7 +190,8 @@ def run_case(
 
                 stage = "attack"
                 if live:
-                    trace = run_attack(attacker, meter_map, config.attack_params, group)
+                    params = replace(config.attack_params, band=config.band)
+                    trace = run_attack(attacker, meter_map, params, group)
                     result.attack_status = trace.status
                     result.attack_steps = len(trace.steps)
                     result.budget_spent_mw = trace.budget_spent_mw

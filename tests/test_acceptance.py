@@ -13,7 +13,7 @@ import time
 import pytest
 
 from gridbed.attack import AttackParams, NMaxRule, run_attack
-from gridbed.feeder import SwitchConfig, apply_switch_config, is_radial, load_feeder
+from gridbed.feeder import SwitchConfig, apply_switch_config, feasible, load_feeder
 from gridbed.mitigate import best_response_sweep, exhaustive_best, payoff
 from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient, ModbusExceptionError
@@ -50,7 +50,7 @@ def test_criterion_1_baseline_health(fixture_model):
     assert all(config.closed(f"S{i}") for i in range(1, 7))
     assert not config.closed("S7") and not config.closed("S8")
     view = apply_switch_config(fixture_model, config)
-    assert is_radial(view)
+    assert feasible(view)
     solution = solve(fixture_model, view)
     assert solution.converged
     assert count_violations(solution.magnitudes(), band=(0.95, 1.05)) == 0

@@ -434,3 +434,32 @@ def test_params_from_doc_reads_a_linear_rule():
            "n_max": {"kind": "linear", "base": 2, "slope": 0.5, "cap": 4}}
     expected = _params(alpha_mw=0.015, n_tar=7, n_max=NMaxRule("linear", 2.0, 0.5, 4.0))
     assert AttackParams.from_doc(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param(key, value, id=f"{key}={value}")
+        for key in ("alpha_mw", "k_mw", "delta_mw", "floor_step_mw", "gamma_b_mw", "n_min",
+                    "stealth_limit_pct")
+        for value in (0, -0.5)
+    ],
+)
+def test_params_refuse_a_value_that_must_be_positive(key, value):
+    doc = {key: value}
+    for make in (lambda: AttackParams(**doc), lambda: AttackParams.from_doc(doc)):
+        with pytest.raises(AttackError, match=f"^{key} must be positive, got {value}"):
+            make()
+
+
+@pytest.mark.parametrize(
+    "mode, setpoints, message",
+    [
+        ("D", (("N102", "C"),), "unknown mode 'D'"),
+        ("B", (("N102", "C"), ("N109", "A")), "no controllable nodes on phase group B"),
+    ],
+)
+def test_run_attack_refuses_a_mode_before_any_request(fixture_meter_map, mode, setpoints, message):
+    meter_map = MeterMap(fixture_meter_map.meters, setpoints)
+    with pytest.raises(AttackError, match=message):
+        run_attack(None, meter_map, AttackParams(), mode)  # a request would fail on None

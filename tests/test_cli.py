@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from gridbed import attack, mitigate, scenario
-from gridbed.feeder import DEFAULT_FEEDER_RESOURCE, default_feeder_text
+from gridbed.feeder import DEFAULT_FEEDER_RESOURCE, default_feeder_text, load_feeder
 from gridbed.modbus import server
 from gridbed.modbus.client import ModbusClient
+from gridbed.regmap import MeterMap
 
 from conftest import BAD_NUMBERS, two_bus_doc
 
@@ -94,6 +95,27 @@ def test_cli_bad_address_or_feeder_exits_1(
     assert capsys.readouterr().out.startswith("error: ")
 
 
+@pytest.fixture()
+def two_bus_server():
+    """A server over two_bus_doc(): two meter registers and one setpoint,
+    so a client that reads the bundled feeder's map gets exception 0x03."""
+    model = load_feeder(json.dumps(two_bus_doc()))
+    with server.FeederServer(model, MeterMap.for_model(model, [("B1", "A")])) as srv:
+        yield srv
+
+
+def test_attack_cli_exits_1_on_a_modbus_exception(two_bus_server, capsys):
+    assert attack.main(["--server", _addr(two_bus_server), "--mode", "A"]) == 1
+    assert "status=error steps=0" in capsys.readouterr().out
+
+
+def test_mitigate_cli_exits_1_on_a_modbus_exception(two_bus_server, feeder_file, capsys):
+    args = ["--server", _addr(two_bus_server), "--feeder", str(feeder_file), "--once"]
+    assert mitigate.main(args) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: server refused the defense cycle: exception 0x03")
+
+
 def test_server_cli_feeder_without_a_converging_base_exits_1(tmp_path, capsys):
     doc = json.loads(default_feeder_text())
     for bus in doc["buses"]:
@@ -152,6 +174,8 @@ SCENARIO_NUMBER_PLACES = (
         (scenario.ScenarioConfig.from_json, "[1]", "document"),
         (scenario.ScenarioConfig.from_json, '{"attack_params": [1]}', "attack_params"),
         (scenario.ScenarioConfig.from_json, '{"attack_params": {"band": 5}}', "band"),
+        # the scenario's band is the attacker's too, so attack_params holds none
+        (scenario.ScenarioConfig.from_json, '{"attack_params": {"band": [0.9, 1.1]}}', "band"),
         (scenario.ScenarioConfig.from_json, '{"band": [1.1, 0.9]}', "band"),
         (scenario.ScenarioConfig.from_json, '{"allow_meshed": "no"}', "allow_meshed"),
         (scenario.ScenarioConfig.from_json, '{"feeder": 3}', "feeder"),

@@ -15,7 +15,7 @@ from gridbed.feeder import (
     TopologyView,
     apply_switch_config,
     default_feeder_text,
-    is_radial,
+    feasible,
     load_default_feeder,
     load_feeder,
     load_feeder_file,
@@ -138,6 +138,57 @@ def test_every_object_refuses_unknown_keys(key):
         load_feeder(json.dumps(doc))
 
 
+def _set(path, value):
+    """A change to a document: ``path`` of keys and indices to the value."""
+    def change(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return change
+
+
+def _second_switch_named_sw1(doc):
+    doc["branches"][2]["switch"] = "SW1"
+
+
+# Each refusal of load_feeder: a change to three_bus_switch_doc() and the
+# words its message must hold, which name the key at fault.
+REFUSALS = {
+    "self-loop": (_set(("branches", 0, "to"), "B0"), r"branches\[0\]: self-loop at bus 'B0'"),
+    "empty-switch-name": (_set(("branches", 1, "switch"), ""), r"branches\[1\]: switch name"),
+    "duplicate-switch-name": (_second_switch_named_sw1, "duplicate switch name 'SW1'"),
+    "bad-normal": (_set(("branches", 1, "normal"), "shut"), "switch 'SW1': normal state"),
+    "normal-without-switch": (
+        _set(("branches", 0, "normal"), "open"),
+        r"branches\[0\]: key 'normal' is set on a branch without a switch",
+    ),
+    "zero-base-kva": (_set(("base_kva",), 0), "base_kv_ln and base_kva must be positive"),
+    "negative-base-kv": (_set(("base_kv_ln",), -1), "base_kv_ln and base_kva must be positive"),
+    "source-not-a-string": (_set(("source",), 3), "key 'source' must be str"),
+    "empty-phases": (_set(("buses", 1, "phases"), ""), "bus 'B1': phases must be a non-empty"),
+    "unknown-phase": (_set(("buses", 1, "phases"), "AD"), "bus 'B1': unknown phase 'D'"),
+    "duplicate-phase": (_set(("buses", 1, "phases"), "AA"), "bus 'B1': duplicate phase 'A'"),
+    "short-load-triplet": (_set(("buses", 1, "load_kw"), [50, 0]), "bus 'B1': load_kw must be"),
+    "load-not-a-list": (_set(("buses", 1, "load_kvar"), 10), "bus 'B1': load_kvar must be"),
+    "two-row-matrix": (
+        _set(("branches", 0, "r_ohm"), [[0.02, 0, 0]] * 2), r"branches\[0\]: r_ohm must be a 3x3"
+    ),
+    "short-matrix-row": (
+        _set(("branches", 0, "x_ohm", 2), [0, 0]), r"branches\[0\]: x_ohm must be a 3x3"
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_load_feeder_refusals_name_the_key(refusal):
+    change, message = REFUSALS[refusal]
+    doc = three_bus_switch_doc()
+    load_feeder(json.dumps(doc))  # the unchanged document loads
+    change(doc)
+    with pytest.raises(FeederError, match=message):
+        load_feeder(json.dumps(doc))
+
+
 def test_branch_whose_endpoints_share_no_phase_rejected():
     doc = two_bus_doc(phase="A")
     doc["buses"][1]["phases"] = "B"
@@ -250,19 +301,19 @@ def test_energized_set_is_monotone_in_closures(fixture_model):
 
 
 # ---------------------------------------------------------------------------
-# is_radial
+# feasible
 # ---------------------------------------------------------------------------
 
 
 def test_fixture_base_state_is_radial(fixture_model):
     view = apply_switch_config(fixture_model, SwitchConfig.normal(fixture_model))
-    assert is_radial(view)
+    assert feasible(view)
 
 
 def test_closing_tie_breaks_radiality(fixture_model):
     config = SwitchConfig.normal(fixture_model).with_switch("S7", True)
     view = apply_switch_config(fixture_model, config)
-    assert not is_radial(view)
+    assert not feasible(view)
     live_edges = [(u, v) for _, u, v in _closed_edges(fixture_model, config)]
     assert edges_form_cycle([b.id for b in fixture_model.buses], live_edges)
 
@@ -276,7 +327,7 @@ def test_single_bus_no_edges_is_radial():
         "branches": [],
     }
     model = load_feeder(json.dumps(doc))
-    assert is_radial(apply_switch_config(model, SwitchConfig((), 0)))
+    assert feasible(apply_switch_config(model, SwitchConfig((), 0)))
 
 
 def test_radial_views_contain_no_cycle(fixture_model):
@@ -294,7 +345,7 @@ def test_radial_views_contain_no_cycle(fixture_model):
             if u in energized and v in energized
         }
         spans_loads = fixture_model.load_buses <= energized
-        assert is_radial(view) == (
+        assert feasible(view) == (
             spans_loads and not edges_form_cycle(list(energized), live.values())
         )
 
@@ -315,10 +366,10 @@ def test_de_energized_load_bus_is_not_radial():
     # but opening the line... here: open both switches -> B2 dark, still
     # radial because B2 carries no load.
     both_open = SwitchConfig.from_mapping(model, {"SW1": False, "SW2": False})
-    assert is_radial(apply_switch_config(model, both_open))
+    assert feasible(apply_switch_config(model, both_open))
     # close both -> cycle -> not radial
     both_closed = SwitchConfig.from_mapping(model, {"SW1": True, "SW2": True})
-    assert not is_radial(apply_switch_config(model, both_closed))
+    assert not feasible(apply_switch_config(model, both_closed))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from gridbed.modbus import frames
 from gridbed.modbus.client import ModbusClient
 from gridbed.modbus.server import FeederServer
 from gridbed.powerflow import DEFAULT_BAND
+from gridbed.regmap import MeterMap
 from gridbed.scenario import CASE_PATTERNS, case_vector
 
 from conftest import mbap_frame, three_bus_switch_doc
@@ -662,3 +663,39 @@ def test_plan_json_round_trip(fixture_model, fixture_meter_map):
     assert doc["toggles"] == ["S7"]
     assert doc["method"] == "sweep"
     assert doc["post_violations"] == 0
+
+
+def test_mitigate_once_leaves_the_switches_when_no_config_is_feasible(caplog):
+    # B3 carries load but no branch reaches it, so every config darkens it;
+    # B1's heavy load sits below the band on every config.
+    doc = three_bus_switch_doc()
+    doc["buses"][1]["load_kw"] = [3000, 0, 0]
+    doc["buses"].append({"id": "B3", "phases": "A", "load_kw": [10, 0, 0]})
+    model = load_feeder(json.dumps(doc))
+    meter_map = MeterMap.for_model(model, [("B1", "A")])
+    with FeederServer(model, meter_map) as server, ModbusClient(*server.address) as client:
+        served = server.state
+        with caplog.at_level("WARNING", logger="gridbed.mitigate"):
+            plan = mitigate_once(client, model, meter_map, use_oracle=True, allow_meshed=True)
+        assert server.state is served  # no write reached the server
+    assert plan.pre_violations > 0 and not plan.feasible and plan.toggles == ()
+    assert "no feasible configuration found" in caplog.text
+
+
+def test_run_mitigation_raises_a_read_back_mismatch_as_mitigation_error(
+    live_server, fixture_model, fixture_meter_map
+):
+    class StuckCoils(ModbusClient):
+        """Reads every coil as it stood before the defense wrote any."""
+
+        def read_coils(self, first_coil, count):
+            return normal[first_coil - 1 : first_coil - 1 + count]
+
+    with ModbusClient(*live_server.address) as attacker:
+        normal = attacker.read_coils(1, len(fixture_model.switch_names))
+        attacker.write_setpoints(fixture_meter_map, case_vector(fixture_meter_map, 1))
+    with pytest.raises(MitigationError, match="S7 read-back mismatch after write"):
+        run_mitigation(
+            lambda: StuckCoils(*live_server.address),
+            fixture_model, fixture_meter_map, once=True, allow_meshed=True,
+        )

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from gridbed import scenario
+from gridbed.attack import run_attack
 from gridbed.feeder import default_feeder_text
 from gridbed.mitigate import Weights
 from gridbed.regmap import MeterMap
@@ -50,6 +51,22 @@ def test_live_case_three_end_to_end():
     assert result.attack_status == "target-reached"
     assert result.violations_pre > 0
     assert result.violations_post == 0
+
+
+def test_live_attack_counts_violations_against_the_scenarios_band(monkeypatch):
+    traces = []
+
+    def recorded(*args):
+        traces.append(run_attack(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(scenario, "run_attack", recorded)
+    config = ScenarioConfig.from_json('{"band": [0.96, 1.04]}')
+    result = run_case(config, 3, live=True)
+    assert result.status == "ok"
+    # the attacker's last step reads the registers the scenario then reads
+    assert traces[0].steps[-1].kept
+    assert traces[0].steps[-1].violations == result.violations_pre
 
 
 def test_a_repeated_case_reuses_the_shared_model():

@@ -256,20 +256,21 @@ def build_doc() -> dict:
 
 
 def check(doc: dict):
-    from gridbed.feeder import (
-        SwitchConfig,
-        apply_switch_config,
-        is_radial,
-        load_feeder,
-    )
+    from gridbed.feeder import SwitchConfig, apply_switch_config, feasible, load_feeder
     from gridbed.mitigate import Weights, best_response_sweep, exhaustive_best
-    from gridbed.powerflow import count_violations, max_unbalance, solve
+    from gridbed.powerflow import count_violations, solve, unbalance_by_bus
     from gridbed.regmap import MeterMap
     from gridbed.scenario import CASE_PATTERNS, case_vector
-    from state_digest import unbalance_by_bus, worst_bus
 
     model = load_feeder(json.dumps(doc))
     meter_map = MeterMap.for_model(model)
+
+    def unbalance(reading) -> tuple[float, str]:
+        """The greatest bus unbalance (%) and the bus where it sits."""
+        live, pct = unbalance_by_bus(reading, meter_map.layout)
+        k = pct.argmax()
+        return float(pct[k]), meter_map.meters[meter_map.layout[live][k][0]][0]
+
     print(f"buses={len(model.buses)} meters={len(meter_map.meters)} "
           f"switches={len(model.switch_names)} branches={len(model.branches)}")
     assert len(model.buses) >= 123
@@ -278,22 +279,21 @@ def check(doc: dict):
 
     base = SwitchConfig.normal(model)
     view = apply_switch_config(model, base)
-    print(f"base radial={is_radial(view)} energized={len(view.energized)}")
+    print(f"base radial={feasible(view)} energized={len(view.energized)}")
     sol = solve(model, view)
     reading = sol.magnitudes()
     mags = sorted(reading)
+    max_u, max_bus = unbalance(reading)
     print(f"baseline: converged={sol.converged} iters={sol.iterations} "
           f"min={mags[0]:.4f} max={mags[-1]:.4f} violations={count_violations(reading)} "
-          f"maxU={max_unbalance(reading, meter_map.layout):.3f}% "
-          f"at {worst_bus(unbalance_by_bus(reading, meter_map))}")
+          f"maxU={max_u:.3f}% at {max_bus}")
 
     unbalances = {}
     for case in sorted(CASE_PATTERNS):
         demand = meter_map.demand(model, case_vector(meter_map, case))
         s = solve(model, view, demand)
         reading = s.magnitudes()
-        unbalances[case] = max_unbalance(reading, meter_map.layout)
-        max_bus = worst_bus(unbalance_by_bus(reading, meter_map))
+        unbalances[case], max_bus = unbalance(reading)
         margin = min(abs(m - 0.95) for m in reading if m > 0)
         plan = best_response_sweep(model, base, demand, Weights(), allow_meshed=True)
         oracle = exhaustive_best(model, base, demand, Weights(), allow_meshed=True)

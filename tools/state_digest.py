@@ -4,10 +4,10 @@
 The states are every switch config of the bundled feeder (256 for its eight
 switches) under seven load patterns: the base loads, then the terminal
 setpoint pattern of each of the six scenario cases.  Per state the digest
-covers the energized set, ``is_radial``, ``converged``, ``iterations``,
+covers the energized set, ``feasible``, ``converged``, ``iterations``,
 ``max_mismatch_pu``, the raw voltage bytes, the register image in both word
 orders, the violation count, and the unbalance: its maximum, the bus where
-it sits and every bus's percentage (:func:`unbalance_by_bus`).  A refactor
+it sits and every bus's percentage (:func:`unbalance_by_name`).  A refactor
 that leaves every output bit for bit unchanged leaves the digest unchanged:
 
     python3 tools/state_digest.py
@@ -35,14 +35,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gridbed.feeder import (
-    PHASE_INDEX,
-    SwitchConfig,
-    apply_switch_config,
-    is_radial,
-    load_default_feeder,
+from gridbed.feeder import SwitchConfig, apply_switch_config, feasible, load_default_feeder
+from gridbed.powerflow import (
+    PowerFlowError, count_violations, max_unbalance, solve, unbalance_by_bus,
 )
-from gridbed.powerflow import PowerFlowError, count_violations, max_unbalance, solve
 from gridbed.regmap import MeterMap, RegisterMapError, build_image
 from gridbed.scenario import CASE_PATTERNS, case_vector
 
@@ -54,17 +50,11 @@ DUMP_FIELDS = (
 )
 
 
-def unbalance_by_bus(reading, meter_map) -> dict[str, float]:
-    """``{bus: unbalance %}`` of a meter-order reading over the buses with
-    three nonzero, finite magnitudes, in ``meter_map.layout`` order, by
-    :func:`~gridbed.powerflow.max_unbalance`'s arithmetic."""
-    layout = meter_map.layout
-    mags = np.array([*reading, 0.0])[layout]
-    live = ((mags > 0) & np.isfinite(mags)).all(axis=1)
-    mags = mags[live]
-    mean = (mags[:, 0] + mags[:, 1] + mags[:, 2]) / 3.0
-    pct = np.abs(mags - mean[:, None]).max(axis=1) / mean * 100.0
-    return {meter_map.meters[row[0]][0]: p for row, p in zip(layout[live], pct.tolist())}
+def unbalance_by_name(reading, meter_map) -> dict[str, float]:
+    """``{bus: unbalance %}`` of :func:`~gridbed.powerflow.unbalance_by_bus`,
+    keyed by bus id, in ``meter_map.layout`` order."""
+    live, pct = unbalance_by_bus(reading, meter_map.layout)
+    return {meter_map.meters[row[0]][0]: p for row, p in zip(meter_map.layout[live], pct.tolist())}
 
 
 def worst_bus(per_bus: dict[str, float]) -> str | None:
@@ -75,11 +65,7 @@ def worst_bus(per_bus: dict[str, float]) -> str | None:
 def load_patterns(model, meter_map):
     """(setpoint vector in kW, solver demand) for the base loads and each
     case."""
-    base = tuple(
-        int(round(model.bus(node).load_kw[PHASE_INDEX[phase]]))
-        for node, phase in meter_map.setpoints
-    )
-    yield base, None
+    yield meter_map.base_setpoints(model), None
     for case in sorted(CASE_PATTERNS):
         setpoints = case_vector(meter_map, case)
         yield setpoints, meter_map.demand(model, setpoints)
@@ -100,7 +86,7 @@ def state_digest(dump=None) -> str:
     for closed in itertools.product((False, True), repeat=len(model.switch_names)):
         config = SwitchConfig(model.switch_names, sum(b << i for i, b in enumerate(closed)))
         view = apply_switch_config(model, config)
-        put(sorted(view.energized), is_radial(view))
+        put(sorted(view.energized), feasible(view))
         for pattern, (setpoints, demand) in enumerate(patterns):
             solution = solve(model, view, demand)
             rows.append((closed, pattern, bool(view.loops), solution.converged,
@@ -118,7 +104,7 @@ def state_digest(dump=None) -> str:
                     put(type(exc).__name__, str(exc))
             if solution.converged:
                 reading = solution.magnitudes()
-                per_bus = unbalance_by_bus(reading, meter_map)
+                per_bus = unbalance_by_name(reading, meter_map)
                 put(
                     count_violations(reading),
                     max_unbalance(reading, meter_map.layout),
