@@ -23,7 +23,7 @@ from .feeder import known_keys, load_default_feeder, load_feeder_file, number
 from .modbus import parse_address
 from .modbus.client import ModbusClient, ModbusExceptionError
 from .powerflow import DEFAULT_BAND, check_band, count_violations, max_unbalance
-from .regmap import MeterMap
+from .regmap import MeterMap, RegisterMapError
 
 log = logging.getLogger("gridbed.attack")
 
@@ -235,8 +235,8 @@ def run_attack(
     ``meter_map.setpoints`` order, so several phases of one bus stay apart.
     The trace holds them as ``{column: MW}`` dicts in that order, a column
     being the setpoint's node, or ``node.phase`` where the node repeats.  A
-    transport failure or a Modbus exception response ends it with
-    ``STATUS_ERROR``.
+    transport failure, a Modbus exception response or a step the setpoint
+    registers cannot carry ends it with ``STATUS_ERROR``.
     """
     if mode not in MODES:
         raise AttackError(f"unknown mode {mode!r}")
@@ -288,8 +288,8 @@ def run_attack(
             v_vio = v_vio_new
         trace.status = STATUS_STEP_CAP
         return trace
-    except (ConnectionError, ModbusExceptionError) as exc:
-        log.error("request failed: %s", exc)
+    except (ConnectionError, ModbusExceptionError, RegisterMapError) as exc:
+        log.error("attack stopped: %s", exc)
         trace.status = STATUS_ERROR
         return trace
 

@@ -38,7 +38,9 @@ read-back.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import logging
 import time
@@ -325,15 +327,17 @@ def run_mitigation(
     meter_map: MeterMap,
     weights: Weights = Weights(),
     interval_s: float = 0.5,
-    once: bool = False,
     use_oracle: bool = False,
     allow_meshed: bool = False,
     band=DEFAULT_BAND,
     max_retries: int = 5,
-) -> list[MitigationPlan]:
-    """Control loop: observe, plan, apply, sleep.  ``client_factory`` makes a
-    fresh connection after transport failures (retried with backoff)."""
-    plans: list[MitigationPlan] = []
+):
+    """Control loop: observe, plan, apply, sleep.  Yields each cycle's plan,
+    or None when there was nothing to fix, and sleeps ``interval_s`` when
+    resumed; the caller decides how many cycles run, and closing the
+    generator closes its connection.  A setpoint is read as the whole kW the
+    server holds, with no conversion.  ``client_factory`` makes a fresh
+    connection after transport failures (retried with backoff)."""
     attempt = 0
     client = None
     try:
@@ -344,21 +348,9 @@ def run_mitigation(
                 plan = mitigate_once(
                     client, model, meter_map, weights, use_oracle, allow_meshed, band
                 )
-                attempt = 0
-                if plan is not None:
-                    plans.append(plan)
-                    log.info(
-                        "plan: toggles=%s pre=%d post=%s",
-                        list(plan.toggles),
-                        plan.pre_violations,
-                        plan.observed_post_violations,
-                    )
-                if once:
-                    return plans
-                time.sleep(interval_s)
             except (ModbusExceptionError, ReadBackError) as exc:
                 raise MitigationError(f"server refused the defense cycle: {exc}") from exc
-            except (ConnectionError, OSError) as exc:
+            except OSError as exc:
                 attempt += 1
                 if client is not None:
                     client.close()
@@ -370,6 +362,13 @@ def run_mitigation(
                 backoff = min(2.0 ** attempt * 0.1, 5.0)
                 log.warning("transport failure (%s); retry %d in %.1fs", exc, attempt, backoff)
                 time.sleep(backoff)
+                continue
+            attempt = 0
+            if plan is not None:
+                log.info("plan: toggles=%s pre=%d post=%s", list(plan.toggles),
+                         plan.pre_violations, plan.observed_post_violations)
+            yield plan
+            time.sleep(interval_s)
     finally:
         if client is not None:
             client.close()
@@ -382,7 +381,7 @@ def main(argv=None) -> int:
     parser.add_argument("--server", required=True, help="addr:port of the feeder server")
     parser.add_argument("--feeder", required=True, help="feeder description JSON file")
     parser.add_argument("--interval", type=int, default=500, help="control interval, ms")
-    parser.add_argument("--once", action="store_true", help="single observe/act cycle")
+    parser.add_argument("--once", action="store_true", help="one cycle, not until Ctrl-C")
     parser.add_argument(
         "--oracle", action="store_true", help="exhaustive search instead of the sweep"
     )
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="accept configurations that close loops (full energization only)",
     )
-    parser.add_argument("--plan-out", help="write the last plan as JSON")
+    parser.add_argument("--plan-out", help="JSON file that holds the last plan")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
@@ -406,27 +405,27 @@ def main(argv=None) -> int:
         print(f"error: {exc}")
         return 1
 
-    def connect():
-        return ModbusClient(*address)
-
+    cycles = run_mitigation(
+        lambda: ModbusClient(*address),
+        model,
+        meter_map,
+        interval_s=args.interval / 1000.0,
+        use_oracle=args.oracle,
+        allow_meshed=args.allow_meshed,
+    )
+    last = None
     try:
-        plans = run_mitigation(
-            connect,
-            model,
-            meter_map,
-            interval_s=args.interval / 1000.0,
-            once=args.once,
-            use_oracle=args.oracle,
-            allow_meshed=args.allow_meshed,
-        )
+        with contextlib.closing(cycles), contextlib.suppress(KeyboardInterrupt):
+            for plan in itertools.islice(cycles, 1 if args.once else None):
+                if plan is not None:
+                    last = plan
+                    if args.plan_out:
+                        with open(args.plan_out, "w", encoding="utf-8") as fh:
+                            fh.write(plan.to_json())
     except MitigationError as exc:
         print(f"error: {exc}")
         return 1
-    if args.plan_out and plans:
-        with open(args.plan_out, "w", encoding="utf-8") as fh:
-            fh.write(plans[-1].to_json())
-    if plans:
-        last = plans[-1]
+    if last is not None:
         print(
             f"mitigation: toggles={list(last.toggles)} pre={last.pre_violations} "
             f"post={last.observed_post_violations}"

@@ -131,13 +131,13 @@ class ModbusClient:
         one write-multiple request.
 
         The vector covers every setpoint register, so the write needs no read
-        first and cannot race with another writer.  A vector of another
-        length or a value outside 0..65535 raises
-        :class:`~gridbed.regmap.RegisterMapError` before anything is sent.
+        first and cannot race with another writer.  A setpoint is a whole kW,
+        sent with no conversion: a vector that breaks
+        :meth:`~gridbed.regmap.MeterMap.check_setpoints` raises before
+        anything is sent.
         """
-        values = tuple(map(int, setpoints_kw))
-        meter_map.check_setpoints(values)
-        self.write_registers(regmap.SETPOINT_BLOCK_START, values)
+        meter_map.check_setpoints(setpoints_kw)
+        self.write_registers(regmap.SETPOINT_BLOCK_START, setpoints_kw)
 
     def read_switches(self, switch_names: tuple[str, ...]) -> dict[str, bool]:
         bits = self.read_coils(1, len(switch_names))

@@ -171,13 +171,16 @@ class MeterMap:
 
     def check_setpoints(self, setpoints_kw: Sequence[int]):
         """Raise :class:`RegisterMapError` unless ``setpoints_kw`` is a
-        setpoint vector of this map: one 16-bit kW value per setpoint."""
+        setpoint vector of this map: one whole kW per setpoint, an ``int``
+        in 0..65535, with no conversion (a float, string or bool is refused)."""
         if len(setpoints_kw) != len(self.setpoints):
             k = len(self.setpoints)
             raise RegisterMapError(f"{len(setpoints_kw)} setpoints for a map of {k}")
         for (node, phase), kw in zip(self.setpoints, setpoints_kw):
-            if not 0 <= kw <= 0xFFFF:
-                raise RegisterMapError(f"setpoint {kw} kW for {node}.{phase} not a 16-bit value")
+            if type(kw) is not int or not 0 <= kw <= 0xFFFF:
+                raise RegisterMapError(
+                    f"setpoint {kw!r} kW for {node}.{phase} not a 16-bit value"
+                )
 
     def demand(self, model: FeederModel, setpoints_kw: Sequence[int]) -> np.ndarray:
         """``model.base_demand`` with a setpoint vector written in: each

@@ -54,52 +54,50 @@ OFF_LEVEL_MW = 0.001
 QUANTIZATION_PU = 5e-5
 
 
-def _typed(doc: dict, key: str, default, kinds: tuple, what: str):
-    """``doc[key]`` (``default`` when absent), which must be one of ``kinds``."""
-    value = doc.get(key, default)
-    if not isinstance(value, kinds):
-        raise ValueError(f"scenario config {key} must be {what}, got {value!r}")
-    return value
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A run's settings, checked here: a config built in code meets the
+    rules of a document, whose keys are the field names and whose
+    ``weights`` and ``attack_params`` are JSON objects."""
+
     feeder: str | None = None  # None = bundled fixture
     allow_meshed: bool = True  # the bundled cases operate ties into loops
-    use_oracle: bool = False
+    oracle: bool = False
     band: tuple[float, float] = DEFAULT_BAND  # the run's one band, the attacker's too
     weights: Weights = field(default_factory=Weights)
-    attack_params: AttackParams = field(default_factory=AttackParams)  # its band is replaced
+    attack_params: AttackParams = field(default_factory=AttackParams)  # takes the band above
+
+    def __post_init__(self):
+        if not isinstance(self.feeder, (str, type(None))):
+            raise ValueError(f"scenario config feeder must be a path, got {self.feeder!r}")
+        for name in ("allow_meshed", "oracle"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise ValueError(f"scenario config {name} must be true or false, got {value!r}")
+        band = check_band(self.band)
+        weights, params = self.weights, self.attack_params
+        if not isinstance(weights, Weights):
+            known_keys(weights, [f.name for f in fields(Weights)], "scenario config weights",
+                       ValueError)
+            try:
+                weights = Weights(**weights)
+            except ValueError as exc:
+                raise ValueError(f"scenario config {exc}") from exc
+        if not isinstance(params, AttackParams):
+            try:
+                if isinstance(params, dict) and "band" in params:
+                    raise ValueError("band is the scenario's own; set it at the top level")
+                params = AttackParams.from_doc(params)
+            except ValueError as exc:
+                raise ValueError(f"scenario config attack_params: {exc}") from exc
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "attack_params", replace(params, band=band))
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         doc = json.loads(text)
-        known_keys(
-            doc,
-            ("feeder", "allow_meshed", "oracle", "band", "weights", "attack_params"),
-            "scenario config document",
-            ValueError,
-        )
-        weights = doc.get("weights", {})
-        known_keys(weights, ("violation", "cost"), "scenario config weights", ValueError)
-        cfg = cls()
-        cfg.feeder = _typed(doc, "feeder", None, (str, type(None)), "a path")
-        cfg.allow_meshed = _typed(doc, "allow_meshed", True, (bool,), "true or false")
-        cfg.use_oracle = _typed(doc, "oracle", False, (bool,), "true or false")
-        if "band" in doc:
-            cfg.band = check_band(doc["band"])
-        try:
-            cfg.weights = Weights(**weights)
-        except ValueError as exc:
-            raise ValueError(f"scenario config {exc}") from exc
-        params = doc.get("attack_params", {})
-        try:
-            if isinstance(params, dict) and "band" in params:
-                raise ValueError("band is the scenario's own; set it at the top level")
-            cfg.attack_params = AttackParams.from_doc(params)
-        except ValueError as exc:
-            raise ValueError(f"scenario config attack_params: {exc}") from exc
-        return cfg
+        known_keys(doc, [f.name for f in fields(cls)], "scenario config document", ValueError)
+        return cls(**doc)
 
     def load_model(self) -> FeederModel:
         if self.feeder:
@@ -156,7 +154,7 @@ def _environment_stamp(config: ScenarioConfig) -> dict:
         "numpy": numpy.__version__,
         "platform": platform.platform(),
         "allow_meshed": config.allow_meshed,
-        "oracle": config.use_oracle,
+        "oracle": config.oracle,
         "band": list(config.band),
     }
 
@@ -190,8 +188,7 @@ def run_case(
 
                 stage = "attack"
                 if live:
-                    params = replace(config.attack_params, band=config.band)
-                    trace = run_attack(attacker, meter_map, params, group)
+                    trace = run_attack(attacker, meter_map, config.attack_params, group)
                     result.attack_status = trace.status
                     result.attack_steps = len(trace.steps)
                     result.budget_spent_mw = trace.budget_spent_mw
@@ -214,7 +211,7 @@ def run_case(
                     model,
                     meter_map,
                     weights=config.weights,
-                    use_oracle=config.use_oracle,
+                    use_oracle=config.oracle,
                     allow_meshed=config.allow_meshed,
                     band=config.band,
                 )

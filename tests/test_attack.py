@@ -174,6 +174,20 @@ def test_degenerate_zero_target_stops_at_first_step(live_server, fixture_meter_m
         assert trace.steps == []
 
 
+def test_a_step_past_the_setpoint_registers_ends_with_error_status(
+    live_server, fixture_meter_map
+):
+    # n_max, budget and stealth limit all let mode A climb past 65535 kW;
+    # the step that would need it is not written and ends the run
+    params = _params(alpha_mw=1, n_max=10000, av_max_mw=1e9, stealth_limit_pct=1000)
+    with ModbusClient(*live_server.address) as client:
+        trace = run_attack(client, fixture_meter_map, params, "A")
+        held = client.read_setpoints(fixture_meter_map)
+    assert trace.status == STATUS_ERROR
+    assert trace.steps and all(s.kept for s in trace.steps)
+    assert held == tuple(round(mw * 1000) for mw in trace.steps[-1].vector_mw.values())
+
+
 def test_malformed_reply_mid_run_ends_with_error_status(scripted_peer, fixture_meter_map):
     # baseline setpoints and a flat 1.0 pu profile, then the first setpoint
     # write is answered as if it were a read

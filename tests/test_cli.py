@@ -109,6 +109,18 @@ def test_attack_cli_exits_1_on_a_modbus_exception(two_bus_server, capsys):
     assert "status=error steps=0" in capsys.readouterr().out
 
 
+def test_attack_cli_exits_1_on_a_step_the_setpoint_registers_cannot_carry(
+    tmp_path, capsys, live_server
+):
+    params = tmp_path / "params.json"
+    params.write_text(
+        json.dumps({"alpha_mw": 1, "n_max": 10000, "av_max_mw": 1e9, "stealth_limit_pct": 1000})
+    )
+    args = ["--server", _addr(live_server), "--mode", "A", "--params", str(params)]
+    assert attack.main(args) == 1
+    assert "attack A: status=error steps=65 " in capsys.readouterr().out
+
+
 def test_mitigate_cli_exits_1_on_a_modbus_exception(two_bus_server, feeder_file, capsys):
     args = ["--server", _addr(two_bus_server), "--feeder", str(feeder_file), "--once"]
     assert mitigate.main(args) == 1
@@ -129,6 +141,11 @@ def test_server_cli_feeder_without_a_converging_base_exits_1(tmp_path, capsys):
 def from_json(text):
     """Attack parameters from JSON text, as ``gridbed-attack --params`` reads them."""
     return attack.AttackParams.from_doc(json.loads(text))
+
+
+def scenario_in_code(text):
+    """A scenario config built in code from the fields of a JSON object."""
+    return scenario.ScenarioConfig(**json.loads(text))
 
 
 # Each place in a scenario config that holds a number, as a document holding x.
@@ -179,6 +196,11 @@ SCENARIO_NUMBER_PLACES = (
         (scenario.ScenarioConfig.from_json, '{"band": [1.1, 0.9]}', "band"),
         (scenario.ScenarioConfig.from_json, '{"allow_meshed": "no"}', "allow_meshed"),
         (scenario.ScenarioConfig.from_json, '{"feeder": 3}', "feeder"),
+        # a config built in code is held to the document's rules
+        (scenario_in_code, '{"allow_meshed": "no"}', "allow_meshed"),
+        (scenario_in_code, '{"oracle": 1}', "oracle"),
+        (scenario_in_code, '{"feeder": 5}', "feeder"),
+        (scenario_in_code, '{"band": [1.1, 0.9]}', "band"),
     ]
     + [
         pytest.param(
@@ -280,6 +302,32 @@ def test_mitigate_cli_once(tmp_path, live_server, feeder_file, fixture_meter_map
     with ModbusClient(*live_server.address) as client:
         client.write_switch(fixture_model.switch_names, "S7", False)
         client.write_setpoints(fixture_meter_map, (40,) * len(fixture_meter_map.setpoints))
+
+
+def test_mitigate_cli_runs_until_interrupted(
+    tmp_path, capsys, monkeypatch, live_server, feeder_file, fixture_meter_map, fixture_model
+):
+    # without --once the loop runs until Ctrl-C, here raised by its second
+    # sleep: the first cycle closes S7, the second finds nothing to fix
+    sleeps = []
+
+    def interrupt(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) == 2:
+            raise KeyboardInterrupt
+
+    with ModbusClient(*live_server.address) as client:
+        client.write_setpoints(fixture_meter_map, scenario.case_vector(fixture_meter_map, 1))
+    monkeypatch.setattr(mitigate.time, "sleep", interrupt)
+    plan_out = tmp_path / "plan.json"
+    args = ["--server", _addr(live_server), "--feeder", str(feeder_file), "--allow-meshed"]
+    try:
+        rc = mitigate.main([*args, "--plan-out", str(plan_out)])
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C escaped gridbed-mitigate")
+    assert (rc, sleeps) == (0, [0.5, 0.5])
+    assert json.loads(plan_out.read_text())["toggles"] == ["S7"]  # the last plan that acted
+    assert capsys.readouterr().out.startswith("mitigation: toggles=['S7'] pre=")
 
 
 def test_mitigate_cli_negative_interval_exits_1(

@@ -1,5 +1,6 @@
 """Defender: payoff scoring, best-response sweep, exhaustive oracle, live loop."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -626,10 +627,9 @@ def test_run_mitigation_unreachable_server_retries_then_fails(fixture_model, fix
     def connect():
         return ModbusClient("127.0.0.1", 9, timeout=0.2)
 
-    with pytest.raises(MitigationError, match="unreachable"):
-        run_mitigation(
-            connect, fixture_model, fixture_meter_map, once=True, max_retries=2
-        )
+    cycles = run_mitigation(connect, fixture_model, fixture_meter_map, max_retries=2)
+    with pytest.raises(MitigationError, match="unreachable"), contextlib.closing(cycles):
+        next(cycles)
 
 
 def test_run_mitigation_reconnects_after_malformed_reply(
@@ -641,13 +641,15 @@ def test_run_mitigation_reconnects_after_malformed_reply(
     pattern = (80, 80, 80, 1, 1, 1, 1, 1, 1)  # N102..N104 on C at 80 kW, the rest at 1
     with ModbusClient(*live_server.address) as attacker:
         attacker.write_setpoints(fixture_meter_map, pattern)
+    cycles = run_mitigation(
+        lambda: ModbusClient(*next(addresses)),
+        fixture_model, fixture_meter_map, allow_meshed=True,
+    )
     try:
-        plans = run_mitigation(
-            lambda: ModbusClient(*next(addresses)),
-            fixture_model, fixture_meter_map, once=True, allow_meshed=True,
-        )
+        with contextlib.closing(cycles):
+            plan = next(cycles)
         assert len(peer.requests) == 1
-        assert [plan.toggles for plan in plans] == [("S7",)]
+        assert plan.toggles == ("S7",)
     finally:
         with ModbusClient(*live_server.address) as cleanup:
             cleanup.write_switch(fixture_model.switch_names, "S7", False)
@@ -694,8 +696,10 @@ def test_run_mitigation_raises_a_read_back_mismatch_as_mitigation_error(
     with ModbusClient(*live_server.address) as attacker:
         normal = attacker.read_coils(1, len(fixture_model.switch_names))
         attacker.write_setpoints(fixture_meter_map, case_vector(fixture_meter_map, 1))
-    with pytest.raises(MitigationError, match="S7 read-back mismatch after write"):
-        run_mitigation(
-            lambda: StuckCoils(*live_server.address),
-            fixture_model, fixture_meter_map, once=True, allow_meshed=True,
-        )
+    cycles = run_mitigation(
+        lambda: StuckCoils(*live_server.address),
+        fixture_model, fixture_meter_map, allow_meshed=True,
+    )
+    with contextlib.closing(cycles):
+        with pytest.raises(MitigationError, match="S7 read-back mismatch after write"):
+            next(cycles)

@@ -172,8 +172,9 @@ def test_write_setpoints_full_map_is_one_fc16_request(live_server, fixture_meter
 
 
 def test_write_setpoints_validates_nodes_and_range(live_server, fixture_meter_map):
-    # a vector must cover every setpoint register with a 16-bit value, and a
-    # bad one is refused before anything is sent
+    # a vector must cover every setpoint register with a 16-bit whole kW, an
+    # int the client neither truncates nor parses, and a bad one is refused
+    # before anything is sent
     k = len(fixture_meter_map.setpoints)
     with _client(live_server) as client:
         before = client.read_setpoints(fixture_meter_map)
@@ -183,7 +184,7 @@ def test_write_setpoints_validates_nodes_and_range(live_server, fixture_meter_ma
         for short_or_long in ((99,), (40,) * (k - 1), (40,) * (k + 1)):
             with pytest.raises(ValueError, match=f"setpoints for a map of {k}"):
                 client.write_setpoints(fixture_meter_map, short_or_long)
-        for bad in (70000, -1):
+        for bad in (70000, -1, 40.7, "41", True):
             with pytest.raises(RegisterMapError, match="kW for N103.C not a 16-bit value"):
                 client.write_setpoints(fixture_meter_map, (40, bad) + (40,) * (k - 2))
         assert sent == []

@@ -159,6 +159,9 @@ def test_demand_writes_each_setpoint_on_its_own_bus_and_phase(fixture_model):
     assert (demand[others] == fixture_model.base_demand[others]).all()
     with pytest.raises(RegisterMapError, match="2 setpoints for a map of 3"):
         meter_map.demand(fixture_model, (1, 2))
+    for bad in (40.5, 40.0, "41", True):  # a whole kW, neither rounded nor parsed
+        with pytest.raises(RegisterMapError, match=f"setpoint {bad!r} kW for N8.B not a 16-bit"):
+            meter_map.demand(fixture_model, (1, bad, 3))
 
 
 def test_demand_keeps_the_base_kvar_and_matches_the_per_point_loads(fixture_model):
@@ -256,8 +259,9 @@ def test_build_image_setpoint_words(fixture_model, fixture_meter_map):
     for bad in ((80,), setpoints + (1,)):
         with pytest.raises(RegisterMapError, match="setpoints for a map of 9"):
             build_image(solution, bad, config, fixture_meter_map)
-    with pytest.raises(RegisterMapError, match="70000 kW for N103.C not a 16-bit value"):
-        build_image(solution, (80, 70000) + ZEROS[2:], config, fixture_meter_map)
+    for bad in (70000, 40.5, "41", True):  # the image neither truncates nor parses
+        with pytest.raises(RegisterMapError, match=f"{bad!r} kW for N103.C not a 16-bit value"):
+            build_image(solution, (80, bad) + ZEROS[2:], config, fixture_meter_map)
 
 
 def test_build_image_is_pure(fixture_model, fixture_meter_map):

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from gridbed import scenario
-from gridbed.attack import run_attack
+from gridbed.attack import AttackParams, run_attack
 from gridbed.feeder import default_feeder_text
 from gridbed.mitigate import Weights
 from gridbed.regmap import MeterMap
@@ -42,10 +42,7 @@ def test_replay_case_one_end_to_end():
 
 
 def test_live_case_three_end_to_end():
-    from gridbed.attack import AttackParams
-
-    config = ScenarioConfig()
-    config.attack_params = AttackParams(n_tar=2, av_max_mw=50.0, max_steps=40)
+    config = ScenarioConfig(attack_params=AttackParams(n_tar=2, av_max_mw=50.0, max_steps=40))
     result = run_case(config, 3, live=True)
     assert result.status == "ok"
     assert result.attack_status == "target-reached"
@@ -195,10 +192,19 @@ def test_config_json_parsing():
     )
     config = ScenarioConfig.from_json(text)
     assert config.allow_meshed is False
-    assert config.use_oracle is True
+    assert config.oracle is True
     assert config.band == (0.9, 1.1)
     assert config.weights.violation == 500
     assert config.attack_params.n_tar == 3
+
+
+def test_config_takes_its_parts_as_json_objects_and_lends_its_band():
+    config = ScenarioConfig(band=(0.9, 1.1), weights={"cost": 2}, attack_params={"n_tar": 3})
+    assert config.weights == Weights(cost=2)
+    assert config.attack_params == AttackParams(n_tar=3, band=(0.9, 1.1))
+    assert config == ScenarioConfig.from_json(
+        '{"band": [0.9, 1.1], "weights": {"cost": 2}, "attack_params": {"n_tar": 3}}'
+    )
 
 
 def test_config_json_rejects_unknown_keys():

@@ -1,5 +1,7 @@
 """Developer tools stay in step with the package they build documents for."""
 
+import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -22,6 +24,16 @@ def test_make_fixture_check_scorecard_agrees():
     assert proc.returncode == 0, proc.stderr
     agree = re.findall(r"^case (\d): .* agree=(\w+)$", proc.stdout, re.MULTILINE)
     assert agree == [(str(case), "True") for case in range(1, 7)]
+
+
+def test_make_fixture_builds_the_bundled_fixture_byte_for_byte():
+    # what `tools/make_fixture.py --write` would write is the committed file
+    tool = ROOT / "tools" / "make_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_fixture", tool)
+    make_fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixture)
+    bundled = (ROOT / "src" / "gridbed" / "data" / "ieee123.json").read_bytes()
+    assert json.dumps(make_fixture.build_doc(), indent=1).encode("utf-8") == bundled
 
 
 def test_register_map_doc_matches_render(fixture_model, fixture_meter_map):
